@@ -7,7 +7,8 @@ search strategy, then measures warmed ``auto`` selection against the
 portfolio invariant (identical verdicts everywhere) and that warmed
 auto is no slower than baseline; the exact per-strategy breakdown —
 query counts, latencies, selector hit rates, and the measured
-improvement — lands in ``BENCH_PR6.json`` via the session conftest
+improvement — lands in the bench record
+(``benchmarks/out/bench-record.json``) via the session conftest
 (gauges ``bench.e10.*`` plus the ``strategies`` section).
 """
 

@@ -6,7 +6,8 @@ more at ``jobs=4`` with the static partitioner, pinning the scheduler's
 acceptance invariant: **every configuration produces bit-identical
 verdicts**. The elapsed wall-clock per level (the scaling curve), the
 steal counts and the total queue wait land as ``bench.e11.*`` gauges in
-``BENCH_PR10.json`` via the session conftest. A final warm-store pass
+the bench record (``benchmarks/out/bench-record.json``) via the
+session conftest. A final warm-store pass
 runs the corpus twice against one tiered ProofStore and gates on the
 memtier invariant: the second pass reads **zero** bytes off disk.
 

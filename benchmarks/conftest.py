@@ -1,32 +1,34 @@
 """Shared fixtures for the experiment benchmarks (see DESIGN.md §4).
 
-Besides the fixtures, this conftest tracks the perf trajectory: at the
-end of a benchmark session it writes ``BENCH_PR10.json`` at the repo
-root with per-test wall-clock, the aggregate solver counters
-(:data:`repro.solver.core.GLOBAL_STATS` — checks, LRU cache
+Besides the fixtures, this conftest records the session: at the end
+of a benchmark session it writes ``benchmarks/out/bench-record.json``
+(not committed; the committed ``BENCH_PR*.json`` files are older
+records of the same shape) with per-test wall-clock, the aggregate
+solver counters (:data:`repro.solver.core.GLOBAL_STATS` — checks, LRU cache
 hits/misses/evictions, branches, plus the robustness counters:
 branch-cap unknowns and cooperative-budget stops), the pool's
 fault/retry counters (:data:`repro.parallel.PARALLEL_STATS` — broken
 pools, worker failures, serial retries/fallbacks), the proof-store
 counters (:data:`repro.store.STORE_STATS` — hits, misses, quarantines,
 heals; all zero unless a bench opts into ``REPRO_CACHE``) and the
-term-interner hit rate, so successive PRs can compare like for like
-and a silently degraded benchmark run is visible in the record.
+term-interner hit rate, so a silently degraded benchmark run is
+visible in the record. Timings compared across changes come from
+``perfbench/`` (fresh processes, repeated runs), not from this record.
 
-Since PR 4 the record also carries the observability aggregates that
+The record also carries the observability aggregates that
 accumulate while the benches run: per-function phase timings
 (encode / vcgen / symex / solve / store, from
 :func:`repro.obs.trace.phases_snapshot`), the slowest solver queries,
 and the ``tactic.*`` / ``gillian.*`` counters — so a perf regression
 in the record can be localised to a phase without re-running anything.
 
-Since PR 6 it also records the solver strategy portfolio: per-strategy
+It also records the solver strategy portfolio: per-strategy
 query counts and latency histograms (``solver.strategy.*``) and the
 process-wide selector's decision/exploration counters, hit rate and
 per-bucket winners — the evidence behind the E10 auto-vs-baseline
 comparison (gauges ``bench.e10.*``).
 
-Since PR 10 it also records the work-stealing scheduler: the pool's
+And it records the work-stealing scheduler: the pool's
 steal / queue-wait counters, the memory-tier vs. disk split of the
 proof-store hits, and the E11 scaling curve (elapsed wall-clock per
 ``jobs`` level with verdict-identity pinned; gauges ``bench.e11.*``).
@@ -52,18 +54,7 @@ from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
 from repro.store import STORE_STATS, reset_store_stats
 
-_BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_PR10.json"
-
-#: Tier-1 suite wall-clock on the reference machine, recorded when this
-#: tracking was introduced (PR 1): the seed solver vs. the hash-consed /
-#: incremental / parallel one. Kept static so regenerated bench JSON
-#: still carries the before/after story.
-_TIER1_WALL_CLOCK = {
-    "command": "PYTHONPATH=src python -m pytest -x -q (374 tests)",
-    "seed_seconds": 79.33,
-    "pr1_seconds": 13.92,
-    "speedup": round(79.33 / 13.92, 2),
-}
+_BENCH_JSON = Path(__file__).resolve().parent / "out" / "bench-record.json"
 
 _rows = []
 _parallel_totals: dict = {}
@@ -161,9 +152,7 @@ def pytest_sessionfinish(session, exitstatus):
         if k.startswith("solver.strategy.")
     }
     payload = {
-        "pr": 10,
         "python": platform.python_version(),
-        "tier1_wall_clock": _TIER1_WALL_CLOCK,
         "bench_total_seconds": round(sum(r["seconds"] for r in _rows), 3),
         "tests": _rows,
         "solver_stats": stats,
@@ -218,4 +207,5 @@ def pytest_sessionfinish(session, exitstatus):
         },
         "metrics": metrics_summary(snapshot),
     }
+    _BENCH_JSON.parent.mkdir(exist_ok=True)
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")

@@ -226,6 +226,12 @@ class HybridReport:
                 f"{st.get('disk_reads', 0)} disk reads) --"
             )
         if verbose:
+            if ss.get("prefix_hits") or ss.get("prefix_misses"):
+                lines.append(
+                    f"-- solver: {ss.get('checks', 0)} checks, "
+                    f"path-condition prefix {ss['prefix_hits']} hits / "
+                    f"{ss['prefix_misses']} misses --"
+                )
             ps = self.parallel_stats
             if ps and any(ps.values()):
                 lines.append(
@@ -507,7 +513,10 @@ class HybridVerifier:
         # pool's observability deltas and land in GLOBAL_STATS only.
         report.solver_stats = {
             k: GLOBAL_STATS[k] - solver_before.get(k, 0)
-            for k in ("checks", "unknowns", "budget_stops")
+            for k in (
+                "checks", "unknowns", "budget_stops",
+                "prefix_hits", "prefix_misses",
+            )
         }
         report.parallel_stats = {
             k: PARALLEL_STATS[k] - parallel_before.get(k, 0)

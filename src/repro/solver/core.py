@@ -33,6 +33,12 @@ cross-query result cache is a bounded LRU (capacity via the
 ``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
 :attr:`Solver.stats`.
 
+Across queries the search also reuses the *path condition*: the
+default strategy (:data:`DEFAULT_STRATEGY`) keeps the last few closed
+literal prefixes on the solver (:attr:`Solver.prefix_branches`), so an
+entailment query ``pc + [¬goal]`` whose ``pc`` was closed before only
+pays for the goal's cone. ``prefix_hits``/``prefix_misses`` count it.
+
 The traversal itself — case-split order, theory-closure timing,
 literal ordering — is pluggable: a :class:`SearchStrategy`
 (:mod:`repro.solver.strategies`) decides it, and every registered
@@ -320,6 +326,8 @@ GLOBAL_STATS = metrics.register_legacy(
         "branches": 0,
         "unknowns": 0,
         "budget_stops": 0,
+        "prefix_hits": 0,
+        "prefix_misses": 0,
     },
 )
 
@@ -344,6 +352,16 @@ def _describe_query(fs: Sequence[Term]) -> str:
 #: Default LRU capacity when neither the constructor nor the
 #: ``REPRO_SOLVER_CACHE`` knob says otherwise.
 DEFAULT_CACHE_CAPACITY = 16384
+
+#: The search strategy when neither ``strategy=`` nor
+#: ``REPRO_SOLVER_STRATEGY`` names one: closed path-condition prefixes
+#: are reused across queries (DESIGN.md §10 has the measurement).
+#: ``baseline`` stays the reference search without that reuse.
+DEFAULT_STRATEGY = "prefix_reuse"
+
+#: Closed path-condition prefixes one solver keeps (LRU). The query
+#: stream alternates between a handful of symbolic states at a time.
+PREFIX_SLOTS = 4
 
 
 def _cache_capacity_from_env(environ: Optional[dict] = None) -> int:
@@ -372,17 +390,17 @@ def _strategy_from_env(environ: Optional[dict] = None) -> str:
     env = os.environ if environ is None else environ
     raw = (env.get("REPRO_SOLVER_STRATEGY") or "").strip()
     if not raw:
-        return "baseline"
+        return DEFAULT_STRATEGY
     if raw in STRATEGIES or raw in MODES:
         return raw
     warnings.warn(
         f"REPRO_SOLVER_STRATEGY={raw!r} is not a registered strategy "
         f"({', '.join(STRATEGIES)}) or mode ({', '.join(MODES)}); "
-        f"using 'baseline'",
+        f"using {DEFAULT_STRATEGY!r}",
         RuntimeWarning,
         stacklevel=3,
     )
-    return "baseline"
+    return DEFAULT_STRATEGY
 
 
 class Solver:
@@ -394,12 +412,17 @@ class Solver:
 
     ``strategy`` picks how cache-missing queries are searched: a
     concrete strategy name from :data:`repro.solver.strategies.STRATEGIES`
-    (default ``baseline``), ``auto`` (per-query learned selection via
-    ``selector`` — default the process-wide
+    (default :data:`DEFAULT_STRATEGY`), ``auto`` (per-query learned
+    selection via ``selector`` — default the process-wide
     :data:`repro.solver.portfolio.GLOBAL_SELECTOR`), or ``race`` (run
     every strategy, assert verdict agreement). Defaults come from
     ``REPRO_SOLVER_STRATEGY``. All strategies share this instance's
     result cache — verdicts are strategy-independent by invariant.
+
+    :attr:`prefix_branches` is the cross-query path-condition cache of
+    the prefix-reusing search: literal prefix → ``(closed branch,
+    conflict)``, at most :data:`PREFIX_SLOTS` entries, least recently
+    used first.
 
     :attr:`budget` (a :class:`repro.budget.Budget` or ``None``) is the
     cooperative per-function budget: every cache-missing query ticks
@@ -432,6 +455,9 @@ class Solver:
         self.selector = selector if selector is not None else GLOBAL_SELECTOR
         self.budget = None  # Optional[repro.budget.Budget]
         self._cache: OrderedDict[frozenset, Status] = OrderedDict()
+        self.prefix_branches: OrderedDict[
+            tuple, tuple[TheoryBranch, bool]
+        ] = OrderedDict()
         self.stats = {
             "checks": 0,
             "cache_hits": 0,
@@ -441,6 +467,8 @@ class Solver:
             "branches": 0,
             "unknowns": 0,
             "budget_stops": 0,
+            "prefix_hits": 0,
+            "prefix_misses": 0,
         }
 
     def _tick(self, key: str, n: int = 1) -> None:
@@ -552,16 +580,6 @@ class Solver:
         from repro.solver.strategies import get_strategy
 
         return get_strategy(name).search(self, formulas)
-
-    def _search(self, formulas: list[Term]) -> Status:
-        """Back-compat entry point: search with the configured strategy
-        (the baseline unless ``strategy=``/``REPRO_SOLVER_STRATEGY``
-        says otherwise; ``auto``/``race`` fall back to baseline here —
-        callers wanting dispatch go through :meth:`check_sat`)."""
-        from repro.solver.strategies import MODES
-
-        name = "baseline" if self.strategy in MODES else self.strategy
-        return self._run_strategy(name, formulas)
 
     def _race(self, formulas: list[Term]) -> Status:
         """Run *every* registered strategy on the query and assert the

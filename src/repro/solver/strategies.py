@@ -21,7 +21,9 @@ freedom:
   closure per split);
 * ``eager_close`` — whether closure runs after *every* literal
   assertion (finds conflicts at the earliest possible point, at the
-  price of many more closure fixpoints).
+  price of many more closure fixpoints);
+* ``reuse_prefix`` — whether the query's literal prefix is closed once
+  and kept on the solver for later queries that repeat it.
 
 **Invariant — verdict equivalence.**  Every registered strategy must
 return the same :class:`~repro.solver.core.Status` for the same query.
@@ -38,14 +40,15 @@ divergence is resource-shaped: a strategy that explores more branches
 can hit the per-query branch cap (``UNKNOWN``) or a cooperative budget
 sooner than another.
 
-Strategies are stateless singletons; register new ones with
+Strategies are stateless singletons (the prefix cache lives on the
+solver, :attr:`~repro.solver.core.Solver.prefix_branches`); register
+new ones with
 :func:`register` (the per-query selector in
 :mod:`repro.solver.portfolio` picks them up automatically).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.errors import VerificationError
@@ -136,6 +139,9 @@ class SearchStrategy:
     eager_close = False
     #: Close the shared prefix once before fanning out a disjunction.
     prefix_close = True
+    #: Search on top of the query's closed literal prefix, cached on the
+    #: solver across queries (see :class:`PrefixReuseStrategy`).
+    reuse_prefix = False
 
     # -- ordering hooks ------------------------------------------------------
 
@@ -152,6 +158,8 @@ class SearchStrategy:
     def search(self, solver: "Solver", formulas: list[Term]) -> "Status":
         from repro.solver.core import Status, TheoryBranch
 
+        if self.reuse_prefix and len(formulas) > 1:
+            return self._search_on_prefix(solver, formulas)
         budget = [solver.branch_budget]
         branch = TheoryBranch()
         # The work-list is a persistent cons-list ``(head, rest)`` —
@@ -164,6 +172,64 @@ class SearchStrategy:
         if self._branch_sat(solver, pending, branch, budget):
             return Status.SAT
         return Status.UNSAT
+
+    def _search_on_prefix(self, solver: "Solver", formulas: list[Term]) -> "Status":
+        """Decide ``formulas`` on top of the closed branch of its literal
+        prefix — every conjunct but the last (the goal) — taken from
+        ``solver.prefix_branches`` or built and cached there."""
+        from repro.solver.core import PREFIX_SLOTS, Status, TheoryBranch
+
+        lits: list[Term] = []
+        residue: list[Term] = []
+        for f in formulas[:-1]:
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                if isinstance(g, App) and g.op == "and":
+                    stack.extend(g.args)
+                elif g == TRUE:
+                    continue
+                elif g != FALSE and _split_kind(g) == 0:
+                    lits.append(g)
+                else:
+                    # FALSE or anything that case-splits goes through
+                    # the normal search on top of the cached literals.
+                    residue.append(g)
+        key = tuple(lits)
+        cache = solver.prefix_branches
+        entry = cache.get(key)
+        if entry is not None:
+            cache.move_to_end(key)
+            solver._tick("prefix_hits")
+            branch, conflict = entry
+        else:
+            solver._tick("prefix_misses")
+            branch = TheoryBranch()
+            for lit in lits:
+                branch.assert_literal(lit)
+                if branch.conflict():
+                    break
+            if not branch.conflict():
+                branch.close_exhaustive()
+            conflict = branch.conflict()
+            cache[key] = (branch, conflict)
+            if len(cache) > PREFIX_SLOTS:
+                cache.popitem(last=False)
+        if conflict:
+            return Status.UNSAT
+        budget = [solver.branch_budget]
+        pending = None
+        for f in [formulas[-1]] + residue:
+            pending = (f, pending)
+        # The bracket returns the cached branch to its closed prefix
+        # state even when the branch cap or the budget interrupts.
+        branch.push()
+        try:
+            if self._branch_sat(solver, pending, branch, budget):
+                return Status.SAT
+            return Status.UNSAT
+        finally:
+            branch.pop()
 
     def _branch_sat(
         self,
@@ -321,7 +387,8 @@ class ConflictFirstStrategy(SearchStrategy):
 
 
 class PrefixReuseStrategy(SearchStrategy):
-    """Reuse the closed path-condition branch across queries.
+    """Reuse the closed path-condition branch across queries — the
+    solver's default search (:data:`repro.solver.core.DEFAULT_STRATEGY`).
 
     The pipeline's hot query pattern is entailment
     (``check_sat(pc + [¬goal])``): consecutive queries from the same
@@ -333,7 +400,8 @@ class PrefixReuseStrategy(SearchStrategy):
     This strategy splits the query into its literal conjuncts (split
     kind 0, ``and``-flattened) and everything else, closes a
     :class:`~repro.solver.core.TheoryBranch` holding just the literals
-    *exhaustively*, and caches it on the solver instance (a small LRU,
+    *exhaustively*, and caches it on the solver
+    (:attr:`~repro.solver.core.Solver.prefix_branches`, a small LRU
     keyed by the literal tuple — hash-consed terms make the key cheap).
     The goal and any splitting residue are then decided by the normal
     search on top of a :meth:`~repro.solver.core.TheoryBranch.push` /
@@ -345,74 +413,11 @@ class PrefixReuseStrategy(SearchStrategy):
     disjuncts, extended across queries.  Leaves still finish with
     ``close_exhaustive``.  A conflicting literal prefix refutes every
     extension, so ``UNSAT`` on a cached conflict is exact.
-
-    The cached branches live on the solver (``solver._prefix_branches``)
-    — the strategy singleton itself stays stateless, and each solver's
-    cache is coherent with its own query stream.
     """
 
     name = "prefix_reuse"
     prefix_close = False
-    #: Cached closed prefixes per solver (tiny: each holds a closed
-    #: TheoryBranch; the query stream alternates between a handful of
-    #: symbolic states at a time).
-    cache_slots = 4
-
-    def search(self, solver: "Solver", formulas: list[Term]) -> "Status":
-        from repro.solver.core import Status, TheoryBranch
-
-        if len(formulas) < 2:
-            return super().search(solver, formulas)
-        prefix, last = formulas[:-1], formulas[-1]
-        lits: list[Term] = []
-        residue: list[Term] = []
-        for f in prefix:
-            stack = [f]
-            while stack:
-                g = stack.pop()
-                if isinstance(g, App) and g.op == "and":
-                    stack.extend(g.args)
-                elif g == TRUE:
-                    continue
-                elif g != FALSE and _split_kind(g) == 0:
-                    lits.append(g)
-                else:
-                    # FALSE or anything that case-splits goes through
-                    # the normal search on top of the cached literals.
-                    residue.append(g)
-        key = tuple(lits)
-        cache = getattr(solver, "_prefix_branches", None)
-        if cache is None:
-            cache = solver._prefix_branches = OrderedDict()
-        entry = cache.get(key)
-        if entry is not None:
-            cache.move_to_end(key)
-            branch, conflict = entry
-        else:
-            branch = TheoryBranch()
-            for lit in lits:
-                branch.assert_literal(lit)
-                if branch.conflict():
-                    break
-            if not branch.conflict():
-                branch.close_exhaustive()
-            conflict = branch.conflict()
-            cache[key] = (branch, conflict)
-            if len(cache) > self.cache_slots:
-                cache.popitem(last=False)
-        if conflict:
-            return Status.UNSAT
-        budget = [solver.branch_budget]
-        pending = None
-        for f in [last] + residue:
-            pending = (f, pending)
-        branch.push()
-        try:
-            if self._branch_sat(solver, pending, branch, budget):
-                return Status.SAT
-            return Status.UNSAT
-        finally:
-            branch.pop()
+    reuse_prefix = True
 
 
 #: Registry: name -> stateless singleton, in registration order (the

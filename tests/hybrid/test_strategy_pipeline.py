@@ -79,6 +79,17 @@ class TestReportPlumbing:
         assert report.strategy_stats.get("inverted", {}).get("queries", 0) > 0
         assert "== solver strategies ==" in report.render(verbose=True)
 
+    def test_prefix_counters_in_report(self, env, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+        _, report = _run(env)
+        ss = report.solver_stats
+        assert ss["prefix_hits"] > 0
+        assert ss["prefix_hits"] + ss["prefix_misses"] <= ss["checks"]
+        assert (
+            f"path-condition prefix {ss['prefix_hits']} hits"
+            in report.render(verbose=True)
+        )
+
     def test_auto_report_carries_selector(self, env):
         solver = Solver(strategy="auto", selector=StrategySelector())
         _, report = _run(env, solver=solver)

@@ -14,8 +14,10 @@ import random
 
 import pytest
 
+from repro.budget import Budget
+from repro.errors import BudgetExhausted
 from repro.solver import Solver, Status
-from repro.solver.core import DEFAULT_CACHE_CAPACITY
+from repro.solver.core import DEFAULT_CACHE_CAPACITY, DEFAULT_STRATEGY
 from repro.solver.portfolio import StrategySelector
 from repro.solver.sorts import BOOL, INT
 from repro.solver.strategies import (
@@ -97,7 +99,8 @@ class TestDifferential:
     @pytest.mark.parametrize("seed", range(0, 40, 5))
     def test_race_agrees_with_baseline(self, seed):
         fs = _query(seed)
-        assert Solver(strategy="race").check_sat(fs) == Solver().check_sat(fs)
+        reference = Solver(strategy="baseline").check_sat(fs)
+        assert Solver(strategy="race").check_sat(fs) == reference
 
     def test_auto_agrees_with_baseline(self):
         # A tiny window + warmup forces the selector through every
@@ -106,7 +109,7 @@ class TestDifferential:
         for seed in range(30):
             fs = _query(seed)
             auto = Solver(strategy="auto", selector=sel).check_sat(fs)
-            assert auto == Solver().check_sat(fs), seed
+            assert auto == Solver(strategy="baseline").check_sat(fs), seed
 
     def test_registry_has_the_paper_strategies(self):
         for name in (
@@ -120,6 +123,74 @@ class TestDifferential:
             assert name in STRATEGIES
             assert get_strategy(name).name == name
         assert MODES == ("auto", "race")
+
+
+class TestPrefixReuseStream:
+    """The default search keeps closed path-condition prefixes on the
+    solver across queries. One long-lived default solver must answer a
+    stream of entailment queries exactly as a fresh baseline solver
+    answers each query on its own, including after a query that the
+    budget interrupted and one that hit the branch cap."""
+
+    CAP = 64
+
+    def _baseline(self, fs, budget=None):
+        ref = Solver(strategy="baseline", branch_budget=self.CAP)
+        ref.budget = budget
+        return ref.check_sat(fs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stream_matches_fresh_baseline(self, seed, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+        rng = random.Random(seed)
+        x0, x1, x2 = IVARS[:3]
+        bounded = [le(intlit(0), x1), le(x1, intlit(5))]
+        conflicting = [le(x0, intlit(0)), lt(intlit(0), x0)]
+        pcs = [bounded, conflicting]
+        for _ in range(4):
+            pc = [_atom(rng) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                pc.append(_formula(rng, 1))  # a case-splitting conjunct
+            pcs.append(pc)
+        stream = [
+            rng.choice(pcs) + [not_(_formula(rng, rng.randint(0, 2)))]
+            for _ in range(60)
+        ]
+        # Both interrupted queries assert ``x2 >= 3`` on top of their
+        # prefix before the first case split; a probe on the same
+        # prefix afterwards must not see it.
+        x2_low = not_(or_(lt(x2, intlit(3)), lt(x2, intlit(2))))
+        # Interrupted after one branch: the first split stops it.
+        interrupted = bounded + [
+            or_(eq(IVARS[3], intlit(0)), eq(IVARS[3], intlit(1))),
+            x2_low,
+            not_(and_(le(x1, x2), le(x2, x1))),
+        ]
+        # 2^6 case splits, each leaf refuted only once all are decided:
+        # more branches than CAP under either search.
+        ys = [Var(f"y{i}", INT) for i in range(6)]
+        at_least_7 = le(intlit(7), add(*ys))
+        capped = [or_(eq(y, intlit(0)), eq(y, intlit(1))) for y in ys]
+        capped += [at_least_7, x2_low, not_(lt(ys[0], intlit(0)))]
+        probes = [bounded + [le(x2, intlit(0))], [at_least_7, le(x2, intlit(0))]]
+
+        solver = Solver(branch_budget=self.CAP)
+        assert solver.strategy == DEFAULT_STRATEGY
+        for fs in stream[:20]:
+            assert solver.check_sat(fs) == self._baseline(fs), fs
+        solver.budget = Budget(max_branches=1)
+        with pytest.raises(BudgetExhausted):
+            solver.check_sat(interrupted)
+        with pytest.raises(BudgetExhausted):
+            self._baseline(interrupted, Budget(max_branches=1))
+        solver.budget = None
+        for fs in probes[:1] + stream[20:40]:
+            assert solver.check_sat(fs) == self._baseline(fs), fs
+        assert solver.check_sat(capped) == self._baseline(capped) == Status.UNKNOWN
+        for fs in probes + stream[40:] + [interrupted]:
+            assert solver.check_sat(fs) == self._baseline(fs), fs
+        assert solver.stats["prefix_hits"] > 0
+        assert solver.check_sat(conflicting + [not_(le(x1, x2))]) == Status.UNSAT
 
 
 class _Lying(SearchStrategy):
@@ -200,8 +271,13 @@ class TestStrategyKnob:
 
     def test_env_invalid_warns_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "bogus")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().strategy == "baseline"
+        with pytest.warns(RuntimeWarning, match=DEFAULT_STRATEGY):
+            assert Solver().strategy == DEFAULT_STRATEGY
+
+    def test_default_strategy(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+        assert Solver().strategy == DEFAULT_STRATEGY
+        assert DEFAULT_STRATEGY in STRATEGIES
 
     def test_explicit_strategy_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "eager")
