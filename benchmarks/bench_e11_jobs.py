@@ -1,20 +1,18 @@
-"""E11 — the work-stealing scheduler and the tiered proof store.
+"""E11 — the process pool's ``jobs`` curve and the tiered proof store.
 
 Runs the hybrid linked-list corpus (the E7 client plus the three §6
-functions) at ``jobs=1/2/4/8`` under the stealing scheduler and once
-more at ``jobs=4`` with the static partitioner, pinning the scheduler's
-acceptance invariant: **every configuration produces bit-identical
-verdicts**. The elapsed wall-clock per level (the scaling curve), the
-steal counts and the total queue wait land as ``bench.e11.*`` gauges in
-the bench record (``benchmarks/out/bench-record.json``) via the
-session conftest. A final warm-store pass
-runs the corpus twice against one tiered ProofStore and gates on the
-memtier invariant: the second pass reads **zero** bytes off disk.
+functions) at ``jobs=1/2/4/8``, pinning the pool's acceptance
+invariant: **every width produces bit-identical verdicts**. The
+elapsed wall-clock per level (the scaling curve) lands as
+``bench.e11.*`` gauges in the bench record
+(``benchmarks/out/bench-record.json``) via the session conftest. A
+final warm-store pass runs the corpus twice against one tiered
+ProofStore and gates on the memtier invariant: the second pass reads
+**zero** bytes off disk.
 
-CI boxes (and this container) may have a single CPU, so the in-suite
-gates are verdict equivalence and counter identities, never wall-clock
-ratios — the curve is recorded for the reference machine's record, not
-asserted.
+CI boxes may have a single CPU, so the in-suite gates are verdict
+equivalence and counter identities, never wall-clock ratios — the
+curve is recorded for the reference machine's record, not asserted.
 """
 
 import time
@@ -24,7 +22,7 @@ from conftest import run_once
 
 from repro.hybrid.pipeline import HybridVerifier
 from repro.obs.metrics import metrics
-from repro.parallel import PARALLEL_STATS, fork_available
+from repro.parallel import fork_available
 from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
 from repro.solver import Solver
 from repro.store import ProofStore
@@ -38,7 +36,7 @@ FNS = [
 
 #: The scaling curve's x-axis. The pool caps workers at the task
 #: count, so jobs=8 over four functions measures the oversubscribed
-#: end of the curve (idle workers steal immediately or drain).
+#: end of the curve.
 JOBS_LEVELS = [1, 2, 4, 8]
 
 
@@ -61,42 +59,24 @@ def _verify(program, ownables, jobs, store=None):
     return fingerprint, elapsed, report
 
 
-def test_e11_scheduler_scaling(benchmark, program_env, monkeypatch):
+def test_e11_jobs_scaling(benchmark, program_env):
     program, ownables = program_env
     _client(program)
 
     levels = JOBS_LEVELS if fork_available() else [1]
     fingerprints, curve = {}, {}
     for jobs in levels:
-        before = dict(PARALLEL_STATS)
         fingerprints[jobs], curve[jobs], _ = _verify(program, ownables, jobs)
-        steals = PARALLEL_STATS["steals"] - before["steals"]
-        waited = PARALLEL_STATS["queue_wait_s"] - before["queue_wait_s"]
         metrics.gauge(f"bench.e11.seconds.jobs{jobs}", round(curve[jobs], 4))
-        metrics.gauge(f"bench.e11.steals.jobs{jobs}", steals)
-        metrics.gauge(
-            f"bench.e11.queue_wait_s.jobs{jobs}", round(waited, 4)
-        )
         if jobs > 1:
             metrics.gauge(
                 f"bench.e11.speedup.jobs{jobs}",
                 round(curve[1] / curve[jobs], 4) if curve[jobs] else None,
             )
 
-    # The acceptance invariant: stealing at any width is bit-identical
-    # to the serial run (scheduling trades latency, never answers).
+    # The acceptance invariant: the pool at any width is bit-identical
+    # to the serial run (parallelism trades latency, never answers).
     assert len(set(fingerprints.values())) == 1, fingerprints
-
-    if fork_available():
-        # The static partitioner is the opt-out baseline: same
-        # verdicts, zero steals by construction.
-        monkeypatch.setenv("REPRO_SCHED", "static")
-        before = dict(PARALLEL_STATS)
-        fp_static, t_static, _ = _verify(program, ownables, 4)
-        monkeypatch.delenv("REPRO_SCHED")
-        assert fp_static == fingerprints[1]
-        assert PARALLEL_STATS["steals"] == before["steals"]
-        metrics.gauge("bench.e11.static_seconds.jobs4", round(t_static, 4))
 
     run_once(benchmark, lambda: _verify(program, ownables, 1))
 

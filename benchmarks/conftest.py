@@ -15,23 +15,21 @@ term-interner hit rate, so a silently degraded benchmark run is
 visible in the record. Timings compared across changes come from
 ``perfbench/`` (fresh processes, repeated runs), not from this record.
 
-The record also carries the observability aggregates that
-accumulate while the benches run: per-function phase timings
-(encode / vcgen / symex / solve / store, from
-:func:`repro.obs.trace.phases_snapshot`), the slowest solver queries,
-and the ``tactic.*`` / ``gillian.*`` counters — so a perf regression
-in the record can be localised to a phase without re-running anything.
+Each test's row carries its own per-function phase timings
+(encode / vcgen / symex / solve / store: the
+:func:`repro.obs.trace.phases_since` delta over that one bench), so
+rows from different records compare bench by bench; the record also
+keeps the session-wide accumulation of the same timings, the slowest
+solver queries, and the ``tactic.*`` / ``gillian.*`` counters — so a
+perf regression in the record can be localised to a phase without
+re-running anything.
 
 It also records the solver strategy portfolio: per-strategy
 query counts and latency histograms (``solver.strategy.*``) and the
 process-wide selector's decision/exploration counters, hit rate and
 per-bucket winners — the evidence behind the E10 auto-vs-baseline
-comparison (gauges ``bench.e10.*``).
-
-And it records the work-stealing scheduler: the pool's
-steal / queue-wait counters, the memory-tier vs. disk split of the
-proof-store hits, and the E11 scaling curve (elapsed wall-clock per
-``jobs`` level with verdict-identity pinned; gauges ``bench.e11.*``).
+comparison (gauges ``bench.e10.*``). The E11 ``jobs`` curve and the
+warm-store memory-tier split land as ``bench.e11.*`` gauges.
 
 The pool and store counters are process-global, so an autouse fixture
 zeroes them before every benchmark (one bench's retries must not bleed
@@ -48,7 +46,7 @@ import pytest
 from repro.obs import top_queries
 from repro.obs.metrics import metrics
 from repro.obs.report import metrics_summary
-from repro.obs.trace import phases_since
+from repro.obs.trace import phases_snapshot, phases_since
 from repro.parallel import PARALLEL_STATS, reset_parallel_stats
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
@@ -59,15 +57,36 @@ _BENCH_JSON = Path(__file__).resolve().parent / "out" / "bench-record.json"
 _rows = []
 _parallel_totals: dict = {}
 _store_totals: dict = {}
+#: test nodeid -> that bench's own phase timings.
+_bench_phases: dict = {}
+
+
+def _rounded_phases(phases: dict) -> dict:
+    return {
+        fn: {
+            phase: {
+                "calls": rec["calls"],
+                "total": round(rec["total"], 4),
+                "self": round(rec["self"], 4),
+            }
+            for phase, rec in per_fn.items()
+        }
+        for fn, per_fn in phases.items()
+    }
 
 
 @pytest.fixture(autouse=True)
-def isolated_global_counters():
+def isolated_global_counters(request):
     """Zero the pool/store counters per benchmark, accumulate the
-    deltas into the session totals for the JSON record."""
+    deltas into the session totals for the JSON record, and keep the
+    bench's own phase timings for its row."""
     reset_parallel_stats()
     reset_store_stats()
+    phases_before = phases_snapshot()
     yield
+    _bench_phases[request.node.nodeid] = _rounded_phases(
+        phases_since(phases_before)
+    )
     for k, v in PARALLEL_STATS.items():
         _parallel_totals[k] = _parallel_totals.get(k, 0) + v
     for k, v in STORE_STATS.items():
@@ -117,17 +136,8 @@ def pytest_sessionfinish(session, exitstatus):
     lookups = stats["cache_hits"] + stats["cache_misses"]
     interner = interner_stats()
     intern_lookups = interner["hits"] + interner["misses"]
-    phase_stats = {
-        fn: {
-            phase: {
-                "calls": rec["calls"],
-                "total": round(rec["total"], 4),
-                "self": round(rec["self"], 4),
-            }
-            for phase, rec in phases.items()
-        }
-        for fn, phases in phases_since({}).items()
-    }
+    for row in _rows:
+        row["phase_stats"] = _bench_phases.get(row["test"], {})
     snapshot = metrics.snapshot()
     tactic_counts = {
         k: v
@@ -174,9 +184,11 @@ def pytest_sessionfinish(session, exitstatus):
             round(interner["hits"] / intern_lookups, 4) if intern_lookups else None
         ),
         # Observability aggregates (PR 4): where the bench time went,
-        # per verified function and phase; the slowest solver queries;
+        # per verified function and phase, accumulated over the whole
+        # session (each row above has its own bench's share); the
+        # slowest solver queries;
         # the tactic workload; and the full metrics snapshot.
-        "phase_stats": phase_stats,
+        "phase_stats": _rounded_phases(phases_since({})),
         "top_queries": [
             {**q, "seconds": round(q["seconds"], 4)} for q in top_queries()
         ],
@@ -191,19 +203,6 @@ def pytest_sessionfinish(session, exitstatus):
             "counters": strategy_counters,
             "histograms": strategy_hists,
             "selector": GLOBAL_SELECTOR.summary(),
-        },
-        # Work-stealing scheduler (PR 10): the session-total pool
-        # counters (steals, queue wait) and the tiered-store split
-        # (memory vs. disk hits, raw disk reads). The bench.e11.*
-        # gauges inside "metrics" carry the per-jobs scaling curve.
-        "scheduler": {
-            "steals": _parallel_totals.get("steals", 0),
-            "queue_wait_s": round(
-                _parallel_totals.get("queue_wait_s", 0.0), 4
-            ),
-            "store_mem_hits": _store_totals.get("mem_hits", 0),
-            "store_disk_hits": _store_totals.get("disk_hits", 0),
-            "store_disk_reads": _store_totals.get("disk_reads", 0),
         },
         "metrics": metrics_summary(snapshot),
     }

@@ -55,7 +55,6 @@ from repro.obs import report as obs_report
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import metrics
 from repro.parallel import PARALLEL_STATS, fanout
-from repro.sched.costs import GLOBAL_COSTS, costs_path, estimate_cost
 from repro.store import ProofStore, STORE_STATS, function_fingerprint, logic_digest
 
 from repro.creusot.vcgen import CreusotResult, CreusotVerifier
@@ -210,8 +209,7 @@ class HybridReport:
                 f"-- pool: {ps.get('fanouts', 0)} fanouts, "
                 f"{ps.get('worker_failures', 0)} worker failures, "
                 f"{ps.get('broken_pools', 0)} broken pools, "
-                f"{ps.get('serial_retries', 0)} serial retries, "
-                f"{ps.get('steals', 0)} steals --"
+                f"{ps.get('serial_retries', 0)} serial retries --"
             )
         st = self.store_stats
         if st:
@@ -231,12 +229,6 @@ class HybridReport:
                     f"-- solver: {ss.get('checks', 0)} checks, "
                     f"path-condition prefix {ss['prefix_hits']} hits / "
                     f"{ss['prefix_misses']} misses --"
-                )
-            ps = self.parallel_stats
-            if ps and any(ps.values()):
-                lines.append(
-                    f"-- sched: {ps.get('steals', 0)} steals, "
-                    f"{ps.get('queue_wait_s', 0.0):.3f}s total queue wait --"
                 )
             lines.append("")
             lines.append(
@@ -302,33 +294,15 @@ class HybridVerifier:
         ✗-with-reason entries — this is the pipeline's fault boundary;
         no exception escapes it."""
         budget = self.budget.start() if self.budget else None
-        started = clock.monotonic()
-        try:
-            with span("verify", function=name):
-                try:
-                    faultinject.fire("pipeline.verify_one", name)
-                    entries = self._verify_one_inner(name, budget)
-                except Exception as e:  # BudgetExhausted → timeout, …
-                    return [self._failure_entry(name, e)]
-        finally:
-            # Feed the scheduler's cost model — failures included: a
-            # function that burns its budget before failing is exactly
-            # the long job LJF ordering should front-load.
-            GLOBAL_COSTS.observe(name, clock.monotonic() - started)
+        with span("verify", function=name):
+            try:
+                faultinject.fire("pipeline.verify_one", name)
+                entries = self._verify_one_inner(name, budget)
+            except Exception as e:  # BudgetExhausted → timeout, …
+                return [self._failure_entry(name, e)]
         if obs.enabled():
             _emit_tactics_event(name, entries)
         return entries
-
-    def _cost_of(self, name: str) -> float:
-        """Expected verification seconds for ``name``: the learned
-        mean when the cost model has seen it, else a structural
-        estimate from MIR size and contract weight."""
-        known = GLOBAL_COSTS.cost(name)
-        if known is not None:
-            return known
-        return estimate_cost(
-            self.program.bodies.get(name), self.contracts.get(name)
-        )
 
     def _failure_entry(self, name: str, exc: BaseException) -> HybridEntry:
         body = self.program.bodies.get(name)
@@ -461,9 +435,6 @@ class HybridVerifier:
             self.solver.selector.load(
                 selector_path(self.store.root), once=True
             )
-            # Seed the scheduler's longest-job-first ordering from the
-            # per-function verify times previous runs persisted here.
-            GLOBAL_COSTS.load(costs_path(self.store.root), once=True)
         cached = self._lookup_cached(names)
         pending = [n for n in names if n not in cached]
         if jobs == 1 or not pending:
@@ -475,13 +446,21 @@ class HybridVerifier:
                 self._publish(name, entries)
                 report.entries.extend(entries)
         else:
+            # Longest estimate first, so the slow functions don't start
+            # last and leave one worker finishing alone; the stable sort
+            # keeps submission order among ties.
+            pending.sort(
+                key=lambda n: _estimate_cost(
+                    self.program.bodies.get(n), self.contracts.get(n)
+                ),
+                reverse=True,
+            )
             results = fanout(
                 _verify_one_worker,
                 self,
                 pending,
                 jobs,
                 on_error=lambda name, exc: [self._failure_entry(name, exc)],
-                cost_of=self._cost_of,
             )
             fresh = dict(zip(pending, results))
             for name in names:
@@ -535,7 +514,6 @@ class HybridVerifier:
         if self.store is not None:
             # Persist what the selector learned (best-effort, atomic).
             self.solver.selector.save(selector_path(self.store.root))
-            GLOBAL_COSTS.save(costs_path(self.store.root))
         obs_trace.flush()
         return report
 
@@ -657,3 +635,23 @@ def _has_clauses(contract: Union[PearliteSpec, dict]) -> bool:
     if isinstance(contract, PearliteSpec):
         return bool(contract.requires or contract.ensures)
     return bool(contract.get("requires") or contract.get("ensures"))
+
+
+def _estimate_cost(
+    body: Optional[Body], contract: Union[PearliteSpec, dict, None]
+) -> int:
+    """A function's relative verification cost from static shape, used
+    only to order the pool's work: MIR block count (symbolic execution
+    visits every block), doubled for unsafe bodies (Gillian-Rust symex
+    is far heavier per block than Creusot VC generation), plus two per
+    contract clause (each becomes encode + consume/produce work)."""
+    blocks = len(body.blocks) if body is not None else 1
+    unsafe = 0 if body is None or body.is_safe else blocks
+    clauses = 0
+    if isinstance(contract, PearliteSpec):
+        clauses = len(contract.requires) + len(contract.ensures)
+    elif isinstance(contract, dict):
+        clauses = len(contract.get("requires") or ()) + len(
+            contract.get("ensures") or ()
+        )
+    return 1 + blocks + unsafe + 2 * clauses

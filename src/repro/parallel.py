@@ -29,10 +29,9 @@ Fault tolerance (the degradation ladder, outermost rung first):
 Without ``on_error`` the first failure re-raises after all futures are
 drained (legacy behaviour, still loss-free for completed siblings).
 
-By default the pool path delegates to the work-stealing scheduler
-(:mod:`repro.sched.scheduler` — longest-job-first over persistent fork
-workers, same degradation ladder); ``REPRO_SCHED=static`` keeps the
-plain ProcessPoolExecutor chunking below as the comparison baseline.
+Items are submitted one future each, so idle workers pull the next
+queued item on demand; callers that want longest-first dispatch order
+their ``items`` before calling.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from repro import faultinject
 from repro.errors import WorkerCrashed
 from repro.obs import merge_worker_delta, worker_begin, worker_delta
 from repro.obs.metrics import metrics
-from repro.sched.scheduler import run_stealing, scheduler_mode
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -74,12 +72,6 @@ PARALLEL_STATS = metrics.register_legacy(
         "cancelled_futures": 0,
         "serial_retries": 0,
         "serial_fallbacks": 0,
-        # Stealing-scheduler counters (REPRO_SCHED=steal, the default):
-        # tasks taken from a sibling's queue, and total seconds tasks
-        # sat queued before dispatch (per-task distribution in the
-        # "parallel.queue_wait" histogram).
-        "steals": 0,
-        "queue_wait_s": 0.0,
     },
 )
 
@@ -163,7 +155,6 @@ def fanout(
     on_error: Optional[Callable[[T, BaseException], R]] = None,
     crash_retries: int = 2,
     backoff: float = 0.05,
-    cost_of: Optional[Callable[[T], float]] = None,
 ) -> list:
     """Run ``fn(payload, item)`` for every item; results in item order.
 
@@ -177,10 +168,6 @@ def fanout(
     first retried serially in the parent (``crash_retries`` attempts,
     jittered exponential ``backoff``); only a retry-proof failure reaches
     ``on_error`` (as :class:`WorkerCrashed`).
-
-    ``cost_of(item) -> seconds`` feeds the stealing scheduler's
-    longest-job-first ordering (ignored on the serial and static
-    paths); ``None`` keeps submission order.
     """
     global _PAYLOAD, _ACTIVE
     items = list(items)
@@ -196,20 +183,6 @@ def fanout(
     if serial:
         return [_call_serial(fn, payload, it, on_error) for it in items]
     PARALLEL_STATS["fanouts"] += 1
-    if scheduler_mode() == "steal":
-        # _ACTIVE guards the scheduler's fork-inherited globals the
-        # same way it guards _PAYLOAD on the static path below.
-        _ACTIVE = True
-        try:
-            return run_stealing(
-                fn, payload, items, jobs,
-                on_error=on_error,
-                cost_of=cost_of,
-                crash_retries=crash_retries,
-                backoff=backoff,
-            )
-        finally:
-            _ACTIVE = False
     ctx = multiprocessing.get_context("fork")
     _PAYLOAD = payload
     _ACTIVE = True

@@ -37,7 +37,6 @@ from repro.hybrid.pipeline import HybridEntry, HybridVerifier, _SEVERITY
 from repro.obs import clock, span
 from repro.obs.metrics import metrics
 from repro.parallel import fanout, jitter_seed, with_retries
-from repro.sched.costs import GLOBAL_COSTS, costs_path
 from repro.service.corpus import load_corpus
 from repro.service.invalidate import InvalidationIndex, call_graph, reverse_graph
 from repro.solver.core import Solver
@@ -263,9 +262,6 @@ class ServiceSession:
         verifier._run_fps = dict(fps)
         if self.store is not None:
             self.store.begin_run(todo)
-            # Seed longest-job-first ordering from persisted verify
-            # times (once per path per process, like the selector).
-            GLOBAL_COSTS.load(costs_path(self.store.root), once=True)
         chunk_size = max(1, jobs)
         stopped = None
         try:
@@ -314,7 +310,6 @@ class ServiceSession:
                         [verifier._failure_entry(item[0], exc)],
                         "verified",
                     ),
-                    cost_of=lambda item: verifier._cost_of(item[0]),
                 )
                 for n, (entries, h) in zip(chunk, out):
                     if any(e.status == "crashed" for e in entries):
@@ -337,7 +332,6 @@ class ServiceSession:
                     # interrupted), but whatever results were already
                     # handed back must still land on disk.
                     self.store.flush()
-                GLOBAL_COSTS.save(costs_path(self.store.root))
         return results, how, drained
 
     def _retry_crashed(self, name: str, entries: list[HybridEntry]):

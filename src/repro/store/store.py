@@ -74,8 +74,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import warnings
 from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -492,21 +494,22 @@ class ProofStore:
             # process, losing a publish the parent believes happened.
             self._pending[fp] = (function, statuses, blob, entries)
         else:
-            try:
-                with_retries(
-                    lambda: self._write_entry(path, fp, function, blob),
-                    on_retry=lambda e: _bump("io_retries"),
-                )
-            except OSError:
-                STORE_STATS["io_errors"] += 1
-                return False
-            try:
-                self.journal.append(
-                    {"kind": "entry", "fn": function, "fp": fp,
-                     "statuses": statuses}
-                )
-            except OSError:
-                STORE_STATS["io_errors"] += 1
+            with _sigterm_held():
+                try:
+                    with_retries(
+                        lambda: self._write_entry(path, fp, function, blob),
+                        on_retry=lambda e: _bump("io_retries"),
+                    )
+                except OSError:
+                    STORE_STATS["io_errors"] += 1
+                    return False
+                try:
+                    self.journal.append(
+                        {"kind": "entry", "fn": function, "fp": fp,
+                         "statuses": statuses}
+                    )
+                except OSError:
+                    STORE_STATS["io_errors"] += 1
         STORE_STATS["stores"] += 1
         self._published.add(fp)
         if self.memtier is not None:
@@ -646,6 +649,25 @@ def tier_kwargs_from_env(environ: Optional[dict] = None) -> dict:
 
 def _bump(key: str) -> None:
     STORE_STATS[key] += 1
+
+
+@contextmanager
+def _sigterm_held():
+    """Defer SIGTERM across one entry's write and its journal record.
+    A pool that loses a worker terminates the surviving workers; one
+    caught between the two writes would leave an entry the journal
+    never lists, so resume would report a finished function as
+    unfinished. SIGKILL cannot be held: there the entry is still a
+    valid cache hit, only unjournaled."""
+    mask = getattr(signal, "pthread_sigmask", None)
+    if mask is None:
+        yield
+        return
+    old = mask(signal.SIG_BLOCK, {signal.SIGTERM})
+    try:
+        yield
+    finally:
+        mask(signal.SIG_SETMASK, old)
 
 
 def _env_int(env, key: str, default: Optional[int]) -> Optional[int]:

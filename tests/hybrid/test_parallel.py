@@ -6,13 +6,18 @@ fault-tolerance layer retries or degrades just the affected entry)."""
 import pytest
 
 from repro import faultinject
-from repro.hybrid.pipeline import HybridVerifier
+from repro.gilsonite.ownable import OwnableRegistry
+from repro.hybrid import pipeline
+from repro.hybrid.pipeline import HybridEntry, HybridVerifier
+from repro.lang.mir import Program
 from repro.parallel import default_jobs, fork_available
+from repro.pearlite.ast import PBool, PearliteSpec
 from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
 
 from tests.hybrid.test_pipeline import client_body
+from tests.robustness.conftest import _diverging_body, _fast_body
 
 FUNCTIONS = [
     "client::push_pop",
@@ -62,6 +67,12 @@ class TestParallelEquivalence:
         assert parallel.ok == serial.ok
         assert serial.ok, serial.render()
 
+    def test_jobs2_matches_jobs1(self, env):
+        serial = _run(env, jobs=1)
+        parallel = _run(env, jobs=2)
+        assert _fingerprint(parallel) == _fingerprint(serial)
+        assert serial.ok, serial.render()
+
     def test_render_order_is_serial_order(self, env):
         report = _run(env, jobs=4)
         assert [e.function for e in report.entries] == [
@@ -74,6 +85,85 @@ class TestParallelEquivalence:
             "LinkedList::pop_front_node",
             "LinkedList::front_mut",
         ]
+
+    def test_reordered_jobs4_matches_serial(self, env, monkeypatch):
+        # The pool receives the functions longest-estimate-first, not in
+        # FUNCTIONS order; the report must not notice.
+        seen = []
+        real_fanout = pipeline.fanout
+
+        def spy(fn, payload, items, jobs, on_error=None):
+            seen.extend(items)
+            return real_fanout(fn, payload, items, jobs, on_error=on_error)
+
+        monkeypatch.setattr(pipeline, "fanout", spy)
+        serial = _run(env, jobs=1)
+        parallel = _run(env, jobs=4)
+        assert sorted(seen) == sorted(FUNCTIONS) and seen != FUNCTIONS
+        assert _fingerprint(parallel) == _fingerprint(serial)
+        assert parallel.ok, parallel.render()
+
+
+class _StubBody:
+    """Just the shape the cost estimate reads: blocks + is_safe."""
+
+    def __init__(self, blocks, safe=True):
+        self.blocks = {f"bb{i}": None for i in range(blocks)}
+        self.is_safe = safe
+
+
+class TestEstimateCost:
+    def test_more_blocks_costs_more(self):
+        small = pipeline._estimate_cost(_StubBody(2), None)
+        big = pipeline._estimate_cost(_StubBody(8), None)
+        assert big > small > 0
+
+    def test_unsafe_doubles_block_weight(self):
+        safe = pipeline._estimate_cost(_StubBody(4), None)
+        unsafe = pipeline._estimate_cost(_StubBody(4, safe=False), None)
+        assert unsafe - safe == 4
+
+    def test_contract_clauses_add_weight(self):
+        body = _StubBody(2)
+        bare = pipeline._estimate_cost(body, None)
+        heavy = pipeline._estimate_cost(
+            body, {"requires": ["a", "b"], "ensures": ["c"]}
+        )
+        assert heavy > bare
+
+    def test_pearlite_spec_contract(self):
+        spec = PearliteSpec(
+            requires=(PBool(True),), ensures=(PBool(True), PBool(False))
+        )
+        body = _StubBody(2)
+        assert pipeline._estimate_cost(body, spec) == pipeline._estimate_cost(
+            body, {"requires": ["a"], "ensures": ["b", "c"]}
+        )
+
+    def test_no_body_is_cheap_but_positive(self):
+        assert pipeline._estimate_cost(None, None) > 0
+
+
+def test_pool_gets_longest_estimate_first(monkeypatch):
+    # Estimates: the two-block diverging body and fn2 (one block plus a
+    # contract clause) tie above the one-block fn0/fn1.
+    program = Program()
+    for n in ("fn0", "fn1", "fn2"):
+        program.add_body(_fast_body(n))
+    program.add_body(_diverging_body())
+    contracts = {"fn2": {"requires": ["x > 0"]}}
+    seen = []
+
+    def fake_fanout(fn, payload, items, jobs, on_error=None):
+        seen.extend(items)
+        return [[HybridEntry(n, "gillian-rust", True, None)] for n in items]
+
+    monkeypatch.setattr(pipeline, "fanout", fake_fanout)
+    hv = HybridVerifier(program, OwnableRegistry(program), contracts)
+    names = ["fn0", "fn2", "fn1", "diverge"]
+    report = hv.run(names, jobs=2)
+    assert seen == ["fn2", "diverge", "fn0", "fn1"]
+    assert [e.function for e in report.entries] == names
 
 
 def test_jobs_none_uses_default(env, monkeypatch):

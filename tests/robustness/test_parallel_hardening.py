@@ -1,7 +1,10 @@
 """The hardened fan-out: per-future error collection, broken-pool
-retry, re-entrancy guard, and the REPRO_JOBS diagnostics."""
+retry, re-entrancy guard, and ``default_jobs`` — the REPRO_JOBS
+diagnostics and the cgroup CPU-quota cap (a pod granted 2 CPUs on a
+64-core node should fork 2 workers, not 64)."""
 
 import os
+import time
 
 import pytest
 
@@ -10,6 +13,7 @@ from repro import faultinject
 from repro.errors import WorkerCrashed
 from repro.parallel import (
     PARALLEL_STATS,
+    cgroup_cpu_quota,
     default_jobs,
     fanout,
     fork_available,
@@ -32,10 +36,38 @@ def fail_on_three(payload, item):
     return item * 2
 
 
+def fail_on_odd(payload, item):
+    if item % 2:
+        raise ValueError(f"cannot process {item}")
+    return item * 2
+
+
+def slower_when_earlier(payload, item):
+    # Earlier items sleep longer, so they complete last.
+    time.sleep(0.02 * (6 - item))
+    return item * 2
+
+
 def exit_on_three(payload, item):
     if item == 3 and parallel.multiprocessing.parent_process() is not None:
         os._exit(1)
     return item * 2
+
+
+def die_hard_on_two(payload, item):
+    # Item 2 is unrecoverable: kills any worker that runs it, and
+    # raises when the parent's serial retry has a go.
+    if item == 2:
+        if parallel.multiprocessing.parent_process() is not None:
+            os._exit(1)
+        raise ValueError("fails in the parent too")
+    return item * 2
+
+
+def write(root, rel, text):
+    path = root / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 @pytest.fixture(autouse=True)
@@ -76,6 +108,59 @@ class TestPoolPath:
         with pytest.raises(ValueError, match="cannot process 3"):
             fanout(fail_on_three, None, [1, 2, 3, 4], jobs=2)
 
+    def test_results_in_item_order(self):
+        items = list(range(6))
+        assert fanout(slower_when_earlier, None, items, jobs=3) == [
+            i * 2 for i in items
+        ]
+
+    def test_matches_serial(self):
+        items = list(range(7))
+        serial = fanout(double, None, items, jobs=1)
+        assert fanout(double, None, items, jobs=4) == serial
+
+    def test_raising_item_maps_through_on_error(self):
+        # on_error sees the worker's own exception, message intact.
+        reset_parallel_stats()
+        out = fanout(
+            fail_on_three, None, [1, 2, 3], jobs=2,
+            on_error=lambda item, exc: f"degraded:{item}:{exc}",
+        )
+        assert out == [2, 4, "degraded:3:cannot process 3"]
+        assert PARALLEL_STATS["worker_failures"] == 1
+
+    def test_without_on_error_first_failure_reraises_after_drain(self):
+        # Both failures are drained; the one earliest in item order
+        # is the one re-raised.
+        reset_parallel_stats()
+        with pytest.raises(ValueError, match="cannot process 1"):
+            fanout(fail_on_odd, None, [0, 1, 2, 3], jobs=2)
+        assert PARALLEL_STATS["worker_failures"] == 2
+
+    def test_killed_worker_recovers_via_parent_retry(self):
+        # The crash rule fires in workers only; the parent's serial
+        # retry (where it never fires) recovers the lost item.
+        reset_parallel_stats()
+        faultinject.install("parallel.worker@3:crash")
+        out = fanout(double, None, list(range(6)), jobs=2)
+        assert out == [i * 2 for i in range(6)]
+        assert PARALLEL_STATS["broken_pools"] == 1
+        assert PARALLEL_STATS["serial_retries"] >= 1
+
+    def test_crashed_item_recovers_in_parent(self):
+        # A crash the parent's retry recovers never reaches on_error.
+        reset_parallel_stats()
+        faultinject.install("parallel.worker@2:crash::100")
+        seen = []
+        out = fanout(
+            double, None, list(range(4)), jobs=2,
+            on_error=lambda item, exc: seen.append(item),
+        )
+        assert out == [0, 2, 4, 6]
+        assert seen == []
+        assert PARALLEL_STATS["broken_pools"] == 1
+        assert PARALLEL_STATS["serial_retries"] >= 1
+
     def test_broken_pool_retries_serially(self):
         """os._exit(1) in a worker breaks the pool; the affected items
         re-run serially in the parent (where the guard in the worker fn
@@ -85,6 +170,31 @@ class TestPoolPath:
         assert out == [2, 4, 6, 8, 10]
         assert PARALLEL_STATS["broken_pools"] == 1
         assert PARALLEL_STATS["serial_retries"] >= 1
+
+    def test_all_workers_crashing_completes(self):
+        # The crash rule fires in workers only, on every item: the pool
+        # breaks once, and the parent's serial retry finishes the batch.
+        reset_parallel_stats()
+        faultinject.install("parallel.worker:crash::100")
+        out = fanout(double, None, [0, 1, 2, 3], jobs=2)
+        assert out == [0, 2, 4, 6]
+        assert PARALLEL_STATS["broken_pools"] == 1
+        assert PARALLEL_STATS["serial_retries"] >= 1
+
+    def test_unrecoverable_item_is_worker_crashed(self):
+        reset_parallel_stats()
+        seen = {}
+
+        def on_error(item, exc):
+            seen[item] = exc
+            return "gone"
+
+        out = fanout(
+            die_hard_on_two, None, [0, 1, 2, 3], jobs=2, on_error=on_error
+        )
+        assert out == [0, 2, "gone", 6]
+        assert isinstance(seen[2], WorkerCrashed)
+        assert PARALLEL_STATS["broken_pools"] == 1
 
     def test_reentrant_fanout_degrades_to_serial(self):
         reset_parallel_stats()
@@ -111,6 +221,7 @@ class TestDefaultJobs:
 
     def test_invalid_env_warns_and_names_the_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "lots")
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
         with pytest.warns(RuntimeWarning, match="'lots'"):
             assert default_jobs() == (os.cpu_count() or 1)
 
@@ -120,4 +231,66 @@ class TestDefaultJobs:
 
     def test_unset_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
         assert default_jobs() == (os.cpu_count() or 1)
+
+    def test_quota_caps_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1)
+        assert default_jobs() == 1
+
+    def test_quota_above_cpu_count_is_ignored(self, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 4096)
+        assert default_jobs() == (os.cpu_count() or 1)
+
+    def test_env_knob_beats_quota(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "7")
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1)
+        assert default_jobs() == 7
+
+
+class TestCgroupV2:
+    def test_quota_two_cpus(self, tmp_path):
+        write(tmp_path, "cpu.max", "200000 100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) == 2
+
+    def test_fractional_quota_rounds_up(self, tmp_path):
+        write(tmp_path, "cpu.max", "150000 100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) == 2
+
+    def test_sub_cpu_quota_is_one(self, tmp_path):
+        write(tmp_path, "cpu.max", "50000 100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) == 1
+
+    def test_max_means_unlimited(self, tmp_path):
+        write(tmp_path, "cpu.max", "max 100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) is None
+
+    def test_v2_beats_v1(self, tmp_path):
+        write(tmp_path, "cpu.max", "400000 100000\n")
+        write(tmp_path, "cpu/cpu.cfs_quota_us", "100000\n")
+        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) == 4
+
+
+class TestCgroupV1:
+    def test_quota_pair(self, tmp_path):
+        write(tmp_path, "cpu/cpu.cfs_quota_us", "300000\n")
+        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) == 3
+
+    def test_minus_one_means_unlimited(self, tmp_path):
+        write(tmp_path, "cpu/cpu.cfs_quota_us", "-1\n")
+        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) is None
+
+
+class TestCgroupUnreadable:
+    def test_missing_root_is_unlimited(self, tmp_path):
+        assert cgroup_cpu_quota(root=str(tmp_path / "absent")) is None
+
+    def test_garbage_files_are_unlimited(self, tmp_path):
+        write(tmp_path, "cpu.max", "banana\n")
+        write(tmp_path, "cpu/cpu.cfs_quota_us", "many\n")
+        assert cgroup_cpu_quota(root=str(tmp_path)) is None

@@ -12,9 +12,12 @@ import time
 import pytest
 
 from repro import faultinject
+from repro.hybrid.pipeline import HybridVerifier
 from repro.parallel import fork_available
 from repro.store import MemTier, ProofStore, STORE_STATS
 
+from tests.hybrid.test_parallel import _fingerprint
+from tests.robustness.conftest import FAST_FNS
 from tests.store.test_store import FP, FP2, entries_for
 
 FP3 = "ef" + "2" * 62
@@ -112,6 +115,42 @@ class TestReadThrough:
         store.get(FP)
         assert STORE_STATS["mem_hits"] == 0
         assert STORE_STATS["disk_hits"] == 1
+
+
+class TestPipelineWarmRun:
+    """The same guarantees seen through ``HybridVerifier.run`` and its
+    report's store counters."""
+
+    def test_second_run_is_zero_disk_reads(self, env, tmp_path):
+        store = ProofStore(tmp_path, mem=64, write_behind=True)
+        first = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        assert first.ok
+        assert store.pending() == 0  # end_run flushed the buffer
+        second = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        assert _fingerprint(second) == _fingerprint(first)
+        assert second.store_stats["hits"] == len(FAST_FNS)
+        assert second.store_stats["mem_hits"] == len(FAST_FNS)
+        assert second.store_stats["disk_reads"] == 0
+
+    def test_cold_reopen_reads_disk_once_then_memory(self, env, tmp_path):
+        HybridVerifier(
+            *env, {}, store=ProofStore(tmp_path, mem=64, write_behind=True)
+        ).run(FAST_FNS, jobs=1)
+        store = ProofStore(tmp_path, mem=64)
+        warm1 = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        assert warm1.store_stats["disk_reads"] == len(FAST_FNS)
+        warm2 = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        assert warm2.store_stats["disk_reads"] == 0
+        assert warm2.store_stats["mem_hits"] == len(FAST_FNS)
+
+    def test_store_line_splits_mem_and_disk(self, env, tmp_path):
+        store = ProofStore(tmp_path, mem=64)
+        HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        warm = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
+        line = [
+            l for l in warm.render().splitlines() if l.startswith("-- store:")
+        ][0]
+        assert f"{len(FAST_FNS)} mem / 0 disk hits" in line
 
 
 class TestWriteBehind:
