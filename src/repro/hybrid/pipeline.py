@@ -228,6 +228,7 @@ class HybridReport:
                 lines.append(
                     f"-- solver: {ss.get('checks', 0)} checks, "
                     f"path-condition prefix {ss['prefix_hits']} hits / "
+                    f"{ss['prefix_extends']} extended / "
                     f"{ss['prefix_misses']} misses --"
                 )
             lines.append("")
@@ -494,7 +495,7 @@ class HybridVerifier:
             k: GLOBAL_STATS[k] - solver_before.get(k, 0)
             for k in (
                 "checks", "unknowns", "budget_stops",
-                "prefix_hits", "prefix_misses",
+                "prefix_hits", "prefix_misses", "prefix_extends",
             )
         }
         report.parallel_stats = {

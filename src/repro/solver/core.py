@@ -37,7 +37,11 @@ Across queries the search also reuses the *path condition*: the
 default strategy (:data:`DEFAULT_STRATEGY`) keeps the last few closed
 literal prefixes on the solver (:attr:`Solver.prefix_branches`), so an
 entailment query ``pc + [¬goal]`` whose ``pc`` was closed before only
-pays for the goal's cone. ``prefix_hits``/``prefix_misses`` count it.
+pays for the goal's cone. A ``pc`` that merely extends a cached one is
+pushed onto that entry's branch as a new frame, so it pays only for
+its new literals. Frames carry stamps (:meth:`TheoryBranch.holds`),
+so a cache entry is used only while its frame is still on the branch.
+``prefix_hits``/``prefix_misses``/``prefix_extends`` count it.
 
 The traversal itself — case-split order, theory-closure timing,
 literal ordering — is pluggable: a :class:`SearchStrategy`
@@ -113,6 +117,11 @@ class TheoryBranch:
     assertions (one disjunct of a DNF split), undoing them via the
     trails of the congruence closure and the linear store, so sibling
     branches reuse the shared-prefix closure instead of rebuilding it.
+
+    Every push stamps its frame with a number never used before on this
+    branch, so :meth:`frame`'s ``(depth, stamp)`` names one frame for as
+    long as it lives: :meth:`holds` turns false once that frame is
+    popped, even if another frame is later pushed at the same depth.
     """
 
     def __init__(self) -> None:
@@ -122,6 +131,7 @@ class TheoryBranch:
         self.lin = LinearStore()
         self._seq_terms: set[Term] = set()
         self._frames: list[tuple] = []
+        self._pushes = 0
         # True when literals were asserted since the last close().
         self._dirty = False
 
@@ -130,12 +140,31 @@ class TheoryBranch:
     def push(self) -> None:
         self.cc.push()
         self.lin.push()
-        self._frames.append((set(self._seq_terms), self._dirty))
+        self._pushes += 1
+        self._frames.append((set(self._seq_terms), self._dirty, self._pushes))
 
     def pop(self) -> None:
-        self._seq_terms, self._dirty = self._frames.pop()
+        self._seq_terms, self._dirty, _ = self._frames.pop()
         self.lin.pop()
         self.cc.pop()
+
+    def frame(self) -> tuple[int, int]:
+        """Name the current frame: its depth and stamp (0 at the base)."""
+        frames = self._frames
+        return len(frames), frames[-1][2] if frames else 0
+
+    def holds(self, frame: tuple[int, int]) -> bool:
+        """True while the named frame is still on this branch."""
+        depth, stamp = frame
+        frames = self._frames
+        return len(frames) >= depth and (depth == 0 or frames[depth - 1][2] == stamp)
+
+    def rewind(self, frame: tuple[int, int]) -> None:
+        """Pop every frame above the named one, which must be held."""
+        if not self.holds(frame):
+            raise ValueError(f"frame {frame} is no longer on this branch")
+        while len(self._frames) > frame[0]:
+            self.pop()
 
     # -- assertion ----------------------------------------------------------
 
@@ -328,6 +357,7 @@ GLOBAL_STATS = metrics.register_legacy(
         "budget_stops": 0,
         "prefix_hits": 0,
         "prefix_misses": 0,
+        "prefix_extends": 0,
     },
 )
 
@@ -420,9 +450,11 @@ class Solver:
     result cache — verdicts are strategy-independent by invariant.
 
     :attr:`prefix_branches` is the cross-query path-condition cache of
-    the prefix-reusing search: literal prefix → ``(closed branch,
-    conflict)``, at most :data:`PREFIX_SLOTS` entries, least recently
-    used first.
+    the prefix-reusing search: literal prefix → ``(branch, frame,
+    conflict)``, where ``frame`` (:meth:`TheoryBranch.frame`) is the
+    branch's frame that holds the prefix closed. Entries that extend
+    one another share one branch at different depths. At most
+    :data:`PREFIX_SLOTS` entries, least recently used first.
 
     :attr:`budget` (a :class:`repro.budget.Budget` or ``None``) is the
     cooperative per-function budget: every cache-missing query ticks
@@ -456,7 +488,7 @@ class Solver:
         self.budget = None  # Optional[repro.budget.Budget]
         self._cache: OrderedDict[frozenset, Status] = OrderedDict()
         self.prefix_branches: OrderedDict[
-            tuple, tuple[TheoryBranch, bool]
+            tuple, tuple[TheoryBranch, tuple[int, int], bool]
         ] = OrderedDict()
         self.stats = {
             "checks": 0,
@@ -469,6 +501,7 @@ class Solver:
             "budget_stops": 0,
             "prefix_hits": 0,
             "prefix_misses": 0,
+            "prefix_extends": 0,
         }
 
     def _tick(self, key: str, n: int = 1) -> None:

@@ -344,7 +344,7 @@ class LinearStore:
         and the frontier is rewound by pop(), so sibling branches only
         redo combinations involving their own constraints.
         """
-        if len(self.constraints) > _MAX_CONSTRAINTS:
+        if self.saturated():
             return False
         added = False
         while self._fm_frontier < len(self.constraints):
@@ -457,6 +457,12 @@ class LinearStore:
                     self.pending_eqs.append((a, intlit(lo)))
 
     # -- queries ------------------------------------------------------------
+
+    def saturated(self) -> bool:
+        """True once the store is past the Fourier–Motzkin cap: later
+        constraints are no longer combined, so they only refute what
+        bound propagation alone can."""
+        return len(self.constraints) > _MAX_CONSTRAINTS
 
     def value_range(self, t: Term) -> tuple[Optional[Rat], Optional[Rat]]:
         coeffs, const = linearize(t)

@@ -23,7 +23,7 @@ freedom:
   assertion (finds conflicts at the earliest possible point, at the
   price of many more closure fixpoints);
 * ``reuse_prefix`` — whether the query's literal prefix is closed once
-  and kept on the solver for later queries that repeat it.
+  and kept on the solver for later queries that repeat or extend it.
 
 **Invariant — verdict equivalence.**  Every registered strategy must
 return the same :class:`~repro.solver.core.Status` for the same query.
@@ -159,7 +159,9 @@ class SearchStrategy:
         from repro.solver.core import Status, TheoryBranch
 
         if self.reuse_prefix and len(formulas) > 1:
-            return self._search_on_prefix(solver, formulas)
+            status = self._search_on_prefix(solver, formulas)
+            if status is not None:
+                return status
         budget = [solver.branch_budget]
         branch = TheoryBranch()
         # The work-list is a persistent cons-list ``(head, rest)`` —
@@ -173,10 +175,15 @@ class SearchStrategy:
             return Status.SAT
         return Status.UNSAT
 
-    def _search_on_prefix(self, solver: "Solver", formulas: list[Term]) -> "Status":
+    def _search_on_prefix(
+        self, solver: "Solver", formulas: list[Term]
+    ) -> Optional["Status"]:
         """Decide ``formulas`` on top of the closed branch of its literal
         prefix — every conjunct but the last (the goal) — taken from
-        ``solver.prefix_branches`` or built and cached there."""
+        ``solver.prefix_branches``, or built (on a cached shorter
+        prefix's branch when one fits) and cached there. ``None`` when
+        that branch's linear store is saturated: the plain search
+        decides such a query."""
         from repro.solver.core import PREFIX_SLOTS, Status, TheoryBranch
 
         lits: list[Term] = []
@@ -197,26 +204,56 @@ class SearchStrategy:
                     residue.append(g)
         key = tuple(lits)
         cache = solver.prefix_branches
+        # An entry whose frame was popped (by a hit or an extension on a
+        # shorter prefix of its branch) no longer holds its prefix.
+        for k in [k for k, (b, frame, _) in cache.items() if not b.holds(frame)]:
+            del cache[k]
         entry = cache.get(key)
         if entry is not None:
             cache.move_to_end(key)
             solver._tick("prefix_hits")
-            branch, conflict = entry
+            branch, frame, conflict = entry
+            branch.rewind(frame)
         else:
             solver._tick("prefix_misses")
-            branch = TheoryBranch()
-            for lit in lits:
+            base: tuple = ()
+            for k in cache:
+                if len(base) < len(k) < len(key) and key[: len(k)] == k:
+                    base = k
+            if base:
+                branch, frame, _ = cache[base]
+                branch.rewind(frame)
+            # A saturated store (see below) would not combine the new
+            # literals with the prefix's; a fresh build meets them
+            # before its store grows.
+            if base and not branch.lin.saturated():
+                # Push only the new literals onto the closed state of
+                # the longest cached prefix. An interrupted extension
+                # leaves a frame no entry names; the next rewind drops it.
+                solver._tick("prefix_extends")
+                cache.move_to_end(base)
+                branch.push()
+                new = key[len(base):]
+            else:
+                branch, new = TheoryBranch(), key
+            for lit in new:
                 branch.assert_literal(lit)
                 if branch.conflict():
                     break
             if not branch.conflict():
                 branch.close_exhaustive()
             conflict = branch.conflict()
-            cache[key] = (branch, conflict)
+            cache[key] = (branch, branch.frame(), conflict)
             if len(cache) > PREFIX_SLOTS:
                 cache.popitem(last=False)
         if conflict:
             return Status.UNSAT
+        if branch.lin.saturated():
+            # Past the Fourier–Motzkin cap the goal's constraints would
+            # not be combined with the prefix's, so the search on top
+            # would refute less than the plain search, which meets the
+            # goal before the prefix grows the store.
+            return None
         budget = [solver.branch_budget]
         pending = None
         for f in [formulas[-1]] + residue:
@@ -406,6 +443,16 @@ class PrefixReuseStrategy(SearchStrategy):
     The goal and any splitting residue are then decided by the normal
     search on top of a :meth:`~repro.solver.core.TheoryBranch.push` /
     ``pop`` bracket, so a cache hit skips the entire prefix closure.
+
+    Symbolic execution grows the path condition one branch at a time,
+    so most misses extend a prefix still in the cache.  Such a miss
+    pushes a frame onto the branch of the longest cached proper prefix
+    and asserts and closes only the new literals there; the new entry
+    names that frame.  Every hit or extension first pops its branch
+    back to its entry's frame, and an entry whose frame was popped is
+    dropped, so a branch never holds a literal its query did not
+    assert — not even after an extension or a goal search that raised.
+    A fresh branch is built only when no cached prefix fits.
 
     Verdict equivalence: closure derives sound consequences only, so a
     reused closed prefix is observationally the asserted literal set —

@@ -15,6 +15,7 @@ from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDIT
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
 from repro.solver import Solver
+from repro.solver.core import DEFAULT_STRATEGY
 from repro.solver.portfolio import StrategySelector, selector_path
 from repro.solver.strategies import STRATEGIES
 from repro.store import ProofStore
@@ -67,6 +68,13 @@ class TestVerdictEquivalence:
         assert _fingerprint(report) == baseline_fp
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+    def test_default_matches_baseline_jobs2(self, env, baseline_fp, monkeypatch):
+        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+        hv, report = _run(env, jobs=2)
+        assert hv.solver.strategy == DEFAULT_STRATEGY
+        assert _fingerprint(report) == baseline_fp
+
+    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
     def test_auto_matches_baseline_jobs2(self, env, baseline_fp):
         solver = Solver(strategy="auto", selector=StrategySelector())
         _, report = _run(env, jobs=2, solver=solver)
@@ -84,9 +92,11 @@ class TestReportPlumbing:
         _, report = _run(env)
         ss = report.solver_stats
         assert ss["prefix_hits"] > 0
+        assert 0 < ss["prefix_extends"] <= ss["prefix_misses"]
         assert ss["prefix_hits"] + ss["prefix_misses"] <= ss["checks"]
         assert (
-            f"path-condition prefix {ss['prefix_hits']} hits"
+            f"path-condition prefix {ss['prefix_hits']} hits / "
+            f"{ss['prefix_extends']} extended / {ss['prefix_misses']} misses"
             in report.render(verbose=True)
         )
 
