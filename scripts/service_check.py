@@ -15,7 +15,11 @@ socket and asserts the service's acceptance criteria:
    completes (parent-side serial retry) and ``health`` still answers;
 4. **SIGTERM drains and a restart resumes** — the daemon exits 0,
    journals what it never got to, and a restarted daemon over the same
-   store re-verifies exactly the drained remainder.
+   store re-verifies exactly the drained remainder;
+5. **the daemon and the CLI agree** — the ``demo`` and ``linked_list``
+   corpora through a daemon at ``--jobs 1`` and ``--jobs 2``, on a cold
+   store and again after a restart on the warm one, give the same
+   per-function statuses as ``HybridVerifier.run``.
 
 Run with ``python scripts/service_check.py``.
 """
@@ -32,7 +36,9 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.hybrid.pipeline import HybridVerifier, entries_status  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
+from repro.service.corpus import load_corpus  # noqa: E402
 from repro.store import ProofStore  # noqa: E402
 
 
@@ -177,6 +183,42 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
         d2.kill()
 
 
+def cli_statuses(corpus_name: str) -> dict:
+    corpus = load_corpus(corpus_name)
+    report = HybridVerifier(
+        corpus.program,
+        corpus.ownables,
+        corpus.contracts,
+        manual_pure_pre=corpus.manual_pure_pre,
+        auto_extract=corpus.auto_extract,
+    ).run()
+    return {n: entries_status(es) for n, es in report.by_function().items()}
+
+
+def check_daemon_matches_cli(root: pathlib.Path) -> None:
+    corpora = ("demo", "linked_list")
+    want = {name: cli_statuses(name) for name in corpora}
+    for jobs in (1, 2):
+        base = root / f"same-jobs{jobs}"
+        for phase in ("cold", "warm"):
+            d = Daemon(base, phase, jobs=jobs)
+            try:
+                with d.client() as c:
+                    for name in corpora:
+                        r = c.submit(name)
+                        if r["functions"] != want[name]:
+                            fail(f"{name} at jobs={jobs} ({phase}): daemon "
+                                 f"{r['functions']} != CLI {want[name]}")
+                        if phase == "warm" and r["reverified"]:
+                            fail(f"{name} at jobs={jobs}: warm store "
+                                 f"re-verified {r['reverified']}")
+            finally:
+                d.stop()
+                d.kill()
+        print(f"  jobs={jobs}: demo + linked_list, cold and warm, "
+              "same statuses as the CLI")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="service-check-") as tmp:
         root = pathlib.Path(tmp)
@@ -186,6 +228,8 @@ def main() -> int:
         check_crash_degrades(root)
         print("SIGTERM drain + resume:")
         check_sigterm_resume(root)
+        print("daemon = CLI:")
+        check_daemon_matches_cli(root)
     print("\nservice check PASSED")
     return 0
 

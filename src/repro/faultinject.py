@@ -58,7 +58,7 @@ silently never fire; new subsystems add theirs via
 ``adversary.mutate``    mutation-probe cross-check, context = fn name
 ``adversary.diff``      differential re-verification, context = fn name
 ``service.accept``      daemon request admission, context = op name
-``service.dispatch``    daemon dispatch of one chunk, context = session key
+``service.dispatch``    one chunk of a stop-hooked run, context = its fns
 ``service.invalidate``  call-graph invalidation diff, context = session key
 ``service.drain``       daemon drain/shutdown path, context = reason
 ======================  =================================================
@@ -112,7 +112,7 @@ SITES: dict[str, str] = {
     "adversary.mutate": "mutation-probe cross-check (context: fn name)",
     "adversary.diff": "differential re-verification (context: fn name)",
     "service.accept": "daemon request admission (context: op name)",
-    "service.dispatch": "daemon dispatch of one chunk (context: session key)",
+    "service.dispatch": "one chunk of a stop-hooked run (context: its fns, comma-joined)",
     "service.invalidate": "call-graph invalidation diff (context: session key)",
     "service.drain": "daemon drain/shutdown path (context: reason)",
 }

@@ -11,8 +11,8 @@ changed* instead of a cold pipeline start per invocation:
 * :mod:`.invalidate` — the call-graph-aware incremental re-verification
   index (contract edits propagate to transitive callers, body edits
   stay local);
-* :mod:`.session`    — one corpus's hot verification state and the
-  dirty-set dispatch loop;
+* :mod:`.session`    — one corpus's hot verification state; it hands
+  the dirty set to ``HybridVerifier.run``, the CLI's own loop;
 * :mod:`.daemon`     — sockets, admission control, load shedding, the
   watchdog, and graceful drain;
 * :mod:`.client`     — a small synchronous client.

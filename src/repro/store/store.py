@@ -609,6 +609,16 @@ class ProofStore:
         except OSError:
             STORE_STATS["io_errors"] += 1
 
+    def drain_run(self, pending: list[str]) -> None:
+        """Close a run that stopped early: no ``end`` record (the run
+        *was* interrupted), but a ``drain`` record naming the functions
+        it never dispatched — the resume set of the next run."""
+        self.flush()
+        try:
+            self.journal.append({"kind": "drain", "pending": list(pending)})
+        except OSError:
+            STORE_STATS["io_errors"] += 1
+
     def resume_info(self) -> dict:
         """What the journal knows: published fingerprints, interrupted
         runs, and how many journal lines were torn/skipped."""

@@ -93,7 +93,7 @@ class TestParallelEquivalence:
         real_fanout = pipeline.fanout
 
         def spy(fn, payload, items, jobs, on_error=None):
-            seen.extend(items)
+            seen.extend(name for name, _force in items)
             return real_fanout(fn, payload, items, jobs, on_error=on_error)
 
         monkeypatch.setattr(pipeline, "fanout", spy)
@@ -155,8 +155,10 @@ def test_pool_gets_longest_estimate_first(monkeypatch):
     seen = []
 
     def fake_fanout(fn, payload, items, jobs, on_error=None):
-        seen.extend(items)
-        return [[HybridEntry(n, "gillian-rust", True, None)] for n in items]
+        seen.extend(name for name, _force in items)
+        return [
+            [HybridEntry(n, "gillian-rust", True, None)] for n, _force in items
+        ]
 
     monkeypatch.setattr(pipeline, "fanout", fake_fanout)
     hv = HybridVerifier(program, OwnableRegistry(program), contracts)

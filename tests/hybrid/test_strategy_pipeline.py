@@ -7,6 +7,8 @@ strategy, plus the learned ``auto`` mode, must produce the same
 report must carry the per-strategy breakdown and selector state.
 """
 
+import os
+
 import pytest
 
 from repro.hybrid.pipeline import HybridVerifier
@@ -137,6 +139,12 @@ class TestSelectorPersistence:
         fresh = StrategySelector()
         assert fresh.load(path)
         assert fresh._buckets  # learned state reached the disk
+
+    def test_fixed_strategy_run_writes_no_selector_state(self, env, tmp_path):
+        # A fixed strategy learns nothing, so the run saves nothing.
+        _, report = _run(env, store=ProofStore(tmp_path / "store"))
+        assert report.status == "verified"
+        assert not os.path.exists(selector_path(tmp_path / "store"))
 
     def test_warm_run_loads_selector_once(self, env, tmp_path):
         store_root = tmp_path / "store"

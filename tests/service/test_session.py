@@ -3,8 +3,10 @@ invalidation, deadlines and drain — all in-process (no sockets)."""
 
 import pytest
 
+from repro import faultinject
+from repro.hybrid.pipeline import HybridVerifier, entries_status
 from repro.service.corpus import DEMO_FNS, load_corpus
-from repro.service.session import ServiceSession, entries_status
+from repro.service.session import ServiceSession
 from repro.store import ProofStore
 from repro.store.store import STORE_STATS
 
@@ -44,11 +46,33 @@ class TestIncremental:
         # The edit reloaded the program, so setup spans are back.
         assert "service.parse" in r["phases"]
 
-    def test_contract_edit_reverifies_the_transitive_cone(self, session):
+    @pytest.mark.parametrize(
+        "jobs, fault",
+        [
+            pytest.param(1, None, id="jobs1"),
+            pytest.param(2, None, id="jobs2"),
+            # top's worker dies, so the pool's serial retry in the
+            # parent re-verifies it: a forced item must read nothing
+            # there either. mid's delay keeps its worker from
+            # publishing before the pool breaks, so no unforced retry
+            # can resume from a store hit.
+            pytest.param(
+                2,
+                "parallel.worker@top:crash,pipeline.verify_one@mid:delay:0.3",
+                id="jobs2-top-crash",
+            ),
+        ],
+    )
+    def test_contract_edit_reverifies_the_transitive_cone(
+        self, session, jobs, fault
+    ):
         session.submit()
+        if fault:
+            faultinject.install(fault)
         before = dict(STORE_STATS)
         r = session.submit(
-            contracts={"demo::leaf": {"ensures": ["result == x", "x == x"]}}
+            contracts={"demo::leaf": {"ensures": ["result == x", "x == x"]}},
+            jobs=jobs,
         )
         assert r["ok"]
         assert r["reverified"] == ["demo::leaf", "demo::mid", "demo::top"]
@@ -87,6 +111,105 @@ class TestIncremental:
         r = session.submit(jobs=2)
         assert r["ok"] and r["reverified"] == ALL
         assert all(s == "verified" for s in r["functions"].values())
+
+
+def _cli(corpus_name, store, jobs):
+    corpus = load_corpus(corpus_name)
+    return HybridVerifier(
+        corpus.program,
+        corpus.ownables,
+        corpus.contracts,
+        manual_pure_pre=corpus.manual_pure_pre,
+        auto_extract=corpus.auto_extract,
+        store=store,
+    ).run(jobs=jobs)
+
+
+def _never():
+    return None
+
+
+class TestSameLoopAsTheCli:
+    """The session drives ``HybridVerifier.run``; with the daemon's
+    stop hook attached it must still count and decide exactly as the
+    CLI does."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_counters_match_the_cli(self, tmp_path, jobs):
+        cli = _cli("demo", ProofStore(tmp_path / "cli"), jobs)
+        session = ServiceSession("demo", store=ProofStore(tmp_path / "svc"))
+        before = dict(STORE_STATS)
+        r = session.submit(jobs=jobs, stop_check=_never)
+        assert r["ok"] and r["reverified"] == ALL
+        delta = {k: STORE_STATS[k] - before[k] for k in STORE_STATS}
+        assert delta == cli.store_stats
+        assert delta["misses"] == delta["stores"] == len(ALL)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("corpus", ["demo", "linked_list"])
+    def test_daemon_and_cli_give_the_same_verdicts(self, tmp_path, corpus, jobs):
+        def by_function(report):
+            return {
+                n: entries_status(es) for n, es in report.by_function().items()
+            }
+
+        cli_store = ProofStore(tmp_path / "cli")
+        cold_cli = by_function(_cli(corpus, cli_store, jobs))
+        assert by_function(_cli(corpus, cli_store, jobs)) == cold_cli
+        svc = tmp_path / "svc"
+        cold = ServiceSession(corpus, store=ProofStore(svc)).submit(
+            jobs=jobs, stop_check=_never
+        )
+        assert cold["functions"] == cold_cli
+        # A restarted session over the filled store: every answer is a
+        # store hit, and still the same verdict.
+        warm = ServiceSession(corpus, store=ProofStore(svc)).submit(
+            jobs=jobs, stop_check=_never
+        )
+        assert warm["reverified"] == []
+        assert warm["functions"] == cold_cli
+
+
+class TestPerRequestCost:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names fingerprinted, plus ``"logic"`` per logic digest."""
+        from repro.hybrid import pipeline
+
+        seen = []
+        real_fp, real_logic = pipeline.function_fingerprint, pipeline.logic_digest
+
+        def fingerprint(name, **kw):
+            seen.append(name)
+            return real_fp(name, **kw)
+
+        def logic(*args):
+            seen.append("logic")
+            return real_logic(*args)
+
+        monkeypatch.setattr(pipeline, "function_fingerprint", fingerprint)
+        monkeypatch.setattr(pipeline, "logic_digest", logic)
+        return seen
+
+    def test_each_fingerprint_once_per_request(self, session, calls):
+        session.submit()
+        session.submit(
+            contracts={"demo::leaf": {"ensures": ["result == x", "x == x"]}}
+        )
+        # The diff and the run's lookup share one key per function, and
+        # the logic digest is computed once for the loaded program.
+        assert calls.count("logic") == 1
+        assert sorted(n for n in calls if n != "logic") == sorted(ALL * 2)
+
+    def test_cli_runs_share_the_logic_digest(self, tmp_path, calls):
+        corpus = load_corpus("demo")
+        hv = HybridVerifier(
+            corpus.program, corpus.ownables, corpus.contracts,
+            store=ProofStore(tmp_path / "cache"),
+        )
+        hv.run()
+        hv.run()
+        assert calls.count("logic") == 1
 
 
 class TestDegradation:
