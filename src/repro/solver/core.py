@@ -28,7 +28,13 @@ bracket each alternative with :meth:`TheoryBranch.push` /
 and the linear store). Sibling branches therefore share the
 common-prefix closure — including Fourier-Motzkin combinations —
 instead of recomputing it per branch, and the pending work-list is a
-persistent cons-list so the disjunction fan-out never copies it. The
+persistent cons-list so the disjunction fan-out never copies it.
+Closure is demand-driven too: the linear store propagates from a queue
+of woken constraints and exports only the bounds it tightened, and the
+structural rules revisit only the terms whose arguments a merge moved
+(:attr:`~repro.solver.union_find.CongruenceClosure.touched`) plus the
+``seq.len`` terms, in the interning order and with the cursor of a
+scan over every known term, so the derivations are the same. The
 cross-query result cache is a bounded LRU (capacity via the
 ``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
 :attr:`Solver.stats`.
@@ -60,6 +66,7 @@ import enum
 import os
 import warnings
 from collections import OrderedDict
+from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 from repro import faultinject
@@ -78,6 +85,7 @@ from repro.solver.terms import (
     IntLit,
     Term,
     Var,
+    add,
     eq,
     fresh_var,
     intlit,
@@ -85,8 +93,11 @@ from repro.solver.terms import (
     none,
     not_,
     rebuild,
+    seq_cons,
     seq_empty,
+    seq_head,
     seq_len,
+    seq_tail,
     some,
     subterms,
 )
@@ -108,6 +119,11 @@ _SELECTOR_OPS = {
     "some.val",
     "is_some",
 }
+
+
+def _rebuilds(op: str) -> bool:
+    """Does the selector rule apply to applications of ``op``?"""
+    return op in _SELECTOR_OPS or op.startswith("tuple.")
 
 
 class TheoryBranch:
@@ -260,41 +276,91 @@ class TheoryBranch:
         return changed
 
     def _structural_propagation(self) -> bool:
+        """One round of the structural rules, in interning order.
+
+        The selector rule (``head(cons(x, _)) = x``, ``tuple.i``, ...)
+        only derives something when an argument's representative
+        changed since its last visit, so it visits the touched terms
+        (:attr:`CongruenceClosure.touched`). The ``seq.len`` rule reads
+        linear bounds, which the closure does not track, so it visits
+        every ``seq.len`` term. The order and the cursor are those of a
+        scan over every known term: a term touched mid-round is visited
+        this round only if the scan has not passed it yet and it was
+        known when the round began; any other touched term waits for
+        the next round."""
+        cc = self.cc
+        lens = cc.seq_lens
+        n_lens = len(lens)
+        if not cc.touched and not n_lens:
+            return False
+        stamps = cc.stamps
+        start = cc.last_stamp
+        cursor = 0
+        heap: list[tuple[int, App]] = []
+        due: set[App] = set()  # seq.len terms whose selector rule runs
+        waiting: set[App] = set()  # touched, visited next round
         changed = False
-        terms = list(self.cc.known_terms())
-        for t in terms:
-            if not isinstance(t, App):
-                continue
-            if t.op in _SELECTOR_OPS or t.op.startswith("tuple."):
-                rep_args = tuple(self.cc.find(a) for a in t.args)
-                if rep_args != t.args:
-                    simplified = rebuild(t.op, rep_args, t.sort)
-                    if simplified != t and not self.cc.are_equal(t, simplified):
-                        self.cc.union(t, simplified)
-                        if (
-                            t.sort == INT
-                            and isinstance(simplified, (IntLit, App, Var))
-                        ):
-                            self.lin.assert_eq(t, simplified)
-                        changed = True
-            if t.op == "seq.len":
-                (s,) = t.args
-                if self.cc.are_equal(t, intlit(0)):
-                    empty = seq_empty(s.sort.elem)  # type: ignore[union-attr]
-                    if not self.cc.are_equal(s, empty):
-                        self.cc.union(s, empty)
-                        changed = True
-                elif self._unroll_nonempty(t, s):
+        zero = intlit(0)
+        i = 0
+        while True:
+            touched = cc.touched
+            if touched:
+                for u in touched:
+                    stamp = stamps[u]
+                    if not cursor < stamp <= start:
+                        if _rebuilds(u.op):
+                            waiting.add(u)
+                    elif u.op == "seq.len":
+                        due.add(u)
+                    elif _rebuilds(u.op):
+                        heappush(heap, (stamp, u))
+                touched.clear()
+            if heap and (i == n_lens or heap[0][0] < stamps[lens[i]]):
+                stamp, t = heappop(heap)
+                if stamp == cursor:
+                    continue  # pushed twice before its visit
+                cursor = stamp
+                if self._rebuild_selector(t):
                     changed = True
+                continue
+            if i == n_lens:
+                break
+            t = lens[i]
+            i += 1
+            cursor = stamps[t]
+            if t in due and self._rebuild_selector(t):
+                changed = True
+            (s,) = t.args
+            if cc.are_equal(t, zero):
+                empty = seq_empty(s.sort.elem)  # type: ignore[union-attr]
+                if not cc.are_equal(s, empty):
+                    cc.union(s, empty)
+                    changed = True
+            elif self._unroll_nonempty(t, s):
+                changed = True
+        cc.touched |= waiting
         return changed
+
+    def _rebuild_selector(self, t: App) -> bool:
+        """``t = op(reps of t's args)``, simplified: a selector over a
+        constructor computes."""
+        cc = self.cc
+        rep_args = tuple(cc.find(a) for a in t.args)
+        if rep_args == t.args:
+            return False
+        simplified = rebuild(t.op, rep_args, t.sort)
+        if simplified == t or cc.are_equal(t, simplified):
+            return False
+        cc.union(t, simplified)
+        if t.sort == INT and isinstance(simplified, (IntLit, App, Var)):
+            self.lin.assert_eq(t, simplified)
+        return True
 
     def _unroll_nonempty(self, len_term: Term, s: Term) -> bool:
         """``|s| ≥ 1 ⇒ s = cons(head s, tail s)`` with
         ``|tail s| = |s| - 1`` — the sequence unrolling axiom. Bounded:
         only fires when the length's lower bound is at least 1, and the
         tail only unrolls further if its own bound still is."""
-        from repro.solver.terms import add, neg, seq_head, seq_tail, seq_cons
-
         rep = self.cc.find(s)
         if isinstance(rep, App) and rep.op in ("seq.cons", "seq.empty"):
             return False

@@ -84,6 +84,8 @@ class Bounds:
     hi: Optional[Rat] = None
     lo_strict: bool = False
     hi_strict: bool = False
+    #: Creation number; grows in :attr:`LinearStore.bounds` dict order.
+    order: int = 0
 
     def empty(self, integral: bool) -> bool:
         if self.lo is None or self.hi is None:
@@ -179,6 +181,10 @@ class LinearStore:
     # (the prefix_reuse search strategy) cheap.
     _queue: list = field(default_factory=list)
     _queued: set = field(default_factory=set)
+    # Atoms whose bounds tightened since the last equality collapse:
+    # only these can have newly collapsed.
+    _tightened: set = field(default_factory=set)
+    _n_bounds: int = 0
     # -- backtracking: mutation records since the last push().
     _trail: list = field(default_factory=list)
     _frames: list = field(default_factory=list)
@@ -196,13 +202,14 @@ class LinearStore:
                 self._fm_frontier,
                 list(self.pending_eqs),
                 list(self._queue),
+                set(self._tightened),
             )
         )
 
     def pop(self) -> None:
         """Undo every mutation since the matching :meth:`push`."""
         (
-            mark, n_cons, conflict, reason, frontier, pending, queue,
+            mark, n_cons, conflict, reason, frontier, pending, queue, tightened,
         ) = self._frames.pop()
         trail = self._trail
         while len(trail) > mark:
@@ -227,6 +234,7 @@ class LinearStore:
         self.pending_eqs = pending
         self._queue = queue
         self._queued = {id(c) for c in queue}
+        self._tightened = tightened
 
     def assert_le(self, lhs: Term, rhs: Term, strict: bool) -> None:
         """Assert ``lhs <= rhs`` (or ``<``)."""
@@ -266,7 +274,8 @@ class LinearStore:
         trailing = bool(self._frames)
         for a in c.coeffs:
             if a not in self.bounds:
-                self.bounds[a] = Bounds()
+                self._n_bounds += 1
+                self.bounds[a] = Bounds(order=self._n_bounds)
                 if trailing:
                     self._trail.append((_T_BOUND_NEW, a))
             self._atom_cons.setdefault(a, []).append(c)
@@ -430,6 +439,7 @@ class LinearStore:
                 )
             b.hi = hi
             b.hi_strict = strict
+            self._tightened.add(atom)
             self._wake_dependents(atom)
             return True
         return False
@@ -442,14 +452,25 @@ class LinearStore:
                 )
             b.lo = lo
             b.lo_strict = strict
+            self._tightened.add(atom)
             self._wake_dependents(atom)
             return True
         return False
 
     def _collapse_equalities(self) -> None:
-        for a, b in self.bounds.items():
+        """Export ``lo == hi`` bounds as equalities, for the atoms
+        tightened since the last collapse, in :attr:`bounds` order.
+        Every other collapsed atom was exported before."""
+        tightened = self._tightened
+        if not tightened:
+            return
+        bounds = self.bounds
+        atoms = sorted(tightened, key=lambda a: bounds[a].order)
+        tightened.clear()
+        for a in atoms:
             if a.sort != INT:
                 continue
+            b = bounds[a]
             lo = _int_floor_lo(b)
             hi = _int_ceil_hi(b)
             if lo is not None and hi is not None and lo == hi:

@@ -20,6 +20,14 @@ explicit trail (parent-pointer writes — including path compression —
 interning, use-lists, signature entries). The DNF search uses this to
 share the common-prefix closure between sibling branches instead of
 rebuilding it from scratch per branch.
+
+The closure also tells the structural rules of the theory branch which
+terms need another look. :attr:`CongruenceClosure.touched` collects
+every ``App`` interned and every ``App`` whose argument representatives
+a merge changed; :attr:`CongruenceClosure.stamps` numbers terms in
+interning order (the order of :meth:`known_terms`), and
+:attr:`CongruenceClosure.seq_lens` lists the interned ``seq.len``
+terms in that order. :meth:`pop` restores all three.
 """
 
 from __future__ import annotations
@@ -53,6 +61,14 @@ class CongruenceClosure:
         # Equalities derived by the closure that the arithmetic layer
         # should also learn (pairs of representatives).
         self.pending_arith: list[tuple[Term, Term]] = []
+        # Apps interned, or whose argument representatives changed,
+        # since the structural rules last visited them.
+        self.touched: set[App] = set()
+        # App -> intern stamp; stamps grow in _parent's dict order.
+        self.stamps: dict[App, int] = {}
+        self.last_stamp = 0
+        # Interned seq.len terms, in stamp order.
+        self.seq_lens: list[App] = []
         # Backtracking trail: mutation records since the last push().
         self._trail: list[tuple] = []
         self._frames: list[tuple] = []
@@ -68,23 +84,28 @@ class CongruenceClosure:
                 self.conflict,
                 self.conflict_reason,
                 list(self.pending_arith),
+                set(self.touched),
             )
         )
 
     def pop(self) -> None:
         """Undo every mutation since the matching :meth:`push`."""
-        mark, n_diseqs, conflict, reason, pending = self._frames.pop()
+        mark, n_diseqs, conflict, reason, pending, touched = self._frames.pop()
         trail = self._trail
         parent = self._parent
         uses = self._uses
+        stamps = self.stamps
         while len(trail) > mark:
             e = trail.pop()
             tag = e[0]
             if tag == _T_PARENT:
                 parent[e[1]] = e[2]
             elif tag == _T_INTERN:
-                del parent[e[1]]
-                del uses[e[1]]
+                t = e[1]
+                del parent[t]
+                del uses[t]
+                if stamps.pop(t, None) is not None and t.op == "seq.len":
+                    self.seq_lens.pop()
             elif tag == _T_USE_ADD:
                 uses[e[1]].pop()
             elif tag == _T_USE_POP:
@@ -98,25 +119,28 @@ class CongruenceClosure:
         self.conflict = conflict
         self.conflict_reason = reason
         self.pending_arith = pending
+        self.touched = touched
 
     # -- basic union-find ---------------------------------------------------
 
     def find(self, t: Term) -> Term:
-        self._intern(t)
         parent = self._parent
+        if t not in parent:
+            self._intern(t)
+        # Identity tests: a root's parent is the root object itself.
         root = t
-        while parent[root] != root:
+        while parent[root] is not root:
             root = parent[root]
         # Path compression (recorded on the trail inside a frame).
         if self._frames:
             trail = self._trail
-            while parent[t] != root:
+            while parent[t] is not root:
                 nxt = parent[t]
                 trail.append((_T_PARENT, t, nxt))
                 parent[t] = root
                 t = nxt
         else:
-            while parent[t] != root:
+            while parent[t] is not root:
                 parent[t], t = root, parent[t]
         return root
 
@@ -129,6 +153,11 @@ class CongruenceClosure:
         if trailing:
             self._trail.append((_T_INTERN, t))
         if isinstance(t, App):
+            self.last_stamp += 1
+            self.stamps[t] = self.last_stamp
+            self.touched.add(t)
+            if t.op == "seq.len":
+                self.seq_lens.append(t)
             for a in t.args:
                 self._intern(a)
                 rep = self.find(a)
@@ -195,6 +224,7 @@ class CongruenceClosure:
         uses = self._uses.pop(rb, [])
         if self._frames:
             self._trail.append((_T_USE_POP, rb, uses))
+        self.touched.update(uses)
         for u in uses:
             self._insert_sig(u)
             if self.conflict:

@@ -67,22 +67,37 @@ class TestClientLoss:
         self, local_daemon
     ):
         d = local_daemon()
-        faultinject.install("pipeline.verify_one@leaf:delay:0.3:1")
         from repro.service.protocol import encode
 
+        # Hold the request in the dispatcher until the client is gone,
+        # so the hang-up is mid-request however slow the machine is.
+        started, hung_up = threading.Event(), threading.Event()
+        execute = d._execute
+
+        def gated(msg):
+            started.set()
+            hung_up.wait(30)
+            return execute(msg)
+
+        d._execute = gated
         c = ServiceClient(d.config.socket)
         c.sock.sendall(encode({"op": "submit", "corpus": "demo"}))
-        for _ in range(200):
-            if d._current is not None:
-                break
-            threading.Event().wait(0.01)
+        assert started.wait(30)
         c.sock.close()  # hang up while the request is in flight
+        hung_up.set()
         # The daemon must finish the work, note the lost client, and
         # keep serving.
         with ServiceClient(d.config.socket) as c2:
             assert c2.health()["ok"]
             r = c2.submit("demo")
             assert r["ok"] and r["reverified"] == []  # work still landed
+        # The lost client is counted by its own handler thread, after
+        # the dispatcher released the request: wait for both handlers.
+        for _ in range(3000):
+            if not d._conns:
+                break
+            threading.Event().wait(0.01)
+        assert not d._conns
         assert metrics.snapshot()["counters"].get("service.client_lost", 0) >= 1
 
 
