@@ -305,6 +305,8 @@ class TheoryBranch:
         while True:
             touched = cc.touched
             if touched:
+                # This order follows addresses and reaches nothing:
+                # the heap pops by stamp and due/waiting are sets.
                 for u in touched:
                     stamp = stamps[u]
                     if not cursor < stamp <= start:

@@ -44,9 +44,21 @@ from repro.solver.terms import App, IntLit, RealLit, Term, intlit
 
 _MAX_ROUNDS = 30
 _MAX_CONSTRAINTS = 400
+#: A bound whose numerator or denominator has passed this magnitude is
+#: not tightened again (sound: the store only derives less). Verifier
+#: bounds stay near ``2**64``; without the cap, a cyclic system with
+#: non-unit coefficients grows its bounds by tens of digits per
+#: propagate() call, so each step costs more than the last.
+_MAX_MAGNITUDE = 1 << 256
 
 #: Exact rational: plain int when integral, Fraction otherwise.
 Rat = Union[int, Fraction]
+
+
+def _oversized(v: Rat) -> bool:
+    if type(v) is int:
+        return abs(v) > _MAX_MAGNITUDE
+    return abs(v.numerator) > _MAX_MAGNITUDE or v.denominator > _MAX_MAGNITUDE
 
 
 def _exact_div(a: Rat, b: Rat) -> Rat:
@@ -432,7 +444,10 @@ class LinearStore:
         return changed
 
     def _tighten_hi(self, atom: Term, b: Bounds, hi: Rat, strict: bool) -> bool:
-        if b.hi is None or hi < b.hi or (hi == b.hi and strict and not b.hi_strict):
+        old = b.hi
+        if old is None or hi < old or (hi == old and strict and not b.hi_strict):
+            if old is not None and _oversized(old):
+                return False
             if self._frames:
                 self._trail.append(
                     (_T_BOUND, b, b.lo, b.lo_strict, b.hi, b.hi_strict)
@@ -445,7 +460,10 @@ class LinearStore:
         return False
 
     def _tighten_lo(self, atom: Term, b: Bounds, lo: Rat, strict: bool) -> bool:
-        if b.lo is None or lo > b.lo or (lo == b.lo and strict and not b.lo_strict):
+        old = b.lo
+        if old is None or lo > old or (lo == old and strict and not b.lo_strict):
+            if old is not None and _oversized(old):
+                return False
             if self._frames:
                 self._trail.append(
                     (_T_BOUND, b, b.lo, b.lo_strict, b.hi, b.hi_strict)

@@ -1,17 +1,21 @@
 """Sorted term language and smart constructors.
 
-Terms are immutable dataclasses forming a DAG. Equality is structural,
-which lets terms serve as dictionary keys throughout the engine (the
-union-find, the interval store, the symbolic heap).
+Terms are immutable dataclasses forming a DAG. Equality and hashing are
+object identity (``object.__eq__``/``object.__hash__``, served by
+CPython's C slots), which coincides with structural equality because
+terms are *hash-consed*: every constructor routes through a global
+intern table (:func:`_interned`), so two structurally equal live terms
+are always the same object. That lets terms serve as dictionary keys
+throughout the engine (the union-find, the interval store, the symbolic
+heap) at the cost of one pointer hash per probe.
 
-Terms are *hash-consed*: every constructor routes through a global
-intern table, so structurally equal terms are usually the same object
-(``a == b`` hits the ``a is b`` fast path) and each node's hash is
-computed exactly once and cached. The table holds weak references, so
-interning never leaks terms that the engine has dropped. Unpickling
-re-interns (:meth:`Term.__reduce__` rebuilds through the constructor),
-which is what lets terms cross process boundaries in the parallel
-pipeline and land deduplicated on the other side.
+The table holds weak references, so interning never leaks terms that
+the engine has dropped. Every other route that makes a term goes
+through the constructor too: unpickling, ``copy.copy`` and
+``copy.deepcopy`` rebuild via :meth:`__reduce__`, and
+``dataclasses.replace`` calls the class. That is what lets terms cross
+process boundaries in the parallel pipeline and land canonical on the
+other side.
 
 Smart constructors perform *local* constant folding only; full
 normalisation lives in :mod:`repro.solver.rewrite`. Keeping the two
@@ -48,25 +52,7 @@ from repro.solver.sorts import (
 _INTERN_TABLE: "weakref.WeakValueDictionary[tuple, Term]" = (
     weakref.WeakValueDictionary()
 )
-_INTERN_ENABLED = True
 _INTERN_STATS = {"hits": 0, "misses": 0}
-
-
-def set_interning(enabled: bool) -> bool:
-    """Globally enable/disable hash-consing; returns the previous state.
-
-    Disabling only affects *future* constructions (used by tests that
-    check verdicts are independent of interning). Structural equality
-    stays correct either way — interning is purely an optimisation.
-    """
-    global _INTERN_ENABLED
-    prev = _INTERN_ENABLED
-    _INTERN_ENABLED = enabled
-    return prev
-
-
-def interning_enabled() -> bool:
-    return _INTERN_ENABLED
 
 
 def interner_stats() -> dict:
@@ -81,8 +67,6 @@ def interner_stats() -> dict:
 def _interned(cls, *fields):
     """Return the canonical instance for ``cls(*fields)`` (or a fresh
     uninitialised one that the dataclass ``__init__`` will fill in)."""
-    if not _INTERN_ENABLED:
-        return object.__new__(cls)
     key = (cls, *fields)
     t = _INTERN_TABLE.get(key)
     if t is not None:
@@ -108,28 +92,13 @@ class Term:
         return isinstance(self, (IntLit, BoolLit, RealLit))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Term):
     name: str
     sort: Sort
 
     def __new__(cls, name: str, sort: Sort) -> "Var":
         return _interned(cls, name, sort)
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name and self.sort == other.sort
-
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            h = hash((Var, self.name, self.sort))
-            object.__setattr__(self, "_h", h)
-            return h
 
     def __reduce__(self):
         return (Var, (self.name, self.sort))
@@ -138,7 +107,7 @@ class Var(Term):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntLit(Term):
     value: int
 
@@ -149,21 +118,6 @@ class IntLit(Term):
     def sort(self) -> Sort:
         return INT
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not IntLit:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            h = hash((IntLit, self.value))
-            object.__setattr__(self, "_h", h)
-            return h
-
     def __reduce__(self):
         return (IntLit, (self.value,))
 
@@ -171,7 +125,7 @@ class IntLit(Term):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoolLit(Term):
     value: bool
 
@@ -182,21 +136,6 @@ class BoolLit(Term):
     def sort(self) -> Sort:
         return BOOL
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not BoolLit:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            h = hash((BoolLit, self.value))
-            object.__setattr__(self, "_h", h)
-            return h
-
     def __reduce__(self):
         return (BoolLit, (self.value,))
 
@@ -204,7 +143,7 @@ class BoolLit(Term):
         return "true" if self.value else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealLit(Term):
     value: Fraction
 
@@ -215,21 +154,6 @@ class RealLit(Term):
     def sort(self) -> Sort:
         return REAL
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not RealLit:
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            h = hash((RealLit, self.value))
-            object.__setattr__(self, "_h", h)
-            return h
-
     def __reduce__(self):
         return (RealLit, (self.value,))
 
@@ -237,7 +161,7 @@ class RealLit(Term):
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class App(Term):
     op: str
     args: tuple[Term, ...]
@@ -248,25 +172,6 @@ class App(Term):
 
     def children(self) -> tuple[Term, ...]:
         return self.args
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        return (
-            self.op == other.op
-            and self.args == other.args
-            and self.sort == other.sort
-        )
-
-    def __hash__(self) -> int:
-        try:
-            return self._h
-        except AttributeError:
-            h = hash((App, self.op, self.args, self.sort))
-            object.__setattr__(self, "_h", h)
-            return h
 
     def __reduce__(self):
         return (App, (self.op, self.args, self.sort))

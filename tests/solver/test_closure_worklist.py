@@ -279,15 +279,16 @@ def _seq_term(rng, depth=1):
 
 def _int_atom(rng):
     """``x ⋈ y + k`` or ``x ⋈ k``: unit coefficients, as the verifier's
-    path conditions have. (With larger ones, bound propagation can grow
-    its numbers without limit; ROADMAP.md tracks that.)"""
+    path conditions have. (Streams with larger ones drive bound
+    propagation towards its magnitude cap; test_bound_magnitude.py
+    covers those.)"""
     x = rng.choice(IVARS)
     k = intlit(rng.randint(-3, 3))
     rhs = k if rng.random() < 0.4 else add(rng.choice(IVARS), k)
     return rng.choice([le, lt, eq])(x, rhs)
 
 
-def _structural_atom(rng):
+def _structural_atom(rng, int_atom=_int_atom):
     x, s = rng.choice(IVARS), rng.choice(SVARS)
     o, p = rng.choice(OVARS), rng.choice(PVARS)
     kind = rng.randrange(11)
@@ -312,11 +313,11 @@ def _structural_atom(rng):
         return eq(p, rng.choice([tuple_mk(x, rng.choice(IVARS)), rng.choice(PVARS)]))
     if kind == 9:
         return eq(tuple_get(p, rng.randrange(2)), x)
-    return _int_atom(rng)
+    return int_atom(rng)
 
 
-def _literal(rng):
-    lit = _structural_atom(rng) if rng.random() < 0.75 else _int_atom(rng)
+def _literal(rng, int_atom=_int_atom):
+    lit = _structural_atom(rng, int_atom) if rng.random() < 0.75 else int_atom(rng)
     return lit if lit not in (TRUE, FALSE) else eq(rng.choice(IVARS), intlit(0))
 
 

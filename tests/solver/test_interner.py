@@ -1,31 +1,40 @@
 """Property tests for hash-consed term interning.
 
-Two invariants matter:
-
-* interning is *canonical* — building the same term twice yields the
-  same object (``is``), and interned identity coincides exactly with
-  structural equality;
-* interning is *transparent* — solver verdicts are identical with
-  interning on and off (it is purely an optimisation).
+Term equality and hashing are object identity, so the engine is only
+correct while interning is *canonical*: every route that makes a term
+(the constructors, the smart constructors, unpickling, ``copy``,
+``dataclasses.replace``, a forked worker's result) must return the one
+live object for that structure. These tests pin each route, pin that
+the five term classes keep CPython's identity slots, and pin that the
+weak table lets dropped terms go.
 """
 
+import copy
+import dataclasses
+import gc
+import os
 import pickle
+import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver import Solver, Status
-from repro.solver.sorts import BOOL, INT
+from repro import parallel
+from repro.solver import Solver
+from repro.solver import terms as terms_mod
+from repro.solver.sorts import BOOL, INT, SeqSort
 from repro.solver.terms import (
     App,
+    BoolLit,
     IntLit,
+    RealLit,
     Term,
     Var,
     add,
     and_,
     eq,
     interner_stats,
-    interning_enabled,
     intlit,
     ite,
     le,
@@ -34,12 +43,19 @@ from repro.solver.terms import (
     neg,
     not_,
     or_,
+    reallit,
+    rebuild,
     seq_cons,
     seq_empty,
     seq_len,
-    set_interning,
+    seq_tail,
+    some,
     sub,
+    substitute,
+    tuple_mk,
 )
+
+TERM_CLASSES = (Var, IntLit, BoolLit, RealLit, App)
 
 VARS = [Var(f"v{i}", INT) for i in range(4)]
 BVARS = [Var(f"b{i}", BOOL) for i in range(2)]
@@ -104,20 +120,34 @@ def _deep_copy(t: Term) -> Term:
     return t
 
 
+def _structurally_equal(a: Term, b: Term) -> bool:
+    """Field-by-field comparison that never consults ``==`` on terms."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, App):
+        return (
+            a.op == b.op
+            and a.sort == b.sort
+            and len(a.args) == len(b.args)
+            and all(_structurally_equal(x, y) for x, y in zip(a.args, b.args))
+        )
+    if isinstance(a, Var):
+        return a.name == b.name and a.sort == b.sort
+    return a.value == b.value
+
+
 class TestCanonicity:
     @settings(max_examples=60, deadline=None)
     @given(f=formulas())
     def test_rebuilding_is_identity(self, f):
-        """intern(a) is intern(b) whenever a == b structurally."""
-        assert interning_enabled()
+        """intern(a) is intern(b) whenever a and b are structurally equal."""
         g = _deep_copy(f)
-        assert g == f
         assert g is f
 
     @settings(max_examples=60, deadline=None)
     @given(a=formulas(), b=formulas())
     def test_identity_iff_structural_equality(self, a, b):
-        assert (a is b) == (a == b)
+        assert (a is b) == _structurally_equal(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(f=formulas())
@@ -128,9 +158,7 @@ class TestCanonicity:
     @settings(max_examples=20, deadline=None)
     @given(f=formulas())
     def test_pickle_roundtrip_reinterns(self, f):
-        g = pickle.loads(pickle.dumps(f))
-        assert g == f
-        assert g is f  # __reduce__ routes through the interner
+        assert pickle.loads(pickle.dumps(f)) is f  # __reduce__ interns
 
     def test_stats_exposed(self):
         s = interner_stats()
@@ -138,43 +166,119 @@ class TestCanonicity:
         assert s["misses"] > 0
 
 
-class TestTransparency:
-    """Verdicts must be byte-identical with interning on vs. off."""
+class TestEveryRouteIsCanonical:
+    """Each way of obtaining a term hands back the live canonical one."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(fs=st.lists(formulas(), min_size=1, max_size=4))
-    def test_check_sat_same_verdict(self, fs):
-        on = Solver().check_sat(fs)
-        prev = set_interning(False)
-        try:
-            # Rebuild the formulas without interning so the solver sees
-            # plain (non-canonical) objects.
-            raw = [_deep_copy(f) for f in fs]
-            assert not any(r is f for r, f in zip(raw, fs) if isinstance(f, App))
-            off = Solver().check_sat(raw)
-        finally:
-            set_interning(prev)
-        assert on == off
+    def test_constructors(self):
+        x = Var("x", INT)
+        assert Var("x", INT) is x
+        assert IntLit(3) is IntLit(3) is intlit(3)
+        assert BoolLit(True) is terms_mod.TRUE
+        assert RealLit(Fraction(1, 2)) is reallit("1/2")
+        assert App("f", (x,), INT) is App("f", (Var("x", INT),), INT)
 
-    @settings(max_examples=30, deadline=None)
-    @given(pc=st.lists(formulas(), min_size=0, max_size=3), goal=formulas())
-    def test_entailment_same_verdict(self, pc, goal):
-        on = Solver().entails(pc, goal)
-        prev = set_interning(False)
-        try:
-            off = Solver().entails([_deep_copy(f) for f in pc], _deep_copy(goal))
-        finally:
-            set_interning(prev)
-        assert on == off
+    def test_smart_constructors(self):
+        x, y = Var("x", INT), Var("y", INT)
+        s = Var("s", SeqSort(INT))
+        assert add(x, intlit(1)) is add(x, intlit(1))
+        assert eq(x, y) is eq(y, x)
+        assert not_(le(x, y)) is lt(y, x)
+        assert and_(le(x, y), lt(x, y)) is and_(le(x, y), lt(x, y))
+        assert seq_tail(seq_cons(x, s)) is s
+        assert seq_len(seq_cons(x, s)) is add(intlit(1), seq_len(s))
+        assert tuple_mk(x, y) is tuple_mk(x, y)
+        assert some(x) is some(x)
+        assert rebuild("+", (x, intlit(2)), INT) is add(x, intlit(2))
+        assert substitute(add(x, y), {y: intlit(0)}) is x
 
-    def test_disable_produces_fresh_objects(self):
-        prev = set_interning(False)
-        try:
-            a = add(Var("x", INT), intlit(1))
-            b = add(Var("x", INT), intlit(1))
-            assert a == b and a is not b
-        finally:
-            set_interning(prev)
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Var("p", INT),
+            IntLit(-7),
+            BoolLit(False),
+            RealLit(Fraction(3, 4)),
+            seq_empty(INT),
+        ],
+        ids=lambda t: type(t).__name__,
+    )
+    def test_pickle_each_class(self, t):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(t, protocol)) is t
+
+    @settings(max_examples=20, deadline=None)
+    @given(f=formulas())
+    def test_copy_and_deepcopy(self, f):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+
+    def test_dataclasses_replace(self):
+        x = Var("x", INT)
+        assert dataclasses.replace(x, name="y") is Var("y", INT)
+        assert dataclasses.replace(x) is x
+        assert dataclasses.replace(IntLit(1), value=2) is intlit(2)
+        f = App("f", (x,), INT)
+        g = dataclasses.replace(f, args=(Var("y", INT),))
+        assert g is App("f", (Var("y", INT),), INT)
+        assert dataclasses.replace(g, args=(x,)) is f
+
+    @pytest.mark.skipif(
+        not parallel.fork_available(), reason="needs the fork start method"
+    )
+    def test_forked_worker_result(self):
+        expected = [_worker_term(None, k)[1] for k in range(4)]
+        got = parallel.fanout(_worker_term, None, range(4), jobs=2)
+        for (pid, g), e in zip(got, expected):
+            assert pid != os.getpid()
+            assert g is e
+
+    def test_store_codec_carries_no_terms(self):
+        """The store persists plain data only, so no term is ever read
+        back from it: a term where a string belongs is rejected."""
+        from repro.gillian.engine import VerificationIssue
+        from repro.gillian.verifier import VerificationResult
+        from repro.hybrid.pipeline import HybridEntry
+        from repro.store.codec import decode_entries, encode_entries
+
+        ok = HybridEntry(
+            "f", "gillian-rust", True, VerificationResult("f", "type-safety", True)
+        )
+        assert decode_entries(encode_entries([ok])) == [ok]
+        issue = VerificationIssue("f", "bb0", add(Var("x", INT), intlit(1)))
+        bad = HybridEntry(
+            "f",
+            "gillian-rust",
+            False,
+            VerificationResult("f", "type-safety", False, issues=[issue]),
+        )
+        with pytest.raises(ValueError):
+            encode_entries([bad])
+
+
+def _worker_term(_payload, k: int) -> tuple[int, Term]:
+    """Build a term in the worker (module-level so it pickles by name)."""
+    return os.getpid(), add(mul(Var(f"w{k}", INT), intlit(k + 2)), Var("w", INT))
+
+
+class TestIdentityInvariant:
+    @pytest.mark.parametrize("cls", TERM_CLASSES, ids=lambda c: c.__name__)
+    def test_eq_and_hash_are_object_slots(self, cls):
+        assert cls.__hash__ is object.__hash__
+        assert cls.__eq__ is object.__eq__
+        assert cls.__ne__ is object.__ne__
+
+    def test_no_switch_turns_interning_off(self):
+        for name in ("set_interning", "interning_enabled", "_INTERN_ENABLED"):
+            assert not hasattr(terms_mod, name)
+
+    def test_dropped_term_leaves_the_weak_table(self):
+        t = App("dropped.op", (Var("dropped_v", INT), intlit(991)), INT)
+        ref = weakref.ref(t)
+        live = interner_stats()["live_terms"]
+        del t
+        gc.collect()
+        assert ref() is None
+        assert interner_stats()["live_terms"] < live
 
 
 class TestSolverIntegration:
