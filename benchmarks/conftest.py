@@ -24,12 +24,8 @@ solver queries, and the ``tactic.*`` / ``gillian.*`` counters — so a
 perf regression in the record can be localised to a phase without
 re-running anything.
 
-It also records the solver strategy portfolio: per-strategy
-query counts and latency histograms (``solver.strategy.*``) and the
-process-wide selector's decision/exploration counters, hit rate and
-per-bucket winners — the evidence behind the E10 auto-vs-baseline
-comparison (gauges ``bench.e10.*``). The E11 ``jobs`` curve and the
-warm-store memory-tier split land as ``bench.e11.*`` gauges.
+The E11 ``jobs`` curve and the warm-store memory-tier split land as
+``bench.e11.*`` gauges.
 
 The pool and store counters are process-global, so an autouse fixture
 zeroes them before every benchmark (one bench's retries must not bleed
@@ -144,23 +140,6 @@ def pytest_sessionfinish(session, exitstatus):
         for k, v in sorted(snapshot["counters"].items())
         if k.startswith("tactic.") or k.startswith("gillian.")
     }
-    from repro.solver.portfolio import GLOBAL_SELECTOR
-
-    strategy_counters = {
-        k: v
-        for k, v in sorted(snapshot["counters"].items())
-        if k.startswith("solver.strategy.")
-    }
-    strategy_hists = {
-        k: {
-            "count": h["count"],
-            "total": round(h["total"], 4),
-            "min": round(h["min"], 6) if h["min"] is not None else None,
-            "max": round(h["max"], 6) if h["max"] is not None else None,
-        }
-        for k, h in sorted(snapshot["histograms"].items())
-        if k.startswith("solver.strategy.")
-    }
     payload = {
         "python": platform.python_version(),
         "bench_total_seconds": round(sum(r["seconds"] for r in _rows), 3),
@@ -193,17 +172,6 @@ def pytest_sessionfinish(session, exitstatus):
             {**q, "seconds": round(q["seconds"], 4)} for q in top_queries()
         ],
         "tactic_counts": tactic_counts,
-        # Strategy portfolio (PR 6): per-strategy query counts and
-        # latency histograms, plus the learned selector's state —
-        # decisions/explorations, hit rate, per-bucket winners. The
-        # bench.e10.* gauges inside "metrics" carry the measured
-        # auto-vs-baseline solve self-times on the two hottest
-        # functions.
-        "strategies": {
-            "counters": strategy_counters,
-            "histograms": strategy_hists,
-            "selector": GLOBAL_SELECTOR.summary(),
-        },
         "metrics": metrics_summary(snapshot),
     }
     _BENCH_JSON.parent.mkdir(exist_ok=True)

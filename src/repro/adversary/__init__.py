@@ -15,7 +15,8 @@ with the proof path they audit:
   (``suspect``).
 * **differential re-verification** (:mod:`repro.adversary.diff`) —
   re-run a sample of functions with every acceleration layer disabled
-  (baseline strategy, no proof store, serial) and compare verdicts.
+  (the ``baseline`` search without the prefix cache, no proof store,
+  serial) and compare verdicts.
 
 The whole layer is opt-in (``--verify-verdicts`` /
 ``REPRO_ADVERSARY=1``), budget-bounded, and lives behind the same

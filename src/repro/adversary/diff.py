@@ -1,11 +1,11 @@
 """Differential re-verification — the third adversary pass.
 
-PRs 3–6 layered caching, incremental propagation and a learned
-strategy portfolio under the pipeline.  Each is verdict-preserving *by
-design*; this pass checks it *in fact*: a sample of functions is
-re-verified from scratch with every acceleration disabled — baseline
-search strategy, no proof store, serial — and the fresh verdicts are
-compared against the shipped ones.
+The pipeline runs on caching, incremental propagation, the prefix
+cache of the default search, a proof store and a worker pool.  Each is
+verdict-preserving *by design*; this pass checks it *in fact*: a
+sample of functions is re-verified from scratch with every
+acceleration disabled — the ``baseline`` search, no proof store,
+serial — and the fresh verdicts are compared against the shipped ones.
 
 A verified/refuted flip is a ``cross_check_failed`` (some layer
 changed an answer).  Timeouts and crashes on either side are

@@ -17,7 +17,6 @@ BudgetExhausted           timeout     deadline / step / query budget hit
 WorkerCrashed             crashed     a pool worker died (segfault, kill)
 EncodingError             error       spec → Gilsonite encoding failed
 StoreCorrupted            error       proof-store entry failed validation
-StrategyDivergence        error       race-mode strategies disagreed
 any other Exception       error       unexpected internal failure
 ========================  ==========  =====================================
 

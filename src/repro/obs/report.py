@@ -104,42 +104,6 @@ def render_tactics(counters: dict) -> str:
     return "\n".join(f"  {k.ljust(width)}  {v}" for k, v in picked.items())
 
 
-def render_strategies(strategy_stats: dict) -> str:
-    """``strategy_stats``: the ``HybridReport.strategy_stats`` shape —
-    ``{strategy: {queries, seconds}}`` plus an optional ``"selector"``
-    summary. Renders the per-strategy solver breakdown."""
-    rows = [
-        (name, rec)
-        for name, rec in strategy_stats.items()
-        if name != "selector" and isinstance(rec, dict)
-    ]
-    lines = ["== solver strategies =="]
-    if not rows:
-        lines.append("  (no strategy activity)")
-    else:
-        width = max(len(n) for n, _ in rows)
-        for name, rec in sorted(rows, key=lambda r: -r[1].get("seconds", 0.0)):
-            q = rec.get("queries", 0)
-            s = rec.get("seconds", 0.0)
-            mean = f"{s / q * 1e3:8.2f}ms" if q else "       --"
-            lines.append(
-                f"  {name.ljust(width)}  {q:6d} queries  {s:8.3f}s  mean {mean}"
-            )
-    sel = strategy_stats.get("selector")
-    if sel:
-        hr = sel.get("hit_rate")
-        lines.append(
-            f"  selector: {sel.get('decisions', 0)} decisions, "
-            f"{sel.get('explorations', 0)} explorations"
-            + (f", hit rate {hr:.0%}" if hr is not None else "")
-            + f", {sel.get('buckets', 0)} buckets"
-        )
-        best = sel.get("best") or {}
-        for bucket, winner in sorted(best.items()):
-            lines.append(f"    {bucket}  ->  {winner}")
-    return "\n".join(lines)
-
-
 def render_profile(
     phases: dict,
     queries: list[dict],

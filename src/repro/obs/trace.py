@@ -392,24 +392,6 @@ def merge_queries(records: list[tuple]) -> None:
 # Fork-worker delta protocol
 # ---------------------------------------------------------------------------
 
-#: Auxiliary delta providers: subsystems with process-local learned
-#: state (e.g. the solver's strategy selector) register
-#: (snapshot, delta_since, merge) triples here so their state rides
-#: the same worker-delta protocol as metrics and phases without this
-#: module importing them.
-_AUX_DELTA: dict[str, tuple[Callable, Callable, Callable]] = {}
-
-
-def register_aux_delta(
-    name: str,
-    snapshot: Callable[[], Any],
-    delta_since: Callable[[Any], Any],
-    merge: Callable[[Any], None],
-) -> None:
-    """Register an auxiliary state provider for the fork-worker delta
-    protocol (idempotent by name: re-registration replaces)."""
-    _AUX_DELTA[name] = (snapshot, delta_since, merge)
-
 
 def worker_begin() -> dict:
     """Snapshot taken in a pool worker before it runs one item."""
@@ -418,7 +400,6 @@ def worker_begin() -> dict:
         "metrics": metrics.delta_snapshot(),
         "phases": phases_snapshot(),
         "queries": query_ids(),
-        "aux": {name: fns[0]() for name, fns in _AUX_DELTA.items()},
     }
 
 
@@ -427,17 +408,11 @@ def worker_delta(mark: dict) -> Optional[dict]:
     shipped back through the pool future."""
     if OFF:
         return None
-    aux_marks = mark.get("aux", {})
     return {
         "events": _TRACE.events[mark["events_idx"]:] if _TRACE.enabled else [],
         "metrics": metrics.delta_since(mark["metrics"]),
         "phases": _phases_delta_raw(mark["phases"]),
         "queries": [q for q in _QUERIES.values() if q[1] not in mark["queries"]],
-        "aux": {
-            name: fns[1](aux_marks[name])
-            for name, fns in _AUX_DELTA.items()
-            if name in aux_marks
-        },
     }
 
 
@@ -450,10 +425,6 @@ def merge_worker_delta(delta: Optional[dict]) -> None:
     metrics.merge_delta(delta.get("metrics", {}))
     merge_phases(delta.get("phases", {}))
     merge_queries(delta.get("queries", []))
-    for name, aux in delta.get("aux", {}).items():
-        fns = _AUX_DELTA.get(name)
-        if fns is not None:
-            fns[2](aux)
 
 
 # ---------------------------------------------------------------------------

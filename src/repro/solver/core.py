@@ -49,15 +49,12 @@ its new literals. Frames carry stamps (:meth:`TheoryBranch.holds`),
 so a cache entry is used only while its frame is still on the branch.
 ``prefix_hits``/``prefix_misses``/``prefix_extends`` count it.
 
-The traversal itself — case-split order, theory-closure timing,
-literal ordering — is pluggable: a :class:`SearchStrategy`
-(:mod:`repro.solver.strategies`) decides it, and every registered
-strategy returns identical verdicts by construction (enforced by a
-differential suite and the ``race`` mode). ``REPRO_SOLVER_STRATEGY``
-picks a fixed strategy by name, ``auto`` selects per query via the
-learned portfolio selector (:mod:`repro.solver.portfolio`), and
-``race`` runs every strategy on every query, raising
-:class:`~repro.solver.strategies.StrategyDivergence` on disagreement.
+The search itself is a :class:`~repro.solver.strategies.SearchStrategy`
+(:mod:`repro.solver.strategies`). Two are registered: the default
+``prefix_reuse`` above, and ``baseline``, the reference search without
+the prefix cache, against which the differential tests and the
+adversary check the default. Both return identical verdicts by
+construction.
 """
 
 from __future__ import annotations
@@ -74,8 +71,8 @@ from repro.errors import BudgetExhausted  # re-exported; was defined here
 from repro.obs import clock
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import metrics
-from repro.solver.features import query_features
 from repro.solver.intervals import LinearStore
+from repro.solver.strategies import get_strategy
 from repro.solver.sorts import INT, OptionSort, SeqSort
 from repro.solver.terms import (
     FALSE,
@@ -451,10 +448,10 @@ def _describe_query(fs: Sequence[Term]) -> str:
 #: ``REPRO_SOLVER_CACHE`` knob says otherwise.
 DEFAULT_CACHE_CAPACITY = 16384
 
-#: The search strategy when neither ``strategy=`` nor
-#: ``REPRO_SOLVER_STRATEGY`` names one: closed path-condition prefixes
-#: are reused across queries (DESIGN.md §10 has the measurement).
-#: ``baseline`` stays the reference search without that reuse.
+#: The search when ``strategy=`` names none: closed path-condition
+#: prefixes are reused across queries (DESIGN.md §10 has the
+#: measurement). ``baseline`` stays the reference search without that
+#: reuse.
 DEFAULT_STRATEGY = "prefix_reuse"
 
 #: Closed path-condition prefixes one solver keeps (LRU). The query
@@ -482,25 +479,6 @@ def _cache_capacity_from_env(environ: Optional[dict] = None) -> int:
     return capacity
 
 
-def _strategy_from_env(environ: Optional[dict] = None) -> str:
-    from repro.solver.strategies import MODES, STRATEGIES
-
-    env = os.environ if environ is None else environ
-    raw = (env.get("REPRO_SOLVER_STRATEGY") or "").strip()
-    if not raw:
-        return DEFAULT_STRATEGY
-    if raw in STRATEGIES or raw in MODES:
-        return raw
-    warnings.warn(
-        f"REPRO_SOLVER_STRATEGY={raw!r} is not a registered strategy "
-        f"({', '.join(STRATEGIES)}) or mode ({', '.join(MODES)}); "
-        f"using {DEFAULT_STRATEGY!r}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return DEFAULT_STRATEGY
-
-
 class Solver:
     """Facade: check satisfiability / entailment with caching.
 
@@ -508,14 +486,10 @@ class Solver:
     entries, default from ``REPRO_SOLVER_CACHE``); hit/miss/eviction
     counters and the configured capacity live in :attr:`stats`.
 
-    ``strategy`` picks how cache-missing queries are searched: a
-    concrete strategy name from :data:`repro.solver.strategies.STRATEGIES`
-    (default :data:`DEFAULT_STRATEGY`), ``auto`` (per-query learned
-    selection via ``selector`` — default the process-wide
-    :data:`repro.solver.portfolio.GLOBAL_SELECTOR`), or ``race`` (run
-    every strategy, assert verdict agreement). Defaults come from
-    ``REPRO_SOLVER_STRATEGY``. All strategies share this instance's
-    result cache — verdicts are strategy-independent by invariant.
+    ``strategy`` picks how cache-missing queries are searched:
+    :data:`DEFAULT_STRATEGY` (``prefix_reuse``) or ``baseline``, the
+    reference search (:data:`repro.solver.strategies.STRATEGIES`); an
+    unknown name raises ``KeyError`` here.
 
     :attr:`prefix_branches` is the cross-query path-condition cache of
     the prefix-reusing search: literal prefix → ``(branch, frame,
@@ -537,22 +511,14 @@ class Solver:
         self,
         branch_budget: int = 4096,
         cache_capacity: Optional[int] = None,
-        strategy: Optional[str] = None,
-        selector=None,
+        strategy: str = DEFAULT_STRATEGY,
     ) -> None:
-        from repro.solver.portfolio import GLOBAL_SELECTOR
-        from repro.solver.strategies import MODES, get_strategy
-
         self.branch_budget = branch_budget
         if cache_capacity is None:
             cache_capacity = _cache_capacity_from_env()
         self.cache_capacity = cache_capacity
-        if strategy is None:
-            strategy = _strategy_from_env()
-        elif strategy not in MODES:
-            get_strategy(strategy)  # explicit unknown name: raise now
+        get_strategy(strategy)  # an unknown name raises now
         self.strategy = strategy
-        self.selector = selector if selector is not None else GLOBAL_SELECTOR
         self.budget = None  # Optional[repro.budget.Budget]
         self._cache: OrderedDict[frozenset, Status] = OrderedDict()
         self.prefix_branches: OrderedDict[
@@ -596,40 +562,16 @@ class Solver:
                 raise
         self._tick("checks")
         self._tick("cache_misses")
-        # Strategy dispatch: fixed name, learned per-query (auto), or
-        # differential (race). Decided before the timer starts so the
-        # observed latency is pure search cost.
-        mode = self.strategy
-        fkey = None
-        if mode == "auto":
-            fkey = query_features(fs)
-            sname, explored = self.selector.choose(fkey)
-        elif mode == "race":
-            sname = "race"
-        else:
-            sname = mode
         tracing = obs_trace.enabled()
         if tracing:
             obs_trace.emit("B", "solve", {"query": _describe_query(fs)})
-            if mode == "auto":
-                obs_trace.instant_event(
-                    "strategy.decision",
-                    **{
-                        "strategy": sname,
-                        "bucket": fkey,
-                        "strategy.explore": int(explored),
-                    },
-                )
         t0 = clock.now()
         try:
             if FALSE in fs:
                 result = Status.UNSAT
             else:
                 try:
-                    if mode == "race":
-                        result = self._race(fs)
-                    else:
-                        result = self._run_strategy(sname, fs)
+                    result = get_strategy(self.strategy).search(self, fs)
                 except _BranchCapReached:
                     result = Status.UNKNOWN
                     self._tick("unknowns")
@@ -650,13 +592,6 @@ class Solver:
                 obs_trace.emit("E", "solve")
             obs_trace.record_phase(obs_trace.current_function(), "solve", dur)
             obs_trace.record_query(dur, lambda: _describe_query(fs))
-        # Only completed searches feed the learning loop and the
-        # per-strategy metrics (race records its own, per contestant).
-        if mode == "auto":
-            self.selector.observe(fkey, sname, dur)
-        if mode != "race":
-            metrics.inc(f"solver.strategy.{sname}.queries")
-            metrics.observe(f"solver.strategy.{sname}.seconds", dur)
         cache[key] = result
         if len(cache) > self.cache_capacity:
             cache.popitem(last=False)
@@ -674,42 +609,6 @@ class Solver:
 
     def equal_under(self, pc: Sequence[Term], a: Term, b: Term) -> bool:
         return self.entails(pc, eq(a, b))
-
-    # -- search (delegated to the pluggable strategies) ----------------------
-
-    def _run_strategy(self, name: str, formulas: list[Term]) -> Status:
-        from repro.solver.strategies import get_strategy
-
-        return get_strategy(name).search(self, formulas)
-
-    def _race(self, formulas: list[Term]) -> Status:
-        """Run *every* registered strategy on the query and assert the
-        verdicts agree (the executable form of the verdict-equivalence
-        invariant). ``UNKNOWN`` is resource-shaped and never counts as
-        divergence; if every strategy is UNKNOWN the cap is re-raised
-        so the caller's accounting matches a single capped search."""
-        from repro.solver.strategies import STRATEGIES, StrategyDivergence
-
-        verdicts: dict[str, Status] = {}
-        for name, strategy in STRATEGIES.items():
-            t0 = clock.now()
-            try:
-                verdicts[name] = strategy.search(self, formulas)
-            except _BranchCapReached:
-                verdicts[name] = Status.UNKNOWN
-            finally:
-                dur = clock.now() - t0
-                metrics.inc(f"solver.strategy.{name}.queries")
-                metrics.observe(f"solver.strategy.{name}.seconds", dur)
-        definite = {v for v in verdicts.values() if v != Status.UNKNOWN}
-        if len(definite) > 1:
-            raise StrategyDivergence(
-                f"strategies disagree on {_describe_query(formulas)}: "
-                + ", ".join(f"{n}={v.value}" for n, v in sorted(verdicts.items()))
-            )
-        if not definite:
-            raise _BranchCapReached()
-        return definite.pop()
 
 
 _DEFAULT_SOLVER: Optional[Solver] = None

@@ -1,57 +1,40 @@
-"""Pluggable DNF search strategies for the solver.
+"""The solver's two DNF searches.
 
-The solver's search (formerly hard-coded in ``Solver._search`` /
-``_branch_sat``) is a DNF-style case split decided branch-by-branch by
-a :class:`~repro.solver.core.TheoryBranch`.  The *verdict* of a query
-is a function of the formula set alone — ``UNSAT`` means a sound
+The search is a DNF-style case split decided branch-by-branch by a
+:class:`~repro.solver.core.TheoryBranch`.  The *verdict* of a query is
+a function of the formula set alone — ``UNSAT`` means a sound
 refutation exists on every branch, ``SAT`` means some fully-asserted
-branch survives closure — but the *cost* of reaching it depends
-heavily on traversal order and on when the (expensive) theory closure
-runs.  A :class:`SearchStrategy` packages exactly those degrees of
-freedom:
+branch survives closure — but the *cost* of reaching it depends on
+when the theory closure runs and on what is shared across queries.
+Two searches are registered:
 
-* ``order_toplevel`` — in which order the conjuncts of the query are
-  processed (a literal processed early can refute a branch before any
-  disjunction fans out);
-* ``order_disjuncts`` — in which order the alternatives of a
-  disjunction are explored (matters for SAT answers: the first
-  surviving branch wins);
-* ``prefix_close`` — whether the shared prefix is closed before a
-  disjunction fans out (prunes whole disjunctions at the price of one
-  closure per split);
-* ``eager_close`` — whether closure runs after *every* literal
-  assertion (finds conflicts at the earliest possible point, at the
-  price of many more closure fixpoints);
-* ``reuse_prefix`` — whether the query's literal prefix is closed once
-  and kept on the solver for later queries that repeat or extend it.
+* ``prefix_reuse`` — the default
+  (:data:`~repro.solver.core.DEFAULT_STRATEGY`): the query's literal
+  prefix is closed once and kept on the solver for later queries that
+  repeat or extend it (:class:`PrefixReuseStrategy`);
+* ``baseline`` — the reference search without that cache: it closes
+  the shared prefix before each disjunction fans out, and is what the
+  differential tests and the adversary's diff pass compare against.
 
-**Invariant — verdict equivalence.**  Every registered strategy must
-return the same :class:`~repro.solver.core.Status` for the same query.
-The hooks above only reorder a search that, absent an early ``SAT``,
-explores every branch, and closure timing only moves *when* sound
-inferences are made, not which ones are derivable: every strategy
-finishes each surviving leaf with :meth:`TheoryBranch.close_exhaustive`,
-so the leaf verdict depends on the asserted literal set only.  The
-invariant is enforced by a randomized cross-strategy differential
-suite (``tests/solver/test_strategies.py``) and by the ``race``
-execution mode, which runs every strategy on a query and raises
-:class:`StrategyDivergence` if any pair disagrees.  The only permitted
-divergence is resource-shaped: a strategy that explores more branches
+**Invariant — verdict equivalence.**  Both searches return the same
+:class:`~repro.solver.core.Status` for the same query.  Closure timing
+only moves *when* sound inferences are made, not which ones are
+derivable: both finish each surviving leaf with
+:meth:`TheoryBranch.close_exhaustive`, so the leaf verdict depends on
+the asserted literal set only.  A randomized differential suite
+(``tests/solver/test_strategies.py``) enforces it.  The only permitted
+divergence is resource-shaped: a search that explores more branches
 can hit the per-query branch cap (``UNKNOWN``) or a cooperative budget
-sooner than another.
+sooner than the other.
 
-Strategies are stateless singletons (the prefix cache lives on the
-solver, :attr:`~repro.solver.core.Solver.prefix_branches`); register
-new ones with
-:func:`register` (the per-query selector in
-:mod:`repro.solver.portfolio` picks them up automatically).
+Searches are stateless singletons; the prefix cache lives on the
+solver (:attr:`~repro.solver.core.Solver.prefix_branches`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
-from repro.errors import VerificationError
 from repro.solver.sorts import BOOL
 from repro.solver.terms import (
     FALSE,
@@ -69,19 +52,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.solver.core import Solver, Status, TheoryBranch
 
 
-class StrategyDivergence(VerificationError, AssertionError):
-    """Two strategies returned different verdicts for one query —
-    a soundness bug in a strategy, never a user error. Raised by the
-    ``race`` execution mode and the differential test suite.
-
-    Part of the :mod:`repro.errors` taxonomy (``status = "error"``):
-    when a race-mode run hits a divergence mid-verification, the
-    pipeline's per-function fault boundary degrades the function to a
-    ✗ ``error`` entry instead of letting a bare ``AssertionError``
-    crash the whole report.  Still an ``AssertionError`` for the
-    differential suite's historical ``pytest.raises`` contract."""
-
-
 def _find_bool_ite(t: Term) -> Optional[App]:
     """Find an ``ite`` application to lift, if any."""
     for s in subterms(t):
@@ -90,18 +60,9 @@ def _find_bool_ite(t: Term) -> Optional[App]:
     return None
 
 
-def _formula_weight(f: Term) -> int:
-    """A cheap size proxy (memoised subterm count) used by ordering
-    hooks; the interner memoises the traversal, so repeated queries
-    over shared terms cost a cache lookup."""
-    from repro.solver.terms import _subterms_tuple
-
-    return len(_subterms_tuple(f))
-
-
 def _split_kind(f: Term) -> int:
-    """How much case splitting processing ``f`` will cause — the
-    conflict-first ordering processes low kinds first:
+    """How much case splitting processing ``f`` will cause; only kind 0
+    joins the cached literal prefix:
 
     0. plain literals (asserted directly; can refute immediately),
     1. negations that expand by De Morgan / numeric disequalities,
@@ -129,29 +90,17 @@ def _split_kind(f: Term) -> int:
 
 
 class SearchStrategy:
-    """Base class *and* the baseline strategy: disjuncts in syntactic
+    """Base class *and* the baseline search: disjuncts in syntactic
     order, prefix closure before each fan-out, lazy literal closure —
     byte-for-byte the search the solver shipped with."""
 
     #: Registry key; subclasses override.
     name = "baseline"
-    #: Close the theory branch after every literal assertion.
-    eager_close = False
     #: Close the shared prefix once before fanning out a disjunction.
     prefix_close = True
     #: Search on top of the query's closed literal prefix, cached on the
     #: solver across queries (see :class:`PrefixReuseStrategy`).
     reuse_prefix = False
-
-    # -- ordering hooks ------------------------------------------------------
-
-    def order_toplevel(self, formulas: Sequence[Term]) -> Iterable[Term]:
-        """Processing order of the query's conjuncts."""
-        return formulas
-
-    def order_disjuncts(self, args: Sequence[Term]) -> Iterable[Term]:
-        """Exploration order of a disjunction's alternatives."""
-        return args
 
     # -- the search ----------------------------------------------------------
 
@@ -166,10 +115,9 @@ class SearchStrategy:
         branch = TheoryBranch()
         # The work-list is a persistent cons-list ``(head, rest)`` —
         # branching shares the tail between disjuncts with no copying.
-        # Pushing reverses: the last formula yielded by the ordering
-        # hook is processed first (matching the pre-strategy search).
+        # Pushing reverses: the last formula is processed first.
         pending = None
-        for f in self.order_toplevel(formulas):
+        for f in formulas:
             pending = (f, pending)
         if self._branch_sat(solver, pending, branch, budget):
             return Status.SAT
@@ -309,7 +257,7 @@ class SearchStrategy:
                     branch.close()
                 if branch.conflict():
                     return False
-                for d in self.order_disjuncts(f.args):
+                for d in f.args:
                     branch.push()
                     try:
                         if self._branch_sat(solver, (d, pending), branch, budget):
@@ -363,64 +311,11 @@ class SearchStrategy:
             branch.assert_literal(f)
             if branch.conflict():
                 return False
-            if self.eager_close:
-                branch.close()
-                if branch.conflict():
-                    return False
-        # Leaf: every strategy decides the fully-asserted branch with
+        # Leaf: both searches decide the fully-asserted branch with
         # the same exhaustive closure, so the verdict depends on the
         # literal set only — not on how we got here.
         branch.close_exhaustive()
         return not branch.conflict()
-
-
-class InvertedStrategy(SearchStrategy):
-    """Case splits explored back-to-front: disjunctions emitted by
-    enum/match reasoning often list the "common" constructor first;
-    when the *last* alternative is the surviving one (SAT) or the
-    cheap refutation (UNSAT), inverting the order wins."""
-
-    name = "inverted"
-
-    def order_disjuncts(self, args: Sequence[Term]) -> Iterable[Term]:
-        return reversed(args)
-
-
-class EagerCloseStrategy(SearchStrategy):
-    """Theory closure after every literal assertion: conflicts surface
-    at the earliest possible assertion, pruning subtrees before any
-    fan-out — pays off on refutation-heavy (entailment) queries, costs
-    extra closure fixpoints on easily-satisfiable ones."""
-
-    name = "eager"
-    eager_close = True
-
-
-class LazyCloseStrategy(SearchStrategy):
-    """No prefix closure before fan-outs: closure runs only at the
-    leaves (exhaustively). Disjunction-light queries skip almost all
-    intermediate Fourier-Motzkin work; disjunction-heavy UNSAT queries
-    redo shared-prefix closure once per leaf."""
-
-    name = "lazy"
-    prefix_close = False
-
-
-class ConflictFirstStrategy(SearchStrategy):
-    """Conflict-first ordering: process plain literals before anything
-    that splits (and narrower splits before wider ones), so the theory
-    branch is maximally constrained — and most refutable — before the
-    first fan-out; disjuncts are explored smallest-first."""
-
-    name = "conflict_first"
-
-    def order_toplevel(self, formulas: Sequence[Term]) -> Iterable[Term]:
-        # Pushed onto a LIFO work-list: sort *descending* by split
-        # kind so the lowest kinds (plain literals) are processed first.
-        return sorted(formulas, key=_split_kind, reverse=True)
-
-    def order_disjuncts(self, args: Sequence[Term]) -> Iterable[Term]:
-        return sorted(args, key=_formula_weight)
 
 
 class PrefixReuseStrategy(SearchStrategy):
@@ -467,28 +362,10 @@ class PrefixReuseStrategy(SearchStrategy):
     reuse_prefix = True
 
 
-#: Registry: name -> stateless singleton, in registration order (the
-#: selector's deterministic tie-break follows this order).
-STRATEGIES: dict[str, SearchStrategy] = {}
-
-
-def register(strategy: SearchStrategy) -> SearchStrategy:
-    if strategy.name in STRATEGIES:
-        raise ValueError(f"duplicate strategy name {strategy.name!r}")
-    STRATEGIES[strategy.name] = strategy
-    return strategy
-
-
-register(SearchStrategy())
-register(InvertedStrategy())
-register(EagerCloseStrategy())
-register(LazyCloseStrategy())
-register(ConflictFirstStrategy())
-register(PrefixReuseStrategy())
-
-#: Execution modes accepted by ``REPRO_SOLVER_STRATEGY`` on top of the
-#: concrete strategy names.
-MODES = ("auto", "race")
+#: Registry: name -> stateless singleton.
+STRATEGIES: dict[str, SearchStrategy] = {
+    s.name: s for s in (SearchStrategy(), PrefixReuseStrategy())
+}
 
 
 def get_strategy(name: str) -> SearchStrategy:
@@ -497,9 +374,6 @@ def get_strategy(name: str) -> SearchStrategy:
     except KeyError:
         raise KeyError(
             f"unknown solver strategy {name!r}; "
-            f"registered: {', '.join(STRATEGIES)} (plus modes {', '.join(MODES)})"
+            f"registered: {', '.join(STRATEGIES)}"
         ) from None
 
-
-def strategy_names() -> list[str]:
-    return list(STRATEGIES)

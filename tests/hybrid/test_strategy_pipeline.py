@@ -1,12 +1,15 @@
-"""End-to-end strategy equivalence through the hybrid pipeline.
+"""End-to-end search equivalence through the hybrid pipeline.
 
 The differential suite (tests/solver/test_strategies.py) checks the
-invariant per query; this file checks it per *pipeline run*: every
-strategy, plus the learned ``auto`` mode, must produce the same
-``HybridReport`` verdicts — serial and under ``jobs=2`` — and the
-report must carry the per-strategy breakdown and selector state.
+invariant per query; this file checks it per *pipeline run*: the
+default search and ``baseline`` must produce the same ``HybridReport``
+verdicts, serial and under ``jobs=2``. A store written by an older
+build that learned a strategy selector still serves its entries.
 """
 
+import builtins
+import io
+import json
 import os
 
 import pytest
@@ -18,7 +21,6 @@ from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
 from repro.solver import Solver
 from repro.solver.core import DEFAULT_STRATEGY
-from repro.solver.portfolio import StrategySelector, selector_path
 from repro.solver.strategies import STRATEGIES
 from repro.store import ProofStore
 
@@ -39,13 +41,13 @@ def env():
     return program, ownables
 
 
-def _run(env, jobs=1, **hv_kwargs):
+def _run(env, jobs=1, functions=FUNCTIONS, **hv_kwargs):
     program, ownables = env
     hv = HybridVerifier(
         program, ownables, LINKED_LIST_CONTRACTS,
         manual_pure_pre=MANUAL_PURE_PRECONDITIONS, **hv_kwargs,
     )
-    return hv, hv.run(FUNCTIONS, jobs=jobs)
+    return hv, hv.run(functions, jobs=jobs)
 
 
 def _fingerprint(report):
@@ -55,42 +57,24 @@ def _fingerprint(report):
 class TestVerdictEquivalence:
     @pytest.fixture(scope="class")
     def baseline_fp(self, env):
-        _, report = _run(env, strategy="baseline")
+        _, report = _run(env, solver=Solver(strategy="baseline"))
         assert report.status == "verified"
         return _fingerprint(report)
 
     @pytest.mark.parametrize("name", list(STRATEGIES))
     def test_each_strategy_matches_baseline(self, env, baseline_fp, name):
-        _, report = _run(env, strategy=name)
-        assert _fingerprint(report) == baseline_fp
-
-    def test_auto_matches_baseline(self, env, baseline_fp):
-        solver = Solver(strategy="auto", selector=StrategySelector())
-        _, report = _run(env, solver=solver)
+        _, report = _run(env, solver=Solver(strategy=name))
         assert _fingerprint(report) == baseline_fp
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-    def test_default_matches_baseline_jobs2(self, env, baseline_fp, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+    def test_default_matches_baseline_jobs2(self, env, baseline_fp):
         hv, report = _run(env, jobs=2)
         assert hv.solver.strategy == DEFAULT_STRATEGY
         assert _fingerprint(report) == baseline_fp
 
-    @pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-    def test_auto_matches_baseline_jobs2(self, env, baseline_fp):
-        solver = Solver(strategy="auto", selector=StrategySelector())
-        _, report = _run(env, jobs=2, solver=solver)
-        assert _fingerprint(report) == baseline_fp
-
 
 class TestReportPlumbing:
-    def test_strategy_stats_in_report(self, env):
-        _, report = _run(env, strategy="inverted")
-        assert report.strategy_stats.get("inverted", {}).get("queries", 0) > 0
-        assert "== solver strategies ==" in report.render(verbose=True)
-
-    def test_prefix_counters_in_report(self, env, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+    def test_prefix_counters_in_report(self, env):
         _, report = _run(env)
         ss = report.solver_stats
         assert ss["prefix_hits"] > 0
@@ -102,64 +86,44 @@ class TestReportPlumbing:
             in report.render(verbose=True)
         )
 
-    def test_auto_report_carries_selector(self, env):
-        solver = Solver(strategy="auto", selector=StrategySelector())
-        _, report = _run(env, solver=solver)
-        sel = report.strategy_stats.get("selector")
-        assert sel and sel["decisions"] > 0 and sel["buckets"] > 0
 
-    def test_env_knob_reaches_solver(self, env, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "lazy")
-        program, ownables = env
-        hv = HybridVerifier(
-            program, ownables, LINKED_LIST_CONTRACTS,
-            manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
-        )
-        assert hv.solver.strategy == "lazy"
+class TestOlderStore:
+    def test_stale_selector_file_is_ignored(self, env, tmp_path, monkeypatch):
+        """Builds that learned a strategy selector saved it as
+        ``selector.json`` in the store root. Runs on such a store get
+        their hits and publish their new entries, and neither read nor
+        rewrite the file."""
+        root = tmp_path / "store"
+        root.mkdir()
+        selector = root / "selector.json"
+        selector.write_text(json.dumps(
+            {"version": 1, "buckets": {"n4|d1": {"inverted": [3, 0.012]}}}
+        ))
+        before = (selector.read_bytes(), selector.stat().st_mtime_ns)
 
-    def test_strategy_argument_validated(self, env):
-        program, ownables = env
-        with pytest.raises(KeyError):
-            HybridVerifier(
-                program, ownables, LINKED_LIST_CONTRACTS,
-                manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
-                strategy="no_such",
-            )
+        opened = []
 
+        def recording(real):
+            def wrapper(file, *args, **kwargs):
+                opened.append(str(file))
+                return real(file, *args, **kwargs)
+            return wrapper
 
-class TestSelectorPersistence:
-    def test_selector_state_persists_with_store(self, env, tmp_path):
-        selector = StrategySelector()
-        solver = Solver(strategy="auto", selector=selector)
-        _, report = _run(
-            env, solver=solver, store=ProofStore(tmp_path / "store")
-        )
-        assert report.status == "verified"
-        path = selector_path(tmp_path / "store")
-        fresh = StrategySelector()
-        assert fresh.load(path)
-        assert fresh._buckets  # learned state reached the disk
+        monkeypatch.setattr(io, "open", recording(io.open))
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(os, "open", recording(os.open))
+        _, cold = _run(env, functions=FUNCTIONS[:2], store=ProofStore(root))
+        _, warm = _run(env, store=ProofStore(root))
+        monkeypatch.undo()
 
-    def test_fixed_strategy_run_writes_no_selector_state(self, env, tmp_path):
-        # A fixed strategy learns nothing, so the run saves nothing.
-        _, report = _run(env, store=ProofStore(tmp_path / "store"))
-        assert report.status == "verified"
-        assert not os.path.exists(selector_path(tmp_path / "store"))
-
-    def test_warm_run_loads_selector_once(self, env, tmp_path):
-        store_root = tmp_path / "store"
-        selector = StrategySelector()
-        solver = Solver(strategy="auto", selector=selector)
-        _run(env, solver=solver, store=ProofStore(store_root))
-        before = {
-            k: {s: tuple(r) for s, r in b.items()}
-            for k, b in selector._buckets.items()
+        assert cold.status == warm.status == "verified"
+        assert warm.outcomes == {
+            FUNCTIONS[0]: "cached",
+            FUNCTIONS[1]: "cached",
+            FUNCTIONS[2]: "verified",
         }
-        # Second run over a warm store: every proof is a store hit, no
-        # queries run, and the once-guard must not double the counts.
-        _run(env, solver=solver, store=ProofStore(store_root))
-        after = {
-            k: {s: tuple(r) for s, r in b.items()}
-            for k, b in selector._buckets.items()
-        }
-        assert after == before
+        assert warm.store_stats["hits"] == 2
+        assert warm.store_stats["stores"] == 1
+        assert opened, "the recording wrappers saw no file access"
+        assert not [f for f in opened if f.endswith("selector.json")]
+        assert (selector.read_bytes(), selector.stat().st_mtime_ns) == before

@@ -1,13 +1,11 @@
-"""Randomized cross-strategy differential suite.
+"""Randomized differential suite for the solver's two searches.
 
-The portfolio's hard invariant: search strategies trade *cost*, never
-*answers*. Every registered strategy — and the ``auto`` and ``race``
-modes built on top of them — must return the same verdict for the
-same query. The suite drives all of them over seeded random formula
-sets (mixing arithmetic, equalities, boolean structure, ite and
-disjunction, so every ordering / closure-timing code path fires) and
-asserts verdict equality; the env-knob and cache-knob behaviour rides
-along.
+The invariant: the default search (``prefix_reuse``) trades *cost*,
+never *answers*, against ``baseline``, the reference search. The suite
+drives both over seeded random formula sets (mixing arithmetic,
+equalities, boolean structure, ite and disjunction, so every closure
+timing and prefix-cache code path fires) and asserts verdict equality;
+the strategy-name and cache-knob behaviour rides along.
 """
 
 import random
@@ -23,15 +21,8 @@ from repro.solver.core import (
     PREFIX_SLOTS,
     TheoryBranch,
 )
-from repro.solver.portfolio import StrategySelector
 from repro.solver.sorts import BOOL, INT
-from repro.solver.strategies import (
-    MODES,
-    STRATEGIES,
-    SearchStrategy,
-    StrategyDivergence,
-    get_strategy,
-)
+from repro.solver.strategies import STRATEGIES, get_strategy
 from repro.solver.terms import (
     Var,
     add,
@@ -102,33 +93,10 @@ class TestDifferential:
         }
         assert len(set(verdicts.values())) == 1, verdicts
 
-    @pytest.mark.parametrize("seed", range(0, 40, 5))
-    def test_race_agrees_with_baseline(self, seed):
-        fs = _query(seed)
-        reference = Solver(strategy="baseline").check_sat(fs)
-        assert Solver(strategy="race").check_sat(fs) == reference
-
-    def test_auto_agrees_with_baseline(self):
-        # A tiny window + warmup forces the selector through every
-        # strategy across the seeds, not just the early winner.
-        sel = StrategySelector(warmup=1, explore_every=2, window=1)
-        for seed in range(30):
-            fs = _query(seed)
-            auto = Solver(strategy="auto", selector=sel).check_sat(fs)
-            assert auto == Solver(strategy="baseline").check_sat(fs), seed
-
     def test_registry_has_the_paper_strategies(self):
-        for name in (
-            "baseline",
-            "inverted",
-            "eager",
-            "lazy",
-            "conflict_first",
-            "prefix_reuse",
-        ):
-            assert name in STRATEGIES
+        assert sorted(STRATEGIES) == ["baseline", "prefix_reuse"]
+        for name in STRATEGIES:
             assert get_strategy(name).name == name
-        assert MODES == ("auto", "race")
 
 
 class TestPrefixReuseStream:
@@ -146,8 +114,7 @@ class TestPrefixReuseStream:
         return ref.check_sat(fs)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_stream_matches_fresh_baseline(self, seed, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
+    def test_stream_matches_fresh_baseline(self, seed):
         rng = random.Random(seed)
         x0, x1, x2 = IVARS[:3]
         bounded = [le(intlit(0), x1), le(x1, intlit(5))]
@@ -250,7 +217,6 @@ class TestPrefixExtension:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_stream_matches_fresh_baseline(self, seed, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
         rng = random.Random(seed)
         stream = _pc_walk(rng)
         x1, x2, x3 = IVARS[1:]
@@ -385,67 +351,6 @@ class TestPrefixExtension:
         assert branch.frame() == base and not branch.holds(second)
 
 
-class _Lying(SearchStrategy):
-    name = "_lying"
-
-    def search(self, solver, formulas):
-        return Status.UNSAT
-
-
-class TestRace:
-    def test_race_detects_divergence(self):
-        STRATEGIES["_lying"] = _Lying()
-        try:
-            with pytest.raises(StrategyDivergence):
-                Solver(strategy="race").check_sat([eq(intlit(0), intlit(0))])
-        finally:
-            del STRATEGIES["_lying"]
-
-    def test_divergence_is_in_the_error_taxonomy(self):
-        """StrategyDivergence must map to an ``error`` status (and stay
-        an AssertionError for the differential suite's contract)."""
-        from repro.errors import VerificationError, status_of
-
-        e = StrategyDivergence("boom")
-        assert isinstance(e, VerificationError)
-        assert isinstance(e, AssertionError)
-        assert status_of(e) == "error"
-
-    def test_divergence_degrades_to_error_entry(self):
-        """A race-mode divergence mid-verification must become a
-        ✗ ``error`` entry, not crash the run."""
-        from repro.gilsonite.ownable import OwnableRegistry
-        from repro.hybrid.pipeline import HybridVerifier
-        from repro.lang.builder import BodyBuilder
-        from repro.lang.mir import Program
-        from repro.lang.types import U64
-
-        fn = BodyBuilder("f", params=[("x", U64)], ret=U64)
-        bb = fn.block()
-        bb.assign(
-            fn.ret_place, fn.binop("add", fn.copy("x"), fn.const_int(1, U64))
-        )
-        bb.ret()
-        program = Program()
-        program.add_body(fn.finish())
-        hv = HybridVerifier(
-            program,
-            OwnableRegistry(program),
-            {},
-            solver=Solver(strategy="race"),
-        )
-        hv.store = None
-        STRATEGIES["_lying"] = _Lying()
-        try:
-            report = hv.run(["f"])
-        finally:
-            del STRATEGIES["_lying"]
-        [entry] = report.entries
-        assert entry.status == "error"
-        assert not report.ok
-        assert "disagree" in entry.note
-
-
 class TestStrategyKnob:
     def test_unknown_name_raises_eagerly(self):
         with pytest.raises(KeyError):
@@ -453,27 +358,9 @@ class TestStrategyKnob:
         with pytest.raises(KeyError):
             get_strategy("nope")
 
-    def test_env_selects_strategy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "inverted")
-        assert Solver().strategy == "inverted"
-
-    def test_env_selects_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "auto")
-        assert Solver().strategy == "auto"
-
-    def test_env_invalid_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "bogus")
-        with pytest.warns(RuntimeWarning, match=DEFAULT_STRATEGY):
-            assert Solver().strategy == DEFAULT_STRATEGY
-
-    def test_default_strategy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_STRATEGY", raising=False)
-        assert Solver().strategy == DEFAULT_STRATEGY
-        assert DEFAULT_STRATEGY in STRATEGIES
-
-    def test_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_STRATEGY", "eager")
-        assert Solver(strategy="lazy").strategy == "lazy"
+    def test_default_strategy(self):
+        assert Solver().strategy == DEFAULT_STRATEGY == "prefix_reuse"
+        assert Solver(strategy="baseline").strategy == "baseline"
 
 
 class TestCacheKnob:
