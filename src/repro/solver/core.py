@@ -33,8 +33,12 @@ Closure is demand-driven too: the linear store propagates from a queue
 of woken constraints and exports only the bounds it tightened, and the
 structural rules revisit only the terms whose arguments a merge moved
 (:attr:`~repro.solver.union_find.CongruenceClosure.touched`) plus the
-``seq.len`` terms, in the interning order and with the cursor of a
-scan over every known term, so the derivations are the same. The
+``seq.len`` terms whose class a merge moved away
+(:attr:`~repro.solver.union_find.CongruenceClosure.woken_lens`) or
+whose lower bound rose
+(:attr:`~repro.solver.intervals.LinearStore.lens_woken`), in the
+interning order and with the cursor of a scan over every known term,
+so the derivations are the same. The
 cross-query result cache is a bounded LRU (capacity via the
 ``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
 :attr:`Solver.stats`.
@@ -275,60 +279,63 @@ class TheoryBranch:
     def _structural_propagation(self) -> bool:
         """One round of the structural rules, in interning order.
 
-        The selector rule (``head(cons(x, _)) = x``, ``tuple.i``, ...)
-        only derives something when an argument's representative
-        changed since its last visit, so it visits the touched terms
-        (:attr:`CongruenceClosure.touched`). The ``seq.len`` rule reads
-        linear bounds, which the closure does not track, so it visits
-        every ``seq.len`` term. The order and the cursor are those of a
-        scan over every known term: a term touched mid-round is visited
-        this round only if the scan has not passed it yet and it was
-        known when the round began; any other touched term waits for
-        the next round."""
+        A visit runs the selector rule (``head(cons(x, _)) = x``,
+        ``tuple.i``, ...) and, on a ``seq.len`` term, the length rule
+        (``len = 0 ⇒ empty``, then the unrolling axiom). The selector
+        rule only derives something when an argument's representative
+        changed since the last visit, so the touched terms
+        (:attr:`CongruenceClosure.touched`) are visited. The length
+        rule on ``t = len(s)`` only derives something when ``t`` has
+        just become equal to ``0``, which merges ``t``'s class away
+        (:attr:`CongruenceClosure.woken_lens`), or when ``t``'s own
+        lower bound rose (:attr:`LinearStore.lens_woken`); everything
+        else it reads only moves towards a no-op. So those terms are
+        visited too, and no others. A woken length the closure never
+        interned is dropped: interning it touches it.
+
+        The order and the cursor are those of a scan over every known
+        term: a term touched or woken mid-round is visited this round
+        only if the scan has not passed it yet and it was known when
+        the round began; any other waits for the next round."""
         cc = self.cc
-        lens = cc.seq_lens
-        n_lens = len(lens)
-        if not cc.touched and not n_lens:
+        lens_woken = self.lin.lens_woken
+        if not cc.touched and not cc.woken_lens and not lens_woken:
             return False
         stamps = cc.stamps
+        if lens_woken:
+            # Bounds only rise in lin.propagate(), never mid-round.
+            cc.woken_lens.update(t for t in lens_woken if t in stamps)
+            lens_woken.clear()
         start = cc.last_stamp
         cursor = 0
         heap: list[tuple[int, App]] = []
-        due: set[App] = set()  # seq.len terms whose selector rule runs
-        waiting: set[App] = set()  # touched, visited next round
+        waiting: set[App] = set()  # touched or woken, visited next round
         changed = False
         zero = intlit(0)
-        i = 0
         while True:
-            touched = cc.touched
-            if touched:
+            for marked in (cc.touched, cc.woken_lens):
+                if not marked:
+                    continue
                 # This order follows addresses and reaches nothing:
-                # the heap pops by stamp and due/waiting are sets.
-                for u in touched:
-                    stamp = stamps[u]
-                    if not cursor < stamp <= start:
-                        if _rebuilds(u.op):
+                # the heap pops by stamp and waiting is a set.
+                for u in marked:
+                    if _rebuilds(u.op):
+                        stamp = stamps[u]
+                        if cursor < stamp <= start:
+                            heappush(heap, (stamp, u))
+                        else:
                             waiting.add(u)
-                    elif u.op == "seq.len":
-                        due.add(u)
-                    elif _rebuilds(u.op):
-                        heappush(heap, (stamp, u))
-                touched.clear()
-            if heap and (i == n_lens or heap[0][0] < stamps[lens[i]]):
-                stamp, t = heappop(heap)
-                if stamp == cursor:
-                    continue  # pushed twice before its visit
-                cursor = stamp
-                if self._rebuild_selector(t):
-                    changed = True
-                continue
-            if i == n_lens:
+                marked.clear()
+            if not heap:
                 break
-            t = lens[i]
-            i += 1
-            cursor = stamps[t]
-            if t in due and self._rebuild_selector(t):
+            stamp, t = heappop(heap)
+            if stamp == cursor:
+                continue  # pushed twice before its visit
+            cursor = stamp
+            if self._rebuild_selector(t):
                 changed = True
+            if t.op != "seq.len":
+                continue
             (s,) = t.args
             if cc.are_equal(t, zero):
                 empty = seq_empty(s.sort.elem)  # type: ignore[union-attr]

@@ -26,6 +26,10 @@ matching push (the incremental Fourier-Motzkin frontier is rewound
 with it). The DNF search uses this to share the common-prefix store
 between sibling branches.
 
+The store also wakes the theory branch's sequence-unrolling rule,
+which reads only the lower bound of a ``seq.len`` atom: a raised lower
+bound puts the atom in :attr:`LinearStore.lens_woken`.
+
 All inferences are sound, so an UNSAT answer is trustworthy; the store
 is deliberately incomplete (it is not a simplex) and may fail to detect
 some unsatisfiable constraint sets, which only makes the verifier more
@@ -196,6 +200,9 @@ class LinearStore:
     # Atoms whose bounds tightened since the last equality collapse:
     # only these can have newly collapsed.
     _tightened: set = field(default_factory=set)
+    # seq.len atoms whose lower bound rose since the theory branch's
+    # structural rules last took them.
+    lens_woken: set = field(default_factory=set)
     _n_bounds: int = 0
     # -- backtracking: mutation records since the last push().
     _trail: list = field(default_factory=list)
@@ -215,6 +222,7 @@ class LinearStore:
                 list(self.pending_eqs),
                 list(self._queue),
                 set(self._tightened),
+                set(self.lens_woken),
             )
         )
 
@@ -222,6 +230,7 @@ class LinearStore:
         """Undo every mutation since the matching :meth:`push`."""
         (
             mark, n_cons, conflict, reason, frontier, pending, queue, tightened,
+            lens_woken,
         ) = self._frames.pop()
         trail = self._trail
         while len(trail) > mark:
@@ -247,6 +256,7 @@ class LinearStore:
         self._queue = queue
         self._queued = {id(c) for c in queue}
         self._tightened = tightened
+        self.lens_woken = lens_woken
 
     def assert_le(self, lhs: Term, rhs: Term, strict: bool) -> None:
         """Assert ``lhs <= rhs`` (or ``<``)."""
@@ -471,6 +481,8 @@ class LinearStore:
             b.lo = lo
             b.lo_strict = strict
             self._tightened.add(atom)
+            if isinstance(atom, App) and atom.op == "seq.len":
+                self.lens_woken.add(atom)
             self._wake_dependents(atom)
             return True
         return False

@@ -24,10 +24,13 @@ rebuilding it from scratch per branch.
 The closure also tells the structural rules of the theory branch which
 terms need another look. :attr:`CongruenceClosure.touched` collects
 every ``App`` interned and every ``App`` whose argument representatives
-a merge changed; :attr:`CongruenceClosure.stamps` numbers terms in
-interning order (the order of :meth:`known_terms`), and
-:attr:`CongruenceClosure.seq_lens` lists the interned ``seq.len``
-terms in that order. :meth:`pop` restores all three.
+a merge changed. :attr:`CongruenceClosure.len_class` maps each
+representative to the ``seq.len`` terms of its class, and a merge wakes
+the ``seq.len`` terms of the class it merges away into
+:attr:`CongruenceClosure.woken_lens`: literals always win the
+representative choice, so that is the only way a length becomes equal
+to ``0``. :attr:`CongruenceClosure.stamps` numbers terms in interning
+order (the order of :meth:`known_terms`). :meth:`pop` restores all four.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ _T_USE_ADD = 2  # (tag, rep)                  pop one use of rep
 _T_USE_POP = 3  # (tag, rep, old_list)        restore a popped use-list
 _T_USE_EXT = 4  # (tag, rep, n)               drop n extended uses
 _T_SIG = 5  # (tag, sig)                      drop a signature entry
+_T_LEN_POP = 6  # (tag, rep, old_list)        restore a popped len_class entry
+_T_LEN_EXT = 7  # (tag, rep, n)               drop n extended len_class terms
 
 
 class CongruenceClosure:
@@ -67,8 +72,12 @@ class CongruenceClosure:
         # App -> intern stamp; stamps grow in _parent's dict order.
         self.stamps: dict[App, int] = {}
         self.last_stamp = 0
-        # Interned seq.len terms, in stamp order.
-        self.seq_lens: list[App] = []
+        # Representative -> the seq.len terms of its class (roots
+        # whose class has none have no entry).
+        self.len_class: dict[Term, list[App]] = {}
+        # seq.len terms whose class was merged away since the
+        # structural rules last visited them.
+        self.woken_lens: set[App] = set()
         # Backtracking trail: mutation records since the last push().
         self._trail: list[tuple] = []
         self._frames: list[tuple] = []
@@ -85,16 +94,18 @@ class CongruenceClosure:
                 self.conflict_reason,
                 list(self.pending_arith),
                 set(self.touched),
+                set(self.woken_lens),
             )
         )
 
     def pop(self) -> None:
         """Undo every mutation since the matching :meth:`push`."""
-        mark, n_diseqs, conflict, reason, pending, touched = self._frames.pop()
+        mark, n_diseqs, conflict, reason, pending, touched, woken = self._frames.pop()
         trail = self._trail
         parent = self._parent
         uses = self._uses
         stamps = self.stamps
+        len_class = self.len_class
         while len(trail) > mark:
             e = trail.pop()
             tag = e[0]
@@ -105,7 +116,7 @@ class CongruenceClosure:
                 del parent[t]
                 del uses[t]
                 if stamps.pop(t, None) is not None and t.op == "seq.len":
-                    self.seq_lens.pop()
+                    del len_class[t]
             elif tag == _T_USE_ADD:
                 uses[e[1]].pop()
             elif tag == _T_USE_POP:
@@ -113,6 +124,13 @@ class CongruenceClosure:
             elif tag == _T_USE_EXT:
                 lst = uses[e[1]]
                 del lst[len(lst) - e[2]:]
+            elif tag == _T_LEN_POP:
+                len_class[e[1]] = e[2]
+            elif tag == _T_LEN_EXT:
+                lst = len_class[e[1]]
+                del lst[len(lst) - e[2]:]
+                if not lst:
+                    del len_class[e[1]]
             else:  # _T_SIG
                 del self._sigs[e[1]]
         del self._diseqs[n_diseqs:]
@@ -120,6 +138,7 @@ class CongruenceClosure:
         self.conflict_reason = reason
         self.pending_arith = pending
         self.touched = touched
+        self.woken_lens = woken
 
     # -- basic union-find ---------------------------------------------------
 
@@ -157,7 +176,7 @@ class CongruenceClosure:
             self.stamps[t] = self.last_stamp
             self.touched.add(t)
             if t.op == "seq.len":
-                self.seq_lens.append(t)
+                self.len_class[t] = [t]
             for a in t.args:
                 self._intern(a)
                 rep = self.find(a)
@@ -208,6 +227,14 @@ class CongruenceClosure:
             self._trail.append((_T_PARENT, rb, rb))
         self._parent[rb] = ra
         self.pending_arith.append((ra, rb))
+        # rb's lengths now share ra's class, possibly with a literal.
+        lens = self.len_class.pop(rb, None)
+        if lens is not None:
+            self.woken_lens.update(lens)
+            self.len_class.setdefault(ra, []).extend(lens)
+            if self._frames:
+                self._trail.append((_T_LEN_POP, rb, lens))
+                self._trail.append((_T_LEN_EXT, ra, len(lens)))
         # Injectivity: unify arguments of matching constructors.
         if (
             isinstance(ra, App)
@@ -275,16 +302,6 @@ class CongruenceClosure:
 
     def are_equal(self, a: Term, b: Term) -> bool:
         return self.find(a) == self.find(b)
-
-    def must_differ(self, a: Term, b: Term) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if self._clash(ra, rb):
-            return True
-        for x, y, _ in self._diseqs:
-            rx, ry = self.find(x), self.find(y)
-            if {rx, ry} == {ra, rb}:
-                return True
-        return False
 
     def known_terms(self) -> Iterable[Term]:
         return self._parent.keys()

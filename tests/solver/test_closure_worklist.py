@@ -1,11 +1,12 @@
 """Oracle suite for the demand-driven theory closure.
 
 :meth:`TheoryBranch._structural_propagation` visits only the terms a
-merge touched, plus every ``seq.len`` term, and the linear store's
-equality collapse visits only the atoms it tightened. Both must derive
-exactly what a rescan of every known term and every bound derives:
-the same representatives, the same terms interned in the same order,
-the same bounds and the same conflicts.
+merge touched, plus the ``seq.len`` terms whose class a merge moved or
+whose lower bound rose, and the linear store's equality collapse visits
+only the atoms it tightened. Both must derive exactly what a rescan of
+every known term and every bound derives: the same representatives,
+the same terms interned in the same order, the same bounds and the
+same conflicts.
 
 The oracle below is the full-rescan closure kept as a test copy. Every
 stream drives an oracle branch and a work-list branch in lockstep,
@@ -21,6 +22,7 @@ import pytest
 
 import repro.rustlib.linked_list as ll
 import repro.rustlib.raw_stack as rs
+import repro.rustlib.raw_vec as rv
 import repro.solver.terms as terms
 from repro.hybrid.pipeline import HybridVerifier
 from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
@@ -380,6 +382,9 @@ def _recorded(crate: str, function: str) -> list:
         program, ownables = ll.build_program()
         install_callee_specs(program, ownables)
         contracts, pure_pre = LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
+    elif crate == "RawVec":
+        program, ownables = rv.build_program()
+        contracts, pure_pre = rv.RAW_VEC_CONTRACTS, {}
     else:
         program, ownables = rs.build_program()
         contracts = rs.RAW_STACK_CONTRACTS
@@ -396,7 +401,11 @@ def _recorded(crate: str, function: str) -> list:
 
 @pytest.mark.parametrize(
     "crate, function",
-    [("LinkedList", "LinkedList::push_front_node"), ("RawStack", "RawStack::push")],
+    [
+        ("LinkedList", "LinkedList::push_front_node"),
+        ("RawStack", "RawStack::push"),
+        ("RawVec", "RawVec::pop"),
+    ],
 )
 def test_recorded_queries_match_rescan(crate, function):
     queries = _recorded(crate, function)
@@ -406,12 +415,32 @@ def test_recorded_queries_match_rescan(crate, function):
     assert {"seq.len", "seq.head", "seq.tail", "tuple.0"} <= pair.ops
 
 
-# -- the touched set across frames ------------------------------------------------
+# -- the touched set and the length wake-ups across frames --------------------------
 
 
 def _bookkeeping(branch: TheoryBranch) -> tuple:
-    cc = branch.cc
-    return set(cc.touched), dict(cc.stamps), list(cc.seq_lens), set(branch.lin._tightened)
+    cc, lin = branch.cc, branch.lin
+    return (
+        set(cc.touched),
+        dict(cc.stamps),
+        {rep: list(lens) for rep, lens in cc.len_class.items()},
+        set(cc.woken_lens),
+        set(lin._tightened),
+        set(lin.lens_woken),
+    )
+
+
+def _count_unrolls(branch: TheoryBranch) -> list:
+    """Record the length term of every ``_unroll_nonempty`` call."""
+    calls: list = []
+    unroll = branch._unroll_nonempty
+
+    def counted(len_term, s):
+        calls.append(len_term)
+        return unroll(len_term, s)
+
+    branch._unroll_nonempty = counted
+    return calls
 
 
 class TestCollapse:
@@ -459,6 +488,42 @@ class TestFrames:
         branch.pop()
         assert _bookkeeping(branch) == closed
 
+    def test_pop_restores_the_length_wake_ups(self):
+        s, t = SVARS[:2]
+        x = IVARS[0]
+        branch = TheoryBranch()
+        branch.assert_literal(eq(seq_len(t), x))
+        branch.assert_literal(le(intlit(0), seq_len(s)))
+        branch.close_exhaustive()
+        # Wake both kinds without closing: a merge of two lengths'
+        # classes, and lower bounds raised by propagation.
+        branch.assert_literal(eq(seq_len(s), seq_len(t)))
+        branch.assert_literal(le(intlit(3), x))
+        branch.lin.propagate()
+        woken = _bookkeeping(branch)
+        assert branch.cc.woken_lens & {seq_len(s), seq_len(t)}
+        assert branch.lin.lens_woken == {seq_len(s), seq_len(t)}
+        root = branch.cc.find(seq_len(s))
+        assert set(branch.cc.len_class[root]) == {seq_len(s), seq_len(t)}
+        branch.push()
+        branch.close_exhaustive()
+        assert not branch.cc.woken_lens and not branch.lin.lens_woken
+        assert _bookkeeping(branch) != woken  # s and t unrolled
+        branch.pop()
+        assert _bookkeeping(branch) == woken
+
+    def test_a_merge_wakes_the_lengths_it_moves(self):
+        s, t = SVARS[:2]
+        branch = TheoryBranch()
+        branch.assert_literal(le(intlit(0), seq_len(s)))
+        branch.assert_literal(le(intlit(0), seq_len(t)))
+        branch.close_exhaustive()
+        branch.assert_literal(eq(seq_len(t), intlit(0)))
+        # The literal keeps its class; len(t)'s class is merged away.
+        assert branch.cc.woken_lens == {seq_len(t)}
+        assert branch.cc.len_class[intlit(0)] == [seq_len(t)]
+        assert seq_len(t) not in branch.cc.len_class
+
     def test_a_merge_touches_the_terms_over_its_class(self):
         s, t = SVARS[:2]
         branch = TheoryBranch()
@@ -470,3 +535,36 @@ class TestFrames:
         # The terms over the class that lost its representative.
         moved = seq_tail(t) if branch.cc.find(s) == s else seq_head(s)
         assert moved in branch.cc.touched
+
+
+class TestLaziness:
+    def _closed(self) -> TheoryBranch:
+        """Lengths the unrolling rule has seen: one unrolled once, two
+        with no positive lower bound."""
+        s, t, u = SVARS
+        branch = TheoryBranch()
+        branch.assert_literal(le(intlit(1), seq_len(t)))
+        branch.assert_literal(le(intlit(0), seq_len(s)))
+        branch.assert_literal(eq(seq_len(u), IVARS[1]))
+        branch.close_exhaustive()
+        return branch
+
+    def test_unrelated_literal_visits_no_length(self):
+        branch = self._closed()
+        calls = _count_unrolls(branch)
+        branch.assert_literal(le(IVARS[3], intlit(5)))
+        branch.close_exhaustive()
+        assert calls == []
+
+    def test_raised_lower_bound_visits_that_length(self):
+        s = SVARS[0]
+        branch = self._closed()
+        known = branch.cc.last_stamp
+        calls = _count_unrolls(branch)
+        branch.assert_literal(le(intlit(1), seq_len(s)))
+        branch.close_exhaustive()
+        # Of the lengths known before, only len(s) is visited (again
+        # after its own unrolling merges its class); the rest are new.
+        assert calls[0] == seq_len(s)
+        assert {t for t in calls if branch.cc.stamps[t] <= known} == {seq_len(s)}
+        assert branch.cc.are_equal(s, seq_cons(seq_head(s), seq_tail(s)))
