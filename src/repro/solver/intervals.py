@@ -82,6 +82,8 @@ class LinConstraint:
     strict: bool
     #: Fourier-Motzkin derivation depth (0 = asserted directly).
     depth: int = 0
+    #: Index in :attr:`LinearStore.constraints` (set when added).
+    pos: int = -1
 
     def key(self) -> tuple:
         k = self._key
@@ -190,6 +192,9 @@ class LinearStore:
     # atom -> constraints mentioning it (the propagation dependency
     # index; drives the dirty work-list).
     _atom_cons: dict = field(default_factory=dict)
+    # (atom, coefficient > 0) -> constraints with that signed
+    # occurrence, in position order (the Fourier-Motzkin partner index).
+    _atom_sign: dict = field(default_factory=dict)
     # Constraints awaiting (re)propagation: newly added ones plus every
     # constraint sharing an atom with a tightened bound. Propagation is
     # demand-driven — a propagate() call with an empty work-list is a
@@ -246,8 +251,9 @@ class LinearStore:
         # Unindex the removed constraints. They were appended last, so
         # they sit at the tail of each of their atoms' dependency lists.
         for c in reversed(self.constraints[n_cons:]):
-            for a in c.coeffs:
+            for a, k in c.coeffs.items():
                 self._atom_cons[a].pop()
+                self._atom_sign[(a, k > 0)].pop()
         del self.constraints[n_cons:]
         self.conflict = conflict
         self.conflict_reason = reason
@@ -292,15 +298,17 @@ class LinearStore:
                 self.conflict = True
                 self.conflict_reason = f"trivially false: {c.const} <= 0"
             return
+        c.pos = len(self.constraints)
         self.constraints.append(c)
         trailing = bool(self._frames)
-        for a in c.coeffs:
+        for a, k in c.coeffs.items():
             if a not in self.bounds:
                 self._n_bounds += 1
                 self.bounds[a] = Bounds(order=self._n_bounds)
                 if trailing:
                     self._trail.append((_T_BOUND_NEW, a))
             self._atom_cons.setdefault(a, []).append(c)
+            self._atom_sign.setdefault((a, k > 0), []).append(c)
         self._enqueue(c)
 
     def _enqueue(self, c: LinConstraint) -> None:
@@ -374,16 +382,29 @@ class LinearStore:
         (a frontier index), so repeated propagate() calls stay cheap —
         and the frontier is rewound by pop(), so sibling branches only
         redo combinations involving their own constraints.
+
+        Only earlier constraints with an opposite-signed occurrence of
+        one of ``c1``'s atoms can combine with it; the partner index
+        (:attr:`_atom_sign`) lists those, and they are visited in
+        position order, the order of a scan over every earlier one.
         """
         if self.saturated():
             return False
         added = False
+        atom_sign = self._atom_sign
         while self._fm_frontier < len(self.constraints):
-            c1 = self.constraints[self._fm_frontier]
+            i = self._fm_frontier
+            c1 = self.constraints[i]
             self._fm_frontier += 1
-            for c2 in self.constraints[: self._fm_frontier - 1]:
-                if c1.depth + c2.depth >= 4:
-                    continue  # bound the combination closure
+            partners: dict[int, LinConstraint] = {}
+            for a, k in c1.coeffs.items():
+                for c2 in atom_sign.get((a, k < 0), ()):
+                    if c2.pos >= i:
+                        break  # each list is in position order
+                    if c1.depth + c2.depth < 4:  # bound the closure
+                        partners[c2.pos] = c2
+            for pos in sorted(partners):
+                c2 = partners[pos]
                 shared = [
                     a
                     for a in c1.coeffs

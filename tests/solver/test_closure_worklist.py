@@ -8,6 +8,11 @@ every known term and every bound derives: the same representatives,
 the same terms interned in the same order, the same bounds and the
 same conflicts.
 
+The linear store's Fourier–Motzkin step visits only the earlier
+constraints its partner index lists; it must add the same combined
+constraints, at the same positions and depths, as a scan over every
+earlier constraint.
+
 The oracle below is the full-rescan closure kept as a test copy. Every
 stream drives an oracle branch and a work-list branch in lockstep,
 through ``push``/``pop``/``rewind``, and compares their states after
@@ -29,7 +34,12 @@ from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDIT
 from repro.rustlib.specs import install_callee_specs
 from repro.solver import Solver
 from repro.solver.core import _SELECTOR_OPS, TheoryBranch
-from repro.solver.intervals import LinearStore, _int_ceil_hi, _int_floor_lo
+from repro.solver.intervals import (
+    LinConstraint,
+    LinearStore,
+    _int_ceil_hi,
+    _int_floor_lo,
+)
 from repro.solver.sorts import INT, OptionSort, SeqSort, TupleSort
 from repro.solver.strategies import SearchStrategy, _split_kind
 from repro.solver.terms import (
@@ -74,10 +84,47 @@ class _RescanStore(LinearStore):
                 if not isinstance(a, IntLit):
                     self.pending_eqs.append((a, intlit(lo)))
 
+    def _fourier_motzkin(self) -> bool:
+        if self.saturated():
+            return False
+        added = False
+        while self._fm_frontier < len(self.constraints):
+            c1 = self.constraints[self._fm_frontier]
+            self._fm_frontier += 1
+            for c2 in self.constraints[: self._fm_frontier - 1]:
+                if c1.depth + c2.depth >= 4:
+                    continue
+                shared = [
+                    a
+                    for a in c1.coeffs
+                    if a in c2.coeffs and (c1.coeffs[a] > 0) != (c2.coeffs[a] > 0)
+                ]
+                for a in shared:
+                    k1, k2 = abs(c2.coeffs[a]), abs(c1.coeffs[a])
+                    coeffs = {}
+                    for atom, c in c1.coeffs.items():
+                        coeffs[atom] = coeffs.get(atom, 0) + k1 * c
+                    for atom, c in c2.coeffs.items():
+                        coeffs[atom] = coeffs.get(atom, 0) + k2 * c
+                    coeffs = {x: c for x, c in coeffs.items() if c != 0}
+                    if len(coeffs) > 4:
+                        continue
+                    combined = LinConstraint(
+                        coeffs, k1 * c1.const + k2 * c2.const,
+                        c1.strict or c2.strict, depth=c1.depth + c2.depth + 1,
+                    )
+                    if combined.key() not in self._seen:
+                        self._add(combined, integral=False)
+                        added = True
+                        if self.conflict:
+                            return True
+        return added
+
 
 class RescanBranch(TheoryBranch):
-    """A theory branch whose structural rules rescan every known term
-    and whose bound collapse rescans every bounded atom."""
+    """A theory branch whose structural rules rescan every known term,
+    whose bound collapse rescans every bounded atom and whose
+    Fourier–Motzkin step scans every earlier constraint."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -134,7 +181,7 @@ def _state(branch: TheoryBranch) -> tuple:
         branch._dirty,
         classes,
         bounds,
-        len(branch.lin.constraints),
+        [(c.key(), c.depth) for c in branch.lin.constraints],
         list(branch.cc.pending_arith),
     )
 
