@@ -39,6 +39,7 @@ COUNTERS = (
     "branches",
     "cache_hits",
     "cache_misses",
+    "alpha_hits",
     "prefix_hits",
     "prefix_misses",
     "prefix_extends",

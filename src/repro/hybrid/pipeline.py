@@ -216,12 +216,14 @@ class HybridReport:
                 f"{st.get('disk_reads', 0)} disk reads) --"
             )
         if verbose:
-            if ss.get("prefix_hits") or ss.get("prefix_misses"):
+            searched = ("alpha_hits", "prefix_hits", "prefix_misses")
+            if any(ss.get(k) for k in searched):
                 lines.append(
                     f"-- solver: {ss.get('checks', 0)} checks, "
-                    f"path-condition prefix {ss['prefix_hits']} hits / "
-                    f"{ss['prefix_extends']} extended / "
-                    f"{ss['prefix_misses']} misses --"
+                    f"{ss.get('alpha_hits', 0)} alpha-memo hits, "
+                    f"path-condition prefix {ss.get('prefix_hits', 0)} hits / "
+                    f"{ss.get('prefix_extends', 0)} extended / "
+                    f"{ss.get('prefix_misses', 0)} misses --"
                 )
             lines.append("")
             lines.append(
@@ -328,9 +330,12 @@ class HybridVerifier:
         # Both halves share the solver; install this function's budget
         # for the whole per-function run (the Creusot half has no budget
         # parameter of its own — it is bounded through the solver).
-        prev_budget = self.solver.budget
+        # The alpha memo is scoped to the function, so its hits are the
+        # same whichever process or run verified other functions.
+        prev_budget, prev_scope = self.solver.budget, self.solver.scope
         if budget is not None:
             self.solver.budget = budget
+        self.solver.scope = name
         try:
             if body.is_safe:
                 r = self.creusot.verify(body)
@@ -384,7 +389,7 @@ class HybridVerifier:
                 )
             return entries
         finally:
-            self.solver.budget = prev_budget
+            self.solver.budget, self.solver.scope = prev_budget, prev_scope
 
     def run(
         self,
@@ -491,7 +496,7 @@ class HybridVerifier:
         report.solver_stats = {
             k: GLOBAL_STATS[k] - solver_before.get(k, 0)
             for k in (
-                "checks", "unknowns", "budget_stops",
+                "checks", "alpha_hits", "unknowns", "budget_stops",
                 "prefix_hits", "prefix_misses", "prefix_extends",
             )
         }

@@ -41,7 +41,9 @@ interning order and with the cursor of a scan over every known term,
 so the derivations are the same. The
 cross-query result cache is a bounded LRU (capacity via the
 ``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
-:attr:`Solver.stats`.
+:attr:`Solver.stats`. Behind it an *alpha memo* of the same capacity
+answers a query that renames an earlier one
+(:func:`~repro.solver.terms.alpha_key`) without a search.
 
 Across queries the search also reuses the *path condition*: the
 default strategy (:data:`DEFAULT_STRATEGY`) keeps the last few closed
@@ -87,6 +89,7 @@ from repro.solver.terms import (
     Term,
     Var,
     add,
+    alpha_key,
     eq,
     fresh_var,
     intlit,
@@ -424,6 +427,7 @@ GLOBAL_STATS = metrics.register_legacy(
         "cache_hits": 0,
         "cache_misses": 0,
         "cache_evictions": 0,
+        "alpha_hits": 0,
         "branches": 0,
         "unknowns": 0,
         "budget_stops": 0,
@@ -493,6 +497,20 @@ class Solver:
     entries, default from ``REPRO_SOLVER_CACHE``); hit/miss/eviction
     counters and the configured capacity live in :attr:`stats`.
 
+    On an exact miss, a second LRU of the same capacity, the *alpha
+    memo*, is consulted: it maps ``(scope, alpha_key(query))`` to the
+    answer (:func:`~repro.solver.terms.alpha_key`), so a query that is
+    an earlier one under a bijective, sort-preserving renaming of its
+    variables (up to the order of an equality's sides) is answered
+    without a search. Both preserve satisfiability. The memo stores
+    what the exact cache stores (SAT, UNSAT, branch-cap UNKNOWN),
+    never an interrupted query. A hit fills the exact cache, counts in
+    ``cache_hits`` and ``alpha_hits`` and, like an exact hit, does not
+    tick :attr:`budget`. :attr:`scope` (``None`` unless
+    a caller sets it; the pipeline sets the function's name) keeps
+    entries apart: one made under a scope answers only queries asked
+    under that scope.
+
     ``strategy`` picks how cache-missing queries are searched:
     :data:`DEFAULT_STRATEGY` (``prefix_reuse``) or ``baseline``, the
     reference search (:data:`repro.solver.strategies.STRATEGIES`); an
@@ -527,7 +545,11 @@ class Solver:
         get_strategy(strategy)  # an unknown name raises now
         self.strategy = strategy
         self.budget = None  # Optional[repro.budget.Budget]
+        #: The alpha memo's scope: entries made under one scope answer
+        #: only queries asked under that scope.
+        self.scope: Optional[str] = None
         self._cache: OrderedDict[frozenset, Status] = OrderedDict()
+        self._memo: OrderedDict[tuple, Status] = OrderedDict()
         self.prefix_branches: OrderedDict[
             tuple, tuple[TheoryBranch, tuple[int, int], bool]
         ] = OrderedDict()
@@ -537,6 +559,7 @@ class Solver:
             "cache_misses": 0,
             "cache_evictions": 0,
             "cache_capacity": cache_capacity,
+            "alpha_hits": 0,
             "branches": 0,
             "unknowns": 0,
             "budget_stops": 0,
@@ -560,6 +583,17 @@ class Solver:
         if hit is not None:
             cache.move_to_end(key)
             self._tick("cache_hits")
+            return hit
+        memo = self._memo
+        akey = (self.scope, alpha_key(fs))
+        hit = memo.get(akey)
+        if hit is not None:
+            memo.move_to_end(akey)
+            self._remember(key, hit)
+            self._tick("cache_hits")
+            self._tick("alpha_hits")
+            if obs_trace.enabled():
+                obs_trace.instant_event("solve.memo", query=_describe_query(fs))
             return hit
         if self.budget is not None:
             try:
@@ -599,11 +633,18 @@ class Solver:
                 obs_trace.emit("E", "solve")
             obs_trace.record_phase(obs_trace.current_function(), "solve", dur)
             obs_trace.record_query(dur, lambda: _describe_query(fs))
+        self._remember(key, result)
+        memo[akey] = result
+        if len(memo) > self.cache_capacity:
+            memo.popitem(last=False)
+        return result
+
+    def _remember(self, key: frozenset, result: Status) -> None:
+        cache = self._cache
         cache[key] = result
         if len(cache) > self.cache_capacity:
             cache.popitem(last=False)
             self._tick("cache_evictions")
-        return result
 
     def is_sat(self, formulas: Iterable[Term]) -> bool:
         return self.check_sat(formulas) != Status.UNSAT

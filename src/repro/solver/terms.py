@@ -641,6 +641,110 @@ def free_vars(t: Term) -> frozenset:
     return _free_vars(t)
 
 
+#: The name every variable takes in a skeleton (:func:`alpha_key`).
+_PLACEHOLDER = "?"
+
+
+@lru_cache(maxsize=16384)
+def _skeleton(t: Term) -> tuple[Term, tuple]:
+    """``t`` with every variable replaced by the placeholder variable of
+    its sort, and ``t``'s variable occurrences, left to right.
+
+    Built with the raw :class:`App` constructor, so no smart-constructor
+    simplification runs, and from the children's skeletons, so a
+    subterm's skeleton is shared by every term it occurs in.
+
+    :func:`eq` orders its arguments by their printed names, so a
+    renaming can swap them; the skeleton puts them back in an order
+    that names do not decide (:func:`_eq_skeleton`)."""
+    if isinstance(t, Var):
+        return Var(_PLACEHOLDER, t.sort), (t,)
+    if not isinstance(t, App):
+        return t, ()
+    if t.op == "=":
+        return _eq_skeleton(t)
+    skels = []
+    occurrences: tuple = ()
+    for a in t.args:
+        s, occ = _skeleton(a)
+        skels.append(s)
+        if occ:
+            occurrences += occ
+    if not occurrences:
+        return t, ()
+    return App(t.op, tuple(skels), t.sort), occurrences
+
+
+def _eq_skeleton(t: App) -> tuple[Term, tuple]:
+    """The skeleton of ``a = b``: the side whose skeleton prints first
+    goes first. When both sides have one skeleton, only the query's
+    numbering can tell them apart, so the occurrences are one pair
+    ``(a's, b's)`` that :func:`alpha_key` orders."""
+    (sa, oa), (sb, ob) = _skeleton(t.args[0]), _skeleton(t.args[1])
+    if not oa and not ob:
+        return t, ()
+    if sa is sb:
+        return App("=", (sa, sa), t.sort), ((oa, ob),)
+    if str(sb) < str(sa):
+        sa, oa, sb, ob = sb, ob, sa, oa
+    return App("=", (sa, sb), t.sort), oa + ob
+
+
+def _number(occurrences: tuple, index: dict, out: list) -> None:
+    """Number ``occurrences`` by first occurrence into ``out``; a pair
+    of equal sides goes in the order of their numbering so far."""
+    for v in occurrences:
+        if type(v) is tuple:
+            a, b = v
+            if _signature(b, index) < _signature(a, index):
+                a, b = b, a
+            _number(a, index, out)
+            _number(b, index, out)
+        else:
+            out.append(index.setdefault(v, len(index)))
+
+
+def _signature(occurrences: tuple, index: dict) -> list[int]:
+    """One side of an equality, as numbered so far: known variables by
+    their number, new ones as ``-1, -2, ...`` in order of appearance."""
+    flat: list = []
+    _flatten(occurrences, flat)
+    new: dict = {}
+    return [
+        index[v] if v in index else -1 - new.setdefault(v, len(new)) for v in flat
+    ]
+
+
+def _flatten(occurrences: tuple, out: list) -> None:
+    for v in occurrences:
+        if type(v) is tuple:
+            _flatten(v[0], out)
+            _flatten(v[1], out)
+        else:
+            out.append(v)
+
+
+def alpha_key(fs: Sequence[Term]) -> tuple:
+    """A key that two formula lists share only when one is the other
+    under a bijective, sort-preserving renaming of variables (up to the
+    order of an equality's sides).
+
+    The key is the formulas' skeletons (:func:`_skeleton`) plus one
+    tuple numbering the variable occurrences across the whole list by
+    first occurrence: ``x < y, y < x`` and ``x < y, z < w`` share their
+    skeletons but not their numbering. Skeletons are interned, so the
+    key hashes and compares by identity."""
+    skels = []
+    occurrences: list = []
+    for f in fs:
+        s, occ = _skeleton(f)
+        skels.append(s)
+        occurrences += occ
+    numbers: list[int] = []
+    _number(occurrences, {}, numbers)
+    return tuple(skels), tuple(numbers)
+
+
 def substitute(t: Term, mapping: dict[Term, Term]) -> Term:
     """Capture-free simultaneous substitution (terms have no binders)."""
     if not mapping:

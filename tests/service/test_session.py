@@ -260,3 +260,39 @@ class TestDegradation:
         session.submit()
         entries = session._results["demo::leaf"]
         assert entries_status(entries) == "verified"
+
+
+class TestAlphaMemo:
+    """The session's solver keeps each function's alpha-memo scope
+    across requests, so a contract edit that leaves the obligations as
+    they were re-verifies without a single search."""
+
+    @pytest.mark.parametrize("fn", ["LinkedList::new", "LinkedList::pop_front_node"])
+    def test_tautology_edit_is_answered_from_the_memo(self, tmp_path, monkeypatch, fn):
+        from repro.obs import report as obs_report
+        from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
+
+        reports = []
+        real_run = HybridVerifier.run
+
+        def run(self, *args, **kw):
+            reports.append(real_run(self, *args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(HybridVerifier, "run", run)
+        session = ServiceSession("linked_list", store=ProofStore(tmp_path / "cache"))
+        assert session.submit(functions=[fn])["ok"]
+        base = LINKED_LIST_CONTRACTS[fn]
+        edited = {**base, "ensures": [*base.get("ensures", []), "1 == 1"]}
+        r = session.submit(functions=[fn], contracts={fn: edited})
+        assert r["ok"] and r["reverified"] == [fn]
+        assert "solve" not in r["phases"]
+
+        report = reports[-1]
+        ss = report.solver_stats
+        assert ss["checks"] == 0 and ss["alpha_hits"] > 0
+        assert "solve" not in report.phase_stats[fn]
+        text = report.render(verbose=True)
+        assert f"-- solver: 0 checks, {ss['alpha_hits']} alpha-memo hits" in text
+        table = obs_report.render_phase_table(report.phase_stats)
+        assert fn in table

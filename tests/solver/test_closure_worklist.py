@@ -424,7 +424,8 @@ class _Recorder(Solver):
         return super().check_sat(fs)
 
 
-def _recorded(crate: str, function: str) -> list:
+def crate_verifier(crate: str, solver: Solver) -> HybridVerifier:
+    """A verifier of one of the benchmark's crates, driving ``solver``."""
     if crate == "LinkedList":
         program, ownables = ll.build_program()
         install_callee_specs(program, ownables)
@@ -436,11 +437,14 @@ def _recorded(crate: str, function: str) -> list:
         program, ownables = rs.build_program()
         contracts = rs.RAW_STACK_CONTRACTS
         pure_pre = {"RawStack::push": ["self@.len() < usize::MAX"]}
-    solver = _Recorder()
-    hv = HybridVerifier(
+    return HybridVerifier(
         program, ownables, contracts, solver=solver, manual_pure_pre=pure_pre
     )
-    entries = hv.verify_one(function)
+
+
+def _recorded(crate: str, function: str) -> list:
+    solver = _Recorder()
+    entries = crate_verifier(crate, solver).verify_one(function)
     assert entries and all(e.ok for e in entries), [str(e) for e in entries]
     unique = list({tuple(fs): fs for fs in solver.queries}.values())
     return unique
