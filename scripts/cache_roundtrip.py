@@ -1,23 +1,19 @@
-"""Cold → warm → corrupt-and-heal → hot → migrate acceptance check for
-the proof store.
+"""Cold → warm → corrupt-and-heal → hot acceptance check for the proof
+store.
 
 Runs the linked-list hybrid example repeatedly against one cache:
 
-1. **cold**    — empty store: every function verifies and publishes
-   into the sharded layout (``layout.json`` stamped);
-2. **warm**    — same inputs, fresh process: every function replays
-   from disk, and the report is identical to the cold one (modulo
+1. **cold** — empty store: every function verifies and publishes into
+   ``entries/<fp[:2]>/<fp>.json``;
+2. **warm** — same inputs, fresh process: every function replays from
+   disk, and the report is identical to the cold one (modulo
    wall-clock);
-3. **heal**    — one entry file gets a flipped byte: exactly that one
+3. **heal** — one entry file gets a flipped byte: exactly that one
    function is quarantined, re-verified and republished; the report is
    still identical and the run never fails;
-4. **hot**     — two runs inside one process: the second is answered
-   entirely by the in-process memory tier — **zero disk reads** (the
-   memtier gate);
-5. **migrate** — the ``layout.json`` stamp is removed (simulating a
-   flat-v2 store written before sharding was tunable) and the cache is
-   reopened with ``REPRO_CACHE_SHARDS=4096``: entries move into the
-   wider layout transparently and the next run still replays them all.
+4. **hot**  — two runs inside one process: both replay every entry
+   from disk (one read per function per run) and match the cold
+   report.
 
 Each phase happens in a fresh subprocess (``REPRO_CACHE=1`` in its
 environment), so the cache is exercised across real process
@@ -115,20 +111,21 @@ def main() -> int:
         cache_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-cache-"))
     n = len(FUNCTIONS)
 
-    print(f"[1/5] cold run against {cache_dir}")
+    print(f"[1/4] cold run against {cache_dir}")
     [cold] = run_pipeline(cache_dir)
     expect(cold["ok"], "cold run verifies everything")
     expect(
         cold["store"]["misses"] == n and cold["store"]["stores"] == n,
         f"cold run verifies and publishes all {n} functions",
     )
-    layout = json.loads((cache_dir / "layout.json").read_text())
+    published = sorted((cache_dir / "entries").glob("*/*.json"))
     expect(
-        layout == {"shards": 256, "version": 1},
-        "the cold open stamped the default 256-shard layout",
+        len(published) == n
+        and all(p.parent.name == p.stem[:2] for p in published),
+        f"all {n} entries published under entries/<fp[:2]>/",
     )
 
-    print("[2/5] warm run")
+    print("[2/4] warm run")
     [warm] = run_pipeline(cache_dir)
     expect(
         warm["store"]["hits"] == n and warm["store"]["misses"] == 0,
@@ -139,7 +136,7 @@ def main() -> int:
         "warm report is identical to the cold one",
     )
 
-    print("[3/5] corrupt one entry, heal run")
+    print("[3/4] corrupt one entry, heal run")
     entries = sorted((cache_dir / "entries").glob("*/*.json"))
     expect(len(entries) == n, f"{n} entry files on disk")
     victim = entries[0]
@@ -168,47 +165,20 @@ def main() -> int:
         "healed report is identical to the cold one",
     )
 
-    print("[4/5] hot runs (memory tier): second run reads no disk")
-    first, second = run_pipeline(cache_dir, runs=2)
-    expect(
-        first["store"]["hits"] == n and first["store"]["disk_reads"] == n,
-        "first hot run pulls every entry off disk once",
-    )
-    expect(
-        second["store"]["mem_hits"] == n
-        and second["store"]["disk_reads"] == 0,
-        "second hot run is answered by the memory tier: zero disk reads",
-    )
-    expect(
-        second["entries"] == cold["entries"],
-        "hot report is identical to the cold one",
-    )
+    print("[4/4] hot runs: two runs in one process, both from disk")
+    runs = run_pipeline(cache_dir, runs=2)
+    for i, hot in enumerate(runs, 1):
+        expect(
+            hot["store"]["hits"] == hot["store"]["disk_reads"] == n
+            and hot["store"]["misses"] == 0,
+            f"hot run {i} replays all {n} entries from disk",
+        )
+        expect(
+            hot["entries"] == cold["entries"],
+            f"hot run {i} report is identical to the cold one",
+        )
 
-    print("[5/5] flat-v2 migration to a 4096-shard layout")
-    (cache_dir / "layout.json").unlink()
-    [migrated] = run_pipeline(
-        cache_dir, extra_env={"REPRO_CACHE_SHARDS": "4096"}
-    )
-    layout = json.loads((cache_dir / "layout.json").read_text())
-    expect(
-        layout == {"shards": 4096, "version": 1},
-        "the reopen stamped the requested 4096-shard layout",
-    )
-    moved = sorted((cache_dir / "entries").glob("*/*.json"))
-    expect(
-        len(moved) == n and all(len(p.parent.name) == 3 for p in moved),
-        f"all {n} entries migrated into width-3 shard directories",
-    )
-    expect(
-        migrated["store"]["hits"] == n and migrated["store"]["misses"] == 0,
-        "the migrated store replays every function",
-    )
-    expect(
-        migrated["entries"] == cold["entries"],
-        "post-migration report is identical to the cold one",
-    )
-
-    print("\n" + migrated["render"])
+    print("\n" + runs[-1]["render"])
     print("\ncache round-trip: all expectations hold")
     return 0
 

@@ -210,10 +210,8 @@ class HybridReport:
                 f"{st.get('misses', 0)} misses, "
                 f"{st.get('stores', 0)} stored, "
                 f"{st.get('quarantined', 0)} quarantined, "
-                f"{st.get('healed', 0)} healed "
-                f"({st.get('mem_hits', 0)} mem / "
-                f"{st.get('disk_hits', 0)} disk hits, "
-                f"{st.get('disk_reads', 0)} disk reads) --"
+                f"{st.get('healed', 0)} healed, "
+                f"{st.get('disk_reads', 0)} disk reads --"
             )
         if verbose:
             searched = ("alpha_hits", "prefix_hits", "prefix_misses")
@@ -428,8 +426,8 @@ class HybridVerifier:
           checked; once one fires, the rest become ``error`` (or
           ``timeout``) entries, a ``{"kind": "drain"}`` journal record
           lists them and no ``end`` record is written. Each chunk runs
-          under the budget capped by the time left and ends with a
-          store flush; fingerprints stay on the uncapped budget.
+          under the budget capped by the time left; fingerprints stay
+          on the uncapped budget.
         * ``force`` names skip every store read but still publish.
         * ``fingerprints`` supplies store keys already computed for
           ``functions`` (under the same contracts and budget).
@@ -573,11 +571,6 @@ class HybridVerifier:
                     fresh.update((n, [self._failure_entry(n, e)]) for n in chunk)
                 else:
                     fresh.update(self._verify_batch(chunk, jobs, force))
-                if self.store is not None:
-                    # Chunk boundary = checkpoint boundary: every
-                    # publish acknowledged so far is durable before
-                    # the next check can end the run.
-                    self.store.flush()
         finally:
             self.budget = base
         return fresh, ""

@@ -42,7 +42,7 @@ from repro.obs.metrics import metrics
 from repro.service import protocol
 from repro.service.config import ServiceConfig
 from repro.service.session import ServiceSession
-from repro.store import ProofStore, tier_kwargs_from_env
+from repro.store import ProofStore
 
 
 class _Pending:
@@ -67,10 +67,10 @@ class VerifierDaemon:
         self.config = config
         self.store = store
         if self.store is None and config.cache_dir:
-            # The daemon's hot store is the full hierarchy: in-process
-            # LRU over the sharded disk layout, write-behind flushed at
-            # chunk/run boundaries (env-tunable via REPRO_CACHE_*).
-            self.store = ProofStore(config.cache_dir, **tier_kwargs_from_env())
+            # The CLI's store resolution at the daemon's root: the
+            # REPRO_CACHE_VERIFY policy applies, and a store that
+            # cannot be opened warns and runs without one.
+            self.store = ProofStore.open(config.cache_dir)
         self.budget = budget
         self.sessions: dict[str, ServiceSession] = {}
         self.queue: "queue.Queue[_Pending]" = queue.Queue(
@@ -161,10 +161,8 @@ class VerifierDaemon:
         except OSError:
             pass
         if self.store is not None:
-            # Anything still write-behind-pending lands first, then
-            # bound the journal before exit; a torn compact degrades
+            # Bound the journal before exit; a torn compact degrades
             # to a skipped tail line, never a wrong record.
-            self.store.flush()
             try:
                 self.store.journal.compact()
             except OSError:

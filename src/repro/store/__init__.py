@@ -9,12 +9,8 @@ run journal (:mod:`repro.store.journal`). A run killed mid-flight —
 only the functions whose entries never landed; corrupt entries are
 quarantined and healed by transparent re-verification.
 
-The disk layer is sharded by fingerprint prefix (``layout.json``
-stamp, ``REPRO_CACHE_SHARDS``) and can be fronted by a bounded
-in-process LRU of decoded entries (:mod:`repro.store.memtier`,
-``REPRO_CACHE_MEM``) with write-behind publishes flushed at
-checkpoint boundaries — the read-through/write-behind hierarchy of
-DESIGN.md §13.
+The store is one write-through disk tier with one fixed layout,
+``entries/<fp[:2]>/<fp>.json`` (DESIGN.md §13).
 """
 
 from repro.store.fingerprint import (
@@ -24,23 +20,16 @@ from repro.store.fingerprint import (
     logic_digest,
 )
 from repro.store.journal import Journal
-from repro.store.memtier import MemTier
 from repro.store.store import (
     CACHEABLE_STATUSES,
-    DEFAULT_SHARDS,
-    LAYOUT_FILENAME,
     STORE_STATS,
     ProofStore,
     reset_store_stats,
-    tier_kwargs_from_env,
 )
 
 __all__ = [
     "CACHEABLE_STATUSES",
-    "DEFAULT_SHARDS",
     "Journal",
-    "LAYOUT_FILENAME",
-    "MemTier",
     "ProofStore",
     "STORE_FORMAT",
     "STORE_STATS",
@@ -48,5 +37,4 @@ __all__ = [
     "function_fingerprint",
     "logic_digest",
     "reset_store_stats",
-    "tier_kwargs_from_env",
 ]

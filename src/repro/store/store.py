@@ -3,42 +3,27 @@
 Layout (all under one cache root)::
 
     <root>/
-      entries/<prefix>/<fp>.json   one verified result per fingerprint,
-                                   sharded by fingerprint hex prefix
+      entries/<fp[:2]>/<fp>.json   one verified result per fingerprint,
+                                   grouped by fingerprint hex prefix
       tmp/                         staging for atomic publishes
       quarantine/                  corrupt entries moved aside, kept for
                                    forensics, transparently re-verified
       journal.jsonl                append-only run journal (see journal.py)
-      layout.json                  shard-count stamp ({"version", "shards"})
 
-Sharding: the prefix width follows the shard count (``1`` → flat,
-``16`` → ``f/``, ``256`` → ``ab/`` — the historical layout — ``4096``
-→ ``abc/``), chosen by ``REPRO_CACHE_SHARDS`` at creation and stamped
-in ``layout.json``; an existing stamp always wins over the knob, so
-every process sharing a root agrees on the layout. A pre-stamp store
-(the fixed ``fp[:2]`` layout) is migrated transparently on first open,
-and lookups fall back to the legacy path (relocating what they find)
-so a reader racing the migration never misses an entry that exists.
-
-Tiering (DESIGN.md §13): an optional bounded in-process LRU of decoded
-entries (:class:`repro.store.memtier.MemTier`, ``REPRO_CACHE_MEM``)
-sits read-through over the disk layer, so hot warm-run lookups never
-touch disk (``STORE_STATS`` splits ``mem_hits``/``disk_hits``, and
-``disk_reads`` counts actual file reads — the CI warm-run gate).
-Publishes can be write-behind (``REPRO_CACHE_WB``): buffered in the
-parent and flushed at checkpoint boundaries (:meth:`ProofStore.flush`,
-called by ``end_run`` and the daemon's dispatch loop). Forked pool
-workers always write through — their buffers would die with them.
+The store is one tier: every lookup reads its entry file and every
+publish writes through to disk before ``put`` returns (DESIGN.md §13).
+Anything else under the root — for instance the shard-count stamp
+and ``abc/`` prefix directories of older, sharded stores — is ignored:
+an entry outside ``entries/<fp[:2]>/`` is a miss, re-verified and
+republished at its path.
 
 Durability protocol — a publish is: serialise → write to ``tmp/`` →
 ``fsync`` the file → ``os.replace`` into ``entries/`` → ``fsync`` the
-shard directory → append a journal record. A crash at any point leaves
-either no entry (tmp litter is ignored and reclaimed) or a complete,
-checksummed entry; there is no state in between that a reader could
-mistake for a proof. Write-behind defers the *whole* sequence — the
-journal record still follows its durable entry file, so a journal
-record always implies a readable entry, and a kill mid-flush costs at
-most not-yet-flushed (unacknowledged) buffer contents.
+entry's directory → append a journal record, all with SIGTERM held. A
+crash at any point leaves either no entry (tmp litter is ignored and
+reclaimed) or a complete, checksummed entry; there is no state in
+between that a reader could mistake for a proof, and a journal record
+always implies a readable entry.
 
 Entries are serialised by the plain-data codec (:mod:`.codec`) — JSON
 dicts rebuilt field-by-field into the known result dataclasses, never
@@ -61,10 +46,7 @@ make a bad day permanent.
 
 Env knobs: ``REPRO_CACHE=1`` opts in, ``REPRO_CACHE_DIR`` picks the
 root (default ``.repro-cache``), ``REPRO_CACHE_VERIFY=strict|heal``
-picks the corruption policy, ``REPRO_CACHE_SHARDS`` the shard count
-for new stores (1/16/256/4096, default 256), ``REPRO_CACHE_MEM`` the
-memory-tier capacity in entries (default 256, ``0`` disables),
-``REPRO_CACHE_WB=0`` forces write-through publishes.
+picks the corruption policy.
 """
 
 from __future__ import annotations
@@ -72,11 +54,9 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import multiprocessing
 import os
 import signal
 import warnings
-from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -89,23 +69,10 @@ from repro.parallel import with_retries
 from repro.store import codec
 from repro.store.fingerprint import STORE_FORMAT
 from repro.store.journal import Journal
-from repro.store.memtier import MemTier
 
 #: Statuses that are functions of the fingerprint alone, hence safe to
 #: replay from disk. Everything else re-verifies next run.
 CACHEABLE_STATUSES = ("verified", "refuted")
-
-#: Supported shard counts -> fingerprint hex-prefix width. 256 is the
-#: historical ``fp[:2]`` layout, so it doubles as the migration-free
-#: default for pre-stamp stores.
-_SHARD_WIDTHS = {1: 0, 16: 1, 256: 2, 4096: 3}
-
-#: The shard-count stamp file inside the cache root.
-LAYOUT_FILENAME = "layout.json"
-LAYOUT_FORMAT = 1
-DEFAULT_SHARDS = 256
-#: Prefix width of the pre-``layout.json`` (flat v2) layout.
-_LEGACY_WIDTH = 2
 
 #: Aggregate counters (like PARALLEL_STATS): surfaced in
 #: ``HybridReport.render()`` and the bench JSON. All zero on a run that
@@ -119,18 +86,14 @@ _LEGACY_WIDTH = 2
 STORE_STATS = metrics.register_legacy(
     "store",
     {
-        "hits": 0,            # lookups answered from cache (mem or disk)
+        "hits": 0,            # lookups answered from an entry file
         "misses": 0,          # lookups that fell through to verification
-        "mem_hits": 0,        # ...of hits: answered by the memory tier
-        "disk_hits": 0,       # ...of hits: answered by an entry file
         "disk_reads": 0,      # entry-file reads performed by get()
         "stores": 0,          # entries newly published
-        "wb_flushes": 0,      # write-behind buffer flushes
         "skipped": 0,         # results not persisted (nondeterministic verdict)
         "corrupt": 0,         # entries that failed validation
         "quarantined": 0,     # corrupt entries moved to quarantine/
         "healed": 0,          # quarantined fingerprints re-published
-        "migrated": 0,        # entry files moved to a new shard layout
         "io_retries": 0,      # transient I/O errors absorbed by retry
         "io_errors": 0,       # I/O failures that exhausted the retries
         "journal_bad_lines": 0,  # torn/invalid journal lines skipped
@@ -149,21 +112,10 @@ class ProofStore:
     pool workers (publishes are atomic and idempotent, journal appends
     are single-write)."""
 
-    def __init__(
-        self,
-        root,
-        verify_mode: str = "heal",
-        shards: Optional[int] = None,
-        mem: int = 0,
-        write_behind: bool = False,
-    ) -> None:
+    def __init__(self, root, verify_mode: str = "heal") -> None:
         if verify_mode not in ("heal", "strict"):
             raise ValueError(
                 f"verify_mode must be 'heal' or 'strict', got {verify_mode!r}"
-            )
-        if shards is not None and shards not in _SHARD_WIDTHS:
-            raise ValueError(
-                f"shards must be one of {sorted(_SHARD_WIDTHS)}, got {shards!r}"
             )
         self.root = Path(root)
         self.verify_mode = verify_mode
@@ -173,14 +125,6 @@ class ProofStore:
         for d in (self.entries_dir, self.tmp_dir, self.quarantine_dir):
             d.mkdir(parents=True, exist_ok=True)
         self.journal = Journal(self.root / "journal.jsonl")
-        self.shards = self._resolve_layout(shards)
-        self._shard_width = _SHARD_WIDTHS[self.shards]
-        #: The read-through memory tier (None when ``mem=0``).
-        self.memtier: Optional[MemTier] = MemTier(mem) if mem > 0 else None
-        self.write_behind = bool(write_behind)
-        #: Write-behind buffer: fp -> (function, statuses, blob,
-        #: decoded entries), flushed in insertion order.
-        self._pending: "OrderedDict[str, tuple]" = OrderedDict()
         #: Fingerprints this process quarantined; a later publish of one
         #: of these is a *heal*.
         self._quarantined: set[str] = set()
@@ -194,125 +138,41 @@ class ProofStore:
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> Optional["ProofStore"]:
-        """The env-configured store, or ``None`` when caching is off.
-        Never raises: a store that cannot be opened (read-only FS, bad
-        mode string) warns and disables itself — the cache may degrade
-        performance, never break a run."""
+        """The env-configured store, or ``None`` when caching is off
+        (``REPRO_CACHE`` unset) or the store cannot be opened."""
         env = os.environ if environ is None else environ
         if env.get("REPRO_CACHE") != "1":
             return None
-        root = env.get("REPRO_CACHE_DIR") or ".repro-cache"
+        return cls.open(env.get("REPRO_CACHE_DIR") or ".repro-cache", env)
+
+    @classmethod
+    def open(cls, root, environ: Optional[dict] = None) -> Optional["ProofStore"]:
+        """The store at ``root`` under the env's ``REPRO_CACHE_VERIFY``
+        policy, or ``None``. Never raises: a store that cannot be
+        opened (read-only FS, bad mode string) warns and disables
+        itself — the cache may degrade performance, never break a
+        run."""
+        env = os.environ if environ is None else environ
         mode = env.get("REPRO_CACHE_VERIFY") or "heal"
         try:
-            return cls(root, verify_mode=mode, **tier_kwargs_from_env(env))
+            return cls(root, verify_mode=mode)
         except (OSError, ValueError) as e:
             warnings.warn(
-                f"REPRO_CACHE=1 but the store at {root!r} cannot be "
-                f"opened ({e}); continuing without a cache",
+                f"the proof store at {str(root)!r} cannot be opened "
+                f"({e}); continuing without a cache",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return None
 
-    # -- layout --------------------------------------------------------------
-
-    def _resolve_layout(self, requested: Optional[int]) -> int:
-        """The store's shard count: the ``layout.json`` stamp when one
-        exists (processes sharing a root must agree, so the stamp beats
-        the knob), else ``requested`` (default 256) — migrating any
-        pre-stamp (fixed ``fp[:2]``) entries into the new layout before
-        stamping it."""
-        layout_path = self.root / LAYOUT_FILENAME
-        try:
-            doc = json.loads(layout_path.read_text())
-        except (OSError, ValueError):
-            doc = None
-        if (
-            isinstance(doc, dict)
-            and doc.get("version") == LAYOUT_FORMAT
-            and doc.get("shards") in _SHARD_WIDTHS
-        ):
-            return int(doc["shards"])
-        shards = DEFAULT_SHARDS if requested is None else requested
-        width = _SHARD_WIDTHS[shards]
-        if width != _LEGACY_WIDTH:
-            self._migrate_entries(width)
-        stamp = json.dumps(
-            {"version": LAYOUT_FORMAT, "shards": shards}, sort_keys=True
-        )
-        tmp = layout_path.with_name(f"{LAYOUT_FILENAME}.{os.getpid()}.tmp")
-        tmp.write_text(stamp + "\n")
-        os.replace(tmp, layout_path)
-        return shards
-
-    def _migrate_entries(self, width: int) -> None:
-        """Move every entry file into the ``width``-prefix layout
-        (atomic per file; content-addressed names make a concurrent
-        double-migration a benign race). Best-effort per file: one
-        unmovable entry costs a counted I/O error, not the open."""
-        moved = 0
-        for src in sorted(self.entries_dir.rglob("*.json")):
-            fp = src.stem
-            dest = self._path_at(fp, width)
-            if src == dest:
-                continue
-            try:
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(src, dest)
-                moved += 1
-            except OSError:
-                STORE_STATS["io_errors"] += 1
-        if moved:
-            STORE_STATS["migrated"] += moved
-        # Drop now-empty shard directories of the old layout.
-        for d in sorted(self.entries_dir.iterdir()):
-            if d.is_dir():
-                try:
-                    d.rmdir()
-                except OSError:
-                    pass
-
     # -- paths ---------------------------------------------------------------
 
-    def _path_at(self, fp: str, width: int) -> Path:
-        if width == 0:
-            return self.entries_dir / f"{fp}.json"
-        return self.entries_dir / fp[:width] / f"{fp}.json"
-
     def _entry_path(self, fp: str) -> Path:
-        return self._path_at(fp, self._shard_width)
-
-    def _legacy_fallback(self, fp: str) -> Optional[Path]:
-        """A pre-migration writer (old code sharing this root) may
-        still publish into the fixed ``fp[:2]`` layout; probe it on a
-        miss and relocate what we find."""
-        if self._shard_width == _LEGACY_WIDTH:
-            return None
-        legacy = self._path_at(fp, _LEGACY_WIDTH)
-        if not legacy.exists():
-            return None
-        dest = self._entry_path(fp)
-        try:
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, dest)
-            STORE_STATS["migrated"] += 1
-            return dest
-        except OSError:
-            return legacy
+        return self.entries_dir / fp[:2] / f"{fp}.json"
 
     def has(self, fp: str) -> bool:
-        """Whether ``fp`` is published: resident in a memory tier /
-        write-behind buffer, or present (not yet validated) on disk."""
-        if self.memtier is not None and fp in self.memtier:
-            return True
-        if fp in self._pending:
-            return True
-        if self._entry_path(fp).exists():
-            return True
-        return (
-            self._shard_width != _LEGACY_WIDTH
-            and self._path_at(fp, _LEGACY_WIDTH).exists()
-        )
+        """Whether ``fp`` is published (present, not yet validated)."""
+        return self._entry_path(fp).exists()
 
     def note_worker_publish(self, fp: str) -> None:
         """Credit this run's counters with a publish performed by a
@@ -341,29 +201,12 @@ class ProofStore:
             return self._get(fp, context)
 
     def _get(self, fp: str, context: str):
-        if self.memtier is not None:
-            entries = self.memtier.get(fp)
-            if entries is not None:
-                STORE_STATS["hits"] += 1
-                STORE_STATS["mem_hits"] += 1
-                return entries
-        pending = self._pending.get(fp)
-        if pending is not None:
-            # Read-your-writes for a buffered publish: the decoded
-            # entries are right here — an in-memory hit.
-            STORE_STATS["hits"] += 1
-            STORE_STATS["mem_hits"] += 1
-            return pending[3]
         path = self._entry_path(fp)
         if not path.exists():
-            fallback = self._legacy_fallback(fp)
-            if fallback is None:
-                # The common cold-run path: a plain miss, not an I/O
-                # fault — no retries (and no fault-injection fire) for
-                # absence.
-                STORE_STATS["misses"] += 1
-                return None
-            path = fallback
+            # The common cold-run path: a plain miss, not an I/O fault
+            # — no retries (and no fault-injection fire) for absence.
+            STORE_STATS["misses"] += 1
+            return None
         STORE_STATS["disk_reads"] += 1
         try:
             blob = with_retries(
@@ -387,9 +230,6 @@ class ProofStore:
             STORE_STATS["misses"] += 1
             return None
         STORE_STATS["hits"] += 1
-        STORE_STATS["disk_hits"] += 1
-        if self.memtier is not None:
-            self.memtier.put(fp, entries)
         return entries
 
     def _read_entry(self, path: Path, context: str) -> bytes:
@@ -429,8 +269,6 @@ class ProofStore:
         """Move a corrupt entry aside (atomic, keeps the evidence) so
         the next publish of this fingerprint heals it."""
         dest = self.quarantine_dir / f"{fp}.{os.getpid()}.quarantined"
-        if self.memtier is not None:
-            self.memtier.invalidate(fp)
         try:
             os.replace(path, dest)
         except OSError:
@@ -470,12 +308,8 @@ class ProofStore:
             # not cached — never fall back to an executable format.
             STORE_STATS["skipped"] += 1
             return False
-        if fp in self._pending:
-            return True  # already buffered; flush will make it durable
         path = self._entry_path(fp)
         if path.exists():
-            if self.memtier is not None:
-                self.memtier.put(fp, entries)
             return True  # idempotent: content-addressed, already published
         envelope = {
             "version": STORE_FORMAT,
@@ -489,61 +323,15 @@ class ProofStore:
         envelope["payload"] = payload
         envelope["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
         blob = (json.dumps(envelope, sort_keys=True) + "\n").encode()
-        if self.write_behind and multiprocessing.parent_process() is None:
-            # Parent-only: a forked worker's buffer would die with its
-            # process, losing a publish the parent believes happened.
-            self._pending[fp] = (function, statuses, blob, entries)
-        else:
-            with _sigterm_held():
-                try:
-                    with_retries(
-                        lambda: self._write_entry(path, fp, function, blob),
-                        on_retry=lambda e: _bump("io_retries"),
-                    )
-                except OSError:
-                    STORE_STATS["io_errors"] += 1
-                    return False
-                try:
-                    self.journal.append(
-                        {"kind": "entry", "fn": function, "fp": fp,
-                         "statuses": statuses}
-                    )
-                except OSError:
-                    STORE_STATS["io_errors"] += 1
-        STORE_STATS["stores"] += 1
-        self._published.add(fp)
-        if self.memtier is not None:
-            self.memtier.put(fp, entries)
-        if fp in self._quarantined:
-            self._quarantined.discard(fp)
-            STORE_STATS["healed"] += 1
-        return True
-
-    def flush(self) -> int:
-        """Drain the write-behind buffer: each entry file is made
-        durable (tmp → fsync → rename → dir fsync), *then* its journal
-        record is appended — so a journal record always implies a
-        readable entry, and a SIGKILL mid-flush costs at most buffered
-        publishes that no checkpoint acknowledged yet. Returns the
-        number of entries flushed; a no-op on an empty buffer."""
-        if not self._pending:
-            return 0
-        STORE_STATS["wb_flushes"] += 1
-        flushed = 0
-        while self._pending:
-            fp, (function, statuses, blob, _entries) = \
-                self._pending.popitem(last=False)
-            path = self._entry_path(fp)
-            if not path.exists():
-                try:
-                    with_retries(
-                        lambda p=path, f=fp, fn=function, b=blob:
-                            self._write_entry(p, f, fn, b),
-                        on_retry=lambda e: _bump("io_retries"),
-                    )
-                except OSError:
-                    STORE_STATS["io_errors"] += 1
-                    continue
+        with _sigterm_held():
+            try:
+                with_retries(
+                    lambda: self._write_entry(path, fp, function, blob),
+                    on_retry=lambda e: _bump("io_retries"),
+                )
+            except OSError:
+                STORE_STATS["io_errors"] += 1
+                return False
             try:
                 self.journal.append(
                     {"kind": "entry", "fn": function, "fp": fp,
@@ -551,12 +339,12 @@ class ProofStore:
                 )
             except OSError:
                 STORE_STATS["io_errors"] += 1
-            flushed += 1
-        return flushed
-
-    def pending(self) -> int:
-        """Buffered (acknowledged-to-caller, not yet durable) publishes."""
-        return len(self._pending)
+        STORE_STATS["stores"] += 1
+        self._published.add(fp)
+        if fp in self._quarantined:
+            self._quarantined.discard(fp)
+            STORE_STATS["healed"] += 1
+        return True
 
     def _write_entry(
         self, path: Path, fp: str, function: str, blob: bytes
@@ -600,10 +388,6 @@ class ProofStore:
             STORE_STATS["io_errors"] += 1
 
     def end_run(self) -> None:
-        # The run checkpoint is a flush boundary: everything this run
-        # acknowledged must be durable before the "end" record claims
-        # the run completed.
-        self.flush()
         try:
             self.journal.append({"kind": "run", "event": "end"})
         except OSError:
@@ -613,7 +397,6 @@ class ProofStore:
         """Close a run that stopped early: no ``end`` record (the run
         *was* interrupted), but a ``drain`` record naming the functions
         it never dispatched — the resume set of the next run."""
-        self.flush()
         try:
             self.journal.append({"kind": "drain", "pending": list(pending)})
         except OSError:
@@ -629,32 +412,6 @@ class ProofStore:
             "interrupted_runs": self.journal.interrupted_runs(),
             "bad_lines": self.journal.bad_lines,
         }
-
-
-def tier_kwargs_from_env(environ: Optional[dict] = None) -> dict:
-    """The tiering constructor kwargs (``shards``, ``mem``,
-    ``write_behind``) as configured by the ``REPRO_CACHE_*`` knobs.
-
-    Shared by :meth:`ProofStore.from_env` and by callers that pick the
-    store root themselves (the verification daemon) but still want the
-    env-tuned hierarchy.
-    """
-    env = os.environ if environ is None else environ
-    shards = _env_int(env, "REPRO_CACHE_SHARDS", None)
-    if shards is not None and shards not in _SHARD_WIDTHS:
-        warnings.warn(
-            f"REPRO_CACHE_SHARDS={shards!r} is not one of "
-            f"{sorted(_SHARD_WIDTHS)}; using the store default",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        shards = None
-    mem = _env_int(env, "REPRO_CACHE_MEM", 256)
-    return {
-        "shards": shards,
-        "mem": max(0, mem if mem is not None else 256),
-        "write_behind": env.get("REPRO_CACHE_WB", "1") != "0",
-    }
 
 
 def _bump(key: str) -> None:
@@ -678,19 +435,3 @@ def _sigterm_held():
         yield
     finally:
         mask(signal.SIG_SETMASK, old)
-
-
-def _env_int(env, key: str, default: Optional[int]) -> Optional[int]:
-    """An integer env knob; a malformed value warns and falls back."""
-    raw = env.get(key)
-    if raw is None or raw == "":
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{key}={raw!r} is not an integer; using the default",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default

@@ -23,7 +23,7 @@ FPS = [f"{i:02x}" + f"{i:x}" * 62 for i in range(8)]
 
 
 def _writer(root, fps, barrier):
-    store = ProofStore(root, shards=16)
+    store = ProofStore(root)
     barrier.wait(timeout=30)
     for i, fp in enumerate(fps):
         store.put(fp, f"fn{i}", entries_for(f"fn{i}"))
@@ -48,7 +48,7 @@ def _spawn_writers(root, groups):
 class TestContention:
     def test_disjoint_writers_all_land(self, tmp_path):
         _spawn_writers(tmp_path, [FPS[:4], FPS[4:]])
-        reader = ProofStore(tmp_path, shards=16)
+        reader = ProofStore(tmp_path)
         for fp in FPS:
             entries = reader.get(fp)
             assert entries is not None
@@ -61,7 +61,7 @@ class TestContention:
         # released): last rename wins, every intermediate state is a
         # complete entry.
         _spawn_writers(tmp_path, [[FP]] * 4)
-        reader = ProofStore(tmp_path, shards=16)
+        reader = ProofStore(tmp_path)
         [e] = reader.get(FP)
         assert e.function == "fn0" and e.ok
         assert STORE_STATS["corrupt"] == 0
@@ -74,7 +74,7 @@ class TestContention:
         barrier = ctx.Barrier(2)
         p = ctx.Process(target=_writer, args=(tmp_path, FPS, barrier))
         p.start()
-        reader = ProofStore(tmp_path, shards=16)
+        reader = ProofStore(tmp_path)
         barrier.wait(timeout=30)
         seen = set()
         deadline = time.monotonic() + 120
@@ -87,37 +87,18 @@ class TestContention:
         assert seen == set(FPS)
         assert STORE_STATS["corrupt"] == 0
 
-    def test_concurrent_openers_agree_on_layout(self, tmp_path):
-        # First-open stamping races: whoever wins, both processes must
-        # end up with the same shard width.
-        def opener(q):
-            # Normal exit (not os._exit): the queue's feeder thread
-            # must flush the result before the process dies.
-            q.put(ProofStore(tmp_path, shards=16).shards)
-
-        ctx = multiprocessing.get_context("fork")
-        q = ctx.Queue()
-        procs = [ctx.Process(target=opener, args=(q,)) for _ in range(4)]
-        for p in procs:
-            p.start()
-        got = [q.get(timeout=60) for _ in procs]
-        for p in procs:
-            p.join(timeout=60)
-        assert set(got) == {16}
-        assert ProofStore(tmp_path).shards == 16
-
 
 class TestTornShard:
     def test_heal_on_torn_entry_under_shared_root(self, tmp_path):
         # One process's entry is torn on disk (simulated truncation);
         # another process sharing the root quarantines it and heals by
-        # republishing — per-shard damage stays per-entry.
-        writer = ProofStore(tmp_path, shards=16)
+        # republishing — the damage stays per-entry.
+        writer = ProofStore(tmp_path)
         writer.put(FP, "fn0", entries_for("fn0"))
         path = writer._entry_path(FP)
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
-        other = ProofStore(tmp_path, shards=16)
+        other = ProofStore(tmp_path)
         assert other.get(FP) is None
         assert STORE_STATS["quarantined"] == 1
         assert other.put(FP, "fn0", entries_for("fn0"))

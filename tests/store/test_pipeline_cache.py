@@ -52,6 +52,18 @@ class TestColdWarm:
         assert warm.store_stats["hits"] == len(FAST_FNS)
         assert fingerprint(warm) == fingerprint(cold)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_second_run_in_one_process_reads_each_entry_once(
+        self, env, tmp_path, jobs
+    ):
+        store = ProofStore(tmp_path)
+        first = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=jobs)
+        second = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=jobs)
+        n = len(FAST_FNS)
+        assert second.store_stats["hits"] == second.store_stats["disk_reads"] == n
+        assert second.store_stats["misses"] == 0
+        assert fingerprint(second) == fingerprint(first)
+
     def test_render_shows_store_line(self, env, tmp_path):
         make_verifier(env, tmp_path).run(FAST_FNS, jobs=1)
         rendered = make_verifier(env, tmp_path).run(FAST_FNS, jobs=1).render()

@@ -39,6 +39,17 @@ class TestRoundTrip:
         )
         assert STORE_STATS["hits"] == 1 and STORE_STATS["stores"] == 1
 
+    def test_entry_path_is_the_two_hex_prefix(self, tmp_path):
+        store = ProofStore(tmp_path)
+        store.put(FP, "fn0", entries_for("fn0"))
+        rel = store._entry_path(FP).relative_to(store.entries_dir)
+        assert rel.parts == (FP[:2], f"{FP}.json")
+        assert entry_file(store, FP).exists()
+        # One fixed layout: nothing but the four fixed members.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "entries", "journal.jsonl", "quarantine", "tmp",
+        ]
+
     def test_miss_is_none(self, tmp_path):
         assert ProofStore(tmp_path).get(FP) is None
         assert STORE_STATS["misses"] == 1
