@@ -130,6 +130,20 @@ def _rebuilds(op: str) -> bool:
     return op in _SELECTOR_OPS or op.startswith("tuple.")
 
 
+#: The unrolling axiom does not fire on ``seq.tail^k(x)`` with
+#: ``k ≥ MAX_UNROLL`` (see :meth:`TheoryBranch._unroll_nonempty`).
+MAX_UNROLL = 8
+
+
+def _tail_capped(s: Term) -> bool:
+    """Is ``s`` syntactically ``seq.tail^k(x)`` with ``k ≥ MAX_UNROLL``?"""
+    for _ in range(MAX_UNROLL):
+        if not (isinstance(s, App) and s.op == "seq.tail"):
+            return False
+        s = s.args[0]
+    return True
+
+
 class TheoryBranch:
     """One conjunctive branch of the search.
 
@@ -369,7 +383,21 @@ class TheoryBranch:
         """``|s| ≥ 1 ⇒ s = cons(head s, tail s)`` with
         ``|tail s| = |s| - 1`` — the sequence unrolling axiom. Bounded:
         only fires when the length's lower bound is at least 1, and the
-        tail only unrolls further if its own bound still is."""
+        tail only unrolls further if its own bound still is.
+
+        Bounded by depth too: it never fires on ``s = seq.tail^k(x)``
+        with ``k ≥`` :data:`MAX_UNROLL`, so no tail chain it builds
+        is deeper than ``MAX_UNROLL``. Without this, a
+        length pinned near ``2^64`` (the overflow branch of every
+        ``push``) unrolls a fresh tail per closure round until the
+        round cap stops it, short of a fixpoint. The bound reads the
+        term alone, never the search state, so every search and the
+        full-rescan oracle derive the same things. It is sound: a
+        dropped instance of the axiom can only leave a branch
+        unrefuted, so a proof may fail but a false claim is never
+        proved."""
+        if _tail_capped(s):
+            return False
         rep = self.cc.find(s)
         if isinstance(rep, App) and rep.op in ("seq.cons", "seq.empty"):
             return False
@@ -387,7 +415,10 @@ class TheoryBranch:
 
     def close_exhaustive(self, max_calls: int = 8) -> None:
         """Run :meth:`close` to a *true* fixpoint (or until ``max_calls``
-        round-capped calls — a backstop no realistic query reaches).
+        round-capped calls — a backstop no realistic query reaches:
+        with the unrolling axiom bounded by :data:`MAX_UNROLL`, no call
+        on the crates' 17 functions ends short of a fixpoint, which
+        ``tests/solver/test_unroll_bound.py`` checks).
 
         Every search strategy decides a fully-asserted leaf with this,
         so the leaf verdict is a function of the asserted literal set

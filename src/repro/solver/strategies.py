@@ -21,7 +21,10 @@ Two searches are registered:
 only moves *when* sound inferences are made, not which ones are
 derivable: both finish each surviving leaf with
 :meth:`TheoryBranch.close_exhaustive`, so the leaf verdict depends on
-the asserted literal set only.  A randomized differential suite
+the asserted literal set only.  That holds because the closure reaches
+a true fixpoint, where the round cap stopped nothing; the unrolling
+axiom's depth bound (:data:`~repro.solver.core.MAX_UNROLL`) keeps every
+corpus query there.  A randomized differential suite
 (``tests/solver/test_strategies.py``) enforces it.  The only permitted
 divergence is resource-shaped: a search that explores more branches
 can hit the per-query branch cap (``UNKNOWN``) or a cooperative budget
