@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro import faultinject
-from repro.budget import Budget, BudgetSpec
+from repro.budget import Budget
 from repro.obs import clock, span
-from repro.errors import BudgetExhausted, status_of
+from repro.errors import BudgetExhausted
 from repro.core.state import RustState, RustStateModel
 from repro.gillian.consume import ConsumeFailure, consume
 from repro.gillian.engine import Config, Engine, Terminal, VerificationIssue
@@ -227,73 +227,3 @@ def _check_post(
         result.issues.append(
             VerificationIssue(body.name, "postcondition", str(e))
         )
-
-
-def failure_result(name: str, kind: str, exc: BaseException) -> VerificationResult:
-    """A complete-report stand-in for a function whose verification
-    failed outright (crash, injected fault, internal error)."""
-    status = status_of(exc)
-    return VerificationResult(
-        name,
-        kind,
-        ok=False,
-        status=status,
-        issues=[VerificationIssue(name, status, str(exc) or type(exc).__name__)],
-    )
-
-
-def _verify_spec_worker(payload: tuple, name: str) -> VerificationResult:
-    """Pool worker for :func:`verify_program`; the program and solver
-    arrive via fork inheritance (see repro.parallel). Catches its own
-    exceptions so serial and parallel runs degrade identically —
-    only a dead worker process reaches the pool's crash path."""
-    program, solver, budget_spec = payload
-    spec = program.specs[name]
-    try:
-        budget = budget_spec.start() if budget_spec is not None else None
-        return verify_function(
-            program, program.bodies[name], spec, solver, budget=budget
-        )
-    except Exception as e:
-        return failure_result(name, getattr(spec, "kind", "?"), e)
-
-
-def verify_program(
-    program: Program,
-    solver: Optional[Solver] = None,
-    jobs: Optional[int] = 1,
-    budget: Optional[BudgetSpec] = None,
-) -> list[VerificationResult]:
-    """Verify every function that has an attached spec.
-
-    ``jobs=1`` keeps the serial path (and result order); ``jobs=N``
-    fans the independent per-function runs out over a process pool,
-    returning results in the same order as the serial path.
-
-    Failures never unwind the whole run: each function gets a fresh
-    per-function budget from ``budget`` (default: the ``REPRO_*`` env
-    knobs), exceptions become ``timeout``/``crashed``/``error``
-    results, and a worker killed mid-verification is retried serially.
-    """
-    solver = solver or default_solver()
-    if budget is None:
-        budget = BudgetSpec.from_env()
-    payload = (program, solver, budget if budget else None)
-    names = [
-        name
-        for name, spec in program.specs.items()
-        if not getattr(spec, "trusted", False) and name in program.bodies
-    ]
-    if jobs == 1:
-        return [_verify_spec_worker(payload, n) for n in names]
-    from repro.parallel import fanout
-
-    return fanout(
-        _verify_spec_worker,
-        payload,
-        names,
-        jobs,
-        on_error=lambda name, exc: failure_result(
-            name, getattr(program.specs[name], "kind", "?"), exc
-        ),
-    )

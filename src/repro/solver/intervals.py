@@ -47,7 +47,12 @@ from repro.solver.sorts import INT, REAL
 from repro.solver.terms import App, IntLit, RealLit, Term, intlit
 
 _MAX_ROUNDS = 30
-_MAX_CONSTRAINTS = 400
+#: Fourier–Motzkin keeps a combination only if its parents' depths sum
+#: to less than this and the result has at most :data:`_FM_MAX_ATOMS`
+#: atoms. Both limits read the two parents alone, never the size of
+#: the store (see :meth:`LinearStore._fourier_motzkin`).
+_FM_MAX_DEPTH = 4
+_FM_MAX_ATOMS = 2
 #: A bound whose numerator or denominator has passed this magnitude is
 #: not tightened again (sound: the store only derives less). Verifier
 #: bounds stay near ``2**64``; without the cap, a cyclic system with
@@ -387,9 +392,18 @@ class LinearStore:
         one of ``c1``'s atoms can combine with it; the partner index
         (:attr:`_atom_sign`) lists those, and they are visited in
         position order, the order of a scan over every earlier one.
+
+        The closure is bounded pair-locally: a pair combines only if
+        its depths sum to less than :data:`_FM_MAX_DEPTH`, and a result
+        is kept only if it has at most :data:`_FM_MAX_ATOMS` atoms.
+        Neither limit counts the store: whether a pair combines depends
+        on the pair alone, not on how many constraints came first. Two
+        atoms cover what the verifier needs (``len = |repr|`` next to
+        ``len + 1 <= usize::MAX``, §6): every derivation on the crate
+        functions and the paper corpus has at most two atoms and unit
+        coefficients. Wider results only fed a closure that grew by
+        thousands of constraints on random streams.
         """
-        if self.saturated():
-            return False
         added = False
         atom_sign = self._atom_sign
         while self._fm_frontier < len(self.constraints):
@@ -401,7 +415,7 @@ class LinearStore:
                 for c2 in atom_sign.get((a, k < 0), ()):
                     if c2.pos >= i:
                         break  # each list is in position order
-                    if c1.depth + c2.depth < 4:  # bound the closure
+                    if c1.depth + c2.depth < _FM_MAX_DEPTH:
                         partners[c2.pos] = c2
             for pos in sorted(partners):
                 c2 = partners[pos]
@@ -418,7 +432,7 @@ class LinearStore:
                     for atom, c in c2.coeffs.items():
                         coeffs[atom] = coeffs.get(atom, 0) + k2 * c
                     coeffs = {x: c for x, c in coeffs.items() if c != 0}
-                    if len(coeffs) > 4:
+                    if len(coeffs) > _FM_MAX_ATOMS:
                         continue
                     const = k1 * c1.const + k2 * c2.const
                     combined = LinConstraint(
@@ -529,12 +543,6 @@ class LinearStore:
                     self.pending_eqs.append((a, intlit(lo)))
 
     # -- queries ------------------------------------------------------------
-
-    def saturated(self) -> bool:
-        """True once the store is past the Fourier–Motzkin cap: later
-        constraints are no longer combined, so they only refute what
-        bound propagation alone can."""
-        return len(self.constraints) > _MAX_CONSTRAINTS
 
     def value_range(self, t: Term) -> tuple[Optional[Rat], Optional[Rat]]:
         coeffs, const = linearize(t)

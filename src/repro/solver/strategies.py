@@ -111,9 +111,7 @@ class SearchStrategy:
         from repro.solver.core import Status, TheoryBranch
 
         if self.reuse_prefix and len(formulas) > 1:
-            status = self._search_on_prefix(solver, formulas)
-            if status is not None:
-                return status
+            return self._search_on_prefix(solver, formulas)
         budget = [solver.branch_budget]
         branch = TheoryBranch()
         # The work-list is a persistent cons-list ``(head, rest)`` —
@@ -126,15 +124,11 @@ class SearchStrategy:
             return Status.SAT
         return Status.UNSAT
 
-    def _search_on_prefix(
-        self, solver: "Solver", formulas: list[Term]
-    ) -> Optional["Status"]:
+    def _search_on_prefix(self, solver: "Solver", formulas: list[Term]) -> "Status":
         """Decide ``formulas`` on top of the closed branch of its literal
         prefix — every conjunct but the last (the goal) — taken from
         ``solver.prefix_branches``, or built (on a cached shorter
-        prefix's branch when one fits) and cached there. ``None`` when
-        that branch's linear store is saturated: the plain search
-        decides such a query."""
+        prefix's branch when one fits) and cached there."""
         from repro.solver.core import PREFIX_SLOTS, Status, TheoryBranch
 
         lits: list[Term] = []
@@ -174,10 +168,6 @@ class SearchStrategy:
             if base:
                 branch, frame, _ = cache[base]
                 branch.rewind(frame)
-            # A saturated store (see below) would not combine the new
-            # literals with the prefix's; a fresh build meets them
-            # before its store grows.
-            if base and not branch.lin.saturated():
                 # Push only the new literals onto the closed state of
                 # the longest cached prefix. An interrupted extension
                 # leaves a frame no entry names; the next rewind drops it.
@@ -199,12 +189,6 @@ class SearchStrategy:
                 cache.popitem(last=False)
         if conflict:
             return Status.UNSAT
-        if branch.lin.saturated():
-            # Past the Fourier–Motzkin cap the goal's constraints would
-            # not be combined with the prefix's, so the search on top
-            # would refute less than the plain search, which meets the
-            # goal before the prefix grows the store.
-            return None
         budget = [solver.branch_budget]
         pending = None
         for f in [formulas[-1]] + residue:

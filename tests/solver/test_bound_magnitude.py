@@ -1,13 +1,14 @@
 """Bound propagation must not grow its numbers without limit.
 
-Past the Fourier–Motzkin cap the linear store only propagates bounds,
-and a cycle whose gain exceeds one (``x + x ≤ y ∧ y ≤ x``) then raises
-the lower bounds on every step: by a factor, so the numbers gain bits
-with every ``propagate()`` call and each step costs more than the last.
-``propagate()`` bounds the number of steps, not the size of the
-numbers; the magnitude cap (``intervals._MAX_MAGNITUDE``) bounds the
-size. Both tests also carry the cyclic ``s = tail(s)`` next to
-``3 ≤ len(s)`` that the original runaway stream had.
+A cycle whose gain exceeds one (``2x ≤ y ∧ y ≤ x``) and whose
+Fourier–Motzkin combinations are too wide to keep is left to bound
+propagation, which raises the lower bounds on every step: by a factor,
+so the numbers gain bits with every ``propagate()`` call and each step
+costs more than the last. ``propagate()`` bounds the number of steps,
+not the size of the numbers; the magnitude cap
+(``intervals._MAX_MAGNITUDE``) bounds the size. The stream test also
+carries the cyclic ``s = tail(s)`` next to ``3 ≤ len(s)`` that the
+original runaway stream had.
 """
 
 import os
@@ -20,8 +21,8 @@ import pytest
 
 from repro.solver import intervals
 from repro.solver.core import TheoryBranch
-from repro.solver.sorts import INT, SeqSort
-from repro.solver.terms import Var, add, eq, intlit, le, seq_len, seq_tail
+from repro.solver.sorts import INT
+from repro.solver.terms import Var, add, eq, intlit, le
 
 from tests.solver import test_closure_worklist as cw
 from tests.solver.test_strategies import _atom
@@ -46,21 +47,19 @@ def _widest_bound(branch: TheoryBranch) -> int:
 
 def test_cyclic_gain_stops_at_the_cap():
     x, y = Var("x", INT), Var("y", INT)
-    s = Var("s", SeqSort(INT))
+    u, v, w, z = (Var(n, INT) for n in "uvwz")
     branch = TheoryBranch()
-    for i in range(intervals._MAX_CONSTRAINTS + 1):
-        branch.assert_literal(le(Var(f"filler{i}", INT), intlit(i)))
-    branch.close()
-    assert branch.lin.saturated()
     for lit in (
-        le(add(x, x), y),  # a variable added to itself: gain 2
-        le(y, x),
+        # A variable added to itself: gain 2. The zero-pinned padding
+        # makes every combination of the two wider than two atoms.
+        le(add(x, x, u), add(y, v)),
+        le(add(y, w), add(x, z)),
+        *(eq(a, intlit(0)) for a in (u, v, w, z)),
         le(intlit(1), x),
-        eq(seq_tail(s), s),
-        le(intlit(3), seq_len(s)),
     ):
         branch.assert_literal(lit)
     branch.close()
+    assert all(c.depth == 0 for c in branch.lin.constraints)
     # One step may carry a bound past the cap; none goes further. (The
     # uncapped store reached about 27,000 bits in this one close().)
     assert CAP_BITS < _widest_bound(branch) <= CAP_BITS + 2

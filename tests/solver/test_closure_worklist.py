@@ -85,8 +85,6 @@ class _RescanStore(LinearStore):
                     self.pending_eqs.append((a, intlit(lo)))
 
     def _fourier_motzkin(self) -> bool:
-        if self.saturated():
-            return False
         added = False
         while self._fm_frontier < len(self.constraints):
             c1 = self.constraints[self._fm_frontier]
@@ -107,7 +105,7 @@ class _RescanStore(LinearStore):
                     for atom, c in c2.coeffs.items():
                         coeffs[atom] = coeffs.get(atom, 0) + k2 * c
                     coeffs = {x: c for x, c in coeffs.items() if c != 0}
-                    if len(coeffs) > 4:
+                    if len(coeffs) > 2:
                         continue
                     combined = LinConstraint(
                         coeffs, k1 * c1.const + k2 * c2.const,

@@ -309,11 +309,12 @@ class TestPrefixExtension:
         assert solver.stats["prefix_extends"] == 4
         assert solver.stats["prefix_hits"] == 1
 
-    def test_saturated_prefix_falls_back_to_plain_search(self):
-        """A closed prefix whose Fourier–Motzkin closure outgrew its cap
-        no longer combines what is asserted on top of it, and here only
-        a combination refutes the goal or an extension literal: the goal
-        goes to the plain search, the longer prefix to a fresh branch."""
+    def test_goal_and_extension_combine_with_a_large_prefix(self):
+        """A prefix whose closure holds hundreds of constraints, with a
+        goal and an extension literal that only a Fourier–Motzkin
+        combination with the prefix refutes: the goal is searched on
+        the cached branch, the extension pushed onto it, and both must
+        answer as the baseline does."""
         x0, x1, x2, x3 = IVARS
         k = [
             le(add(x3, intlit(2)), add(x0, neg(x2), x3, x0)),
@@ -324,14 +325,12 @@ class TestPrefixExtension:
         ]
         solver = Solver(strategy="prefix_reuse", branch_budget=self.CAP)
         assert solver.check_sat(k + [not_(BVARS[0])]) == Status.SAT
-        [(branch, _, _)] = solver.prefix_branches.values()
-        assert branch.lin.saturated()
         goal = not_(or_(eq(sub(x2, intlit(12)), intlit(5)), le(sub(x2, sub(x1, x2)), x0)))
         extended = k + [le(sub(neg(x1), intlit(2)), add(x0, intlit(1))), not_(BVARS[0])]
         for fs in (k + [goal], extended):
             assert solver.check_sat(fs) == self._baseline(fs) == Status.UNSAT
         assert solver.stats["prefix_hits"] == 1
-        assert solver.stats["prefix_extends"] == 0
+        assert solver.stats["prefix_extends"] == 1
 
     def test_frame_names_die_with_their_frame(self):
         branch = TheoryBranch()
