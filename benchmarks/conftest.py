@@ -43,10 +43,10 @@ from repro.obs import top_queries
 from repro.obs.metrics import metrics
 from repro.obs.report import metrics_summary
 from repro.obs.trace import phases_snapshot, phases_since
-from repro.parallel import PARALLEL_STATS, reset_parallel_stats
+from repro.parallel import PARALLEL_STATS
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import install_callee_specs
-from repro.store import STORE_STATS, reset_store_stats
+from repro.store import STORE_STATS
 
 _BENCH_JSON = Path(__file__).resolve().parent / "out" / "bench-record.json"
 
@@ -76,8 +76,8 @@ def isolated_global_counters(request):
     """Zero the pool/store counters per benchmark, accumulate the
     deltas into the session totals for the JSON record, and keep the
     bench's own phase timings for its row."""
-    reset_parallel_stats()
-    reset_store_stats()
+    metrics.reset("parallel")
+    metrics.reset("store")
     phases_before = phases_snapshot()
     yield
     _bench_phases[request.node.nodeid] = _rounded_phases(
@@ -87,8 +87,8 @@ def isolated_global_counters(request):
         _parallel_totals[k] = _parallel_totals.get(k, 0) + v
     for k, v in STORE_STATS.items():
         _store_totals[k] = _store_totals.get(k, 0) + v
-    reset_parallel_stats()
-    reset_store_stats()
+    metrics.reset("parallel")
+    metrics.reset("store")
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,11 @@ Run with ``python examples/hybrid_client.py``. Flags / knobs:
 * ``--list-sites`` — print every registered fault-injection site
   (valid first components of a ``REPRO_FAULT`` rule) and exit;
 * ``REPRO_TRACE=out.json`` — export the run as a Chrome trace
-  (Perfetto-loadable); ``REPRO_CACHE=1`` attaches the proof store.
+  (Perfetto-loadable); ``REPRO_CACHE=1`` attaches the proof store;
+  ``REPRO_DEADLINE=S`` gives each function S seconds.
+
+README's "Environment knob reference" lists all nine ``REPRO_*``
+knobs.
 """
 
 import sys

@@ -111,7 +111,6 @@ def main(argv: list[str]) -> int:
     # Neither variant may write a trace — we are measuring the cost of
     # the *instrumentation*, not of trace serialisation.
     env.pop("REPRO_TRACE", None)
-    env.pop("REPRO_METRICS", None)
     env.pop("REPRO_CACHE", None)
 
     off_env = dict(env)

@@ -6,6 +6,10 @@ Usage::
     PYTHONPATH=src python scripts/reprod.py --socket /tmp/reprod.sock \
         --jobs 2 --queue-bound 8 --deadline 30 --cache-dir .repro-cache
 
+Every daemon setting is one of the flags below. The store root comes
+only from ``--cache-dir``; without it the daemon keeps no persistent
+store. The time flags take a finite, positive number of seconds.
+
 Starts the daemon, prints one readiness line (``reprod listening on
 <socket> pid <pid>``) and serves until a ``drain``/``shutdown``
 request or SIGTERM/SIGINT, both of which drain gracefully: the
@@ -22,41 +26,35 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
+from repro.budget import positive_seconds  # noqa: E402
 from repro.service.config import ServiceConfig  # noqa: E402
 from repro.service.daemon import VerifierDaemon  # noqa: E402
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--socket", default=None, help="Unix socket path")
-    ap.add_argument("--jobs", type=int, default=None, help="default pool width")
+    ap.add_argument("--socket", default=None,
+                    help="Unix socket path (default .reprod.sock)")
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="default pool width (default 1)")
     ap.add_argument("--queue-bound", type=int, default=None,
-                    help="admission queue bound (shed beyond it)")
-    ap.add_argument("--deadline", type=float, default=None,
-                    help="default per-request deadline in seconds")
-    ap.add_argument("--drain-timeout", type=float, default=None,
-                    help="graceful-drain wait in seconds")
-    ap.add_argument("--watchdog", type=float, default=None,
-                    help="absolute per-request cap; kills wedged pool workers")
-    ap.add_argument("--cache-dir", default=None, help="proof-store root")
+                    help="admission queue bound; shed beyond it (default 8)")
+    ap.add_argument("--deadline", type=positive_seconds, default=None,
+                    help="default per-request deadline in seconds (default none)")
+    ap.add_argument("--drain-timeout", type=positive_seconds, default=None,
+                    help="graceful-drain wait in seconds (default 30)")
+    ap.add_argument("--watchdog", type=positive_seconds, default=None,
+                    help="absolute per-request cap; kills wedged pool workers "
+                         "(default off)")
+    ap.add_argument("--cache-dir", default=None,
+                    help="proof-store root (default: no store)")
     args = ap.parse_args()
 
-    overrides = {}
-    if args.socket is not None:
-        overrides["socket"] = args.socket
-    if args.jobs is not None:
-        overrides["jobs"] = max(1, args.jobs)
-    if args.queue_bound is not None:
-        overrides["queue_bound"] = args.queue_bound
-    if args.deadline is not None:
-        overrides["deadline"] = args.deadline
-    if args.drain_timeout is not None:
-        overrides["drain_timeout"] = args.drain_timeout
-    if args.watchdog is not None:
-        overrides["watchdog"] = args.watchdog
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    config = ServiceConfig.from_env(**overrides)
+    # Each flag is named after the ServiceConfig field it sets.
+    overrides = {k: v for k, v in vars(args).items() if v is not None}
+    if "jobs" in overrides:
+        overrides["jobs"] = max(1, overrides["jobs"])
+    config = ServiceConfig(**overrides)
 
     daemon = VerifierDaemon(config)
     daemon.start()

@@ -19,15 +19,17 @@ with the proof path they audit:
   serial) and compare verdicts.
 
 The whole layer is opt-in (``--verify-verdicts`` /
-``REPRO_ADVERSARY=1``), budget-bounded, and lives behind the same
-fault boundary as the verification path itself: any internal failure —
-including an injected ``REPRO_FAULT=adversary.*:raise`` — degrades to
-a reported ``cross_check_failed`` status, never a crashed run.
+``REPRO_ADVERSARY=1``, its one environment knob). Its sizes, seed and
+deadline are an :class:`AdversaryConfig` passed to :func:`cross_check`;
+the pipeline uses the defaults. It is budget-bounded, and lives behind
+the same fault boundary as the verification path itself: any internal
+failure — including an injected ``REPRO_FAULT=adversary.*:raise`` —
+degrades to a reported ``cross_check_failed`` status, never a crashed
+run.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -55,58 +57,30 @@ __all__ = [
 ]
 
 
+#: Per-mutant verification deadline (seconds): each mutation probe gets
+#: the run's own budget further capped by this.
+MUTANT_DEADLINE = 3.0
+#: Per-mutant solver-query cap, same mechanism.
+MUTANT_QUERIES = 4000
+
+
 @dataclass(frozen=True)
 class AdversaryConfig:
-    """Knobs for one cross-checking run (all env-overridable)."""
+    """Settings for one cross-checking run."""
 
-    #: Concrete inputs generated per function (``REPRO_ADVERSARY_REPLAYS``).
+    #: Concrete inputs generated per function.
     replays: int = 4
-    #: Mutants re-verified per function before giving up
-    #: (``REPRO_ADVERSARY_MUTANTS``).
+    #: Mutants re-verified per function before giving up.
     mutants: int = 16
-    #: Functions differentially re-verified (``REPRO_ADVERSARY_DIFF``);
-    #: a seeded sample when the corpus is larger.
+    #: Functions differentially re-verified; a seeded sample when the
+    #: corpus is larger.
     diff_sample: int = 6
-    #: Seed for input generation and sampling (``REPRO_ADVERSARY_SEED``).
+    #: Seed for input generation and sampling.
     seed: int = 0
-    #: Wall-clock bound for the whole adversary phase in seconds
-    #: (``REPRO_ADVERSARY_DEADLINE``); ``None`` = unbounded.  Functions
-    #: left over when it trips are reported ``unchecked``, never dropped.
+    #: Wall-clock bound for the whole adversary phase in seconds;
+    #: ``None`` = unbounded.  Functions left over when it trips are
+    #: reported ``unchecked``, never dropped.
     deadline: Optional[float] = None
-    #: Per-mutant verification deadline (seconds) — each probe gets the
-    #: run's own budget further capped by this.
-    mutant_deadline: float = 3.0
-    #: Per-mutant solver-query cap, same mechanism.
-    mutant_queries: int = 4000
-
-    @classmethod
-    def from_env(cls, environ: Optional[dict] = None) -> "AdversaryConfig":
-        env = os.environ if environ is None else environ
-
-        def _int(key: str, default: int) -> int:
-            raw = env.get(key)
-            try:
-                return int(raw) if raw else default
-            except ValueError:
-                return default
-
-        raw_deadline = env.get("REPRO_ADVERSARY_DEADLINE")
-        try:
-            deadline = float(raw_deadline) if raw_deadline else None
-        except ValueError:
-            deadline = None
-        return cls(
-            replays=_int("REPRO_ADVERSARY_REPLAYS", cls.replays),
-            mutants=_int("REPRO_ADVERSARY_MUTANTS", cls.mutants),
-            diff_sample=_int("REPRO_ADVERSARY_DIFF", cls.diff_sample),
-            seed=_int("REPRO_ADVERSARY_SEED", cls.seed),
-            deadline=deadline,
-        )
-
-
-def enabled_from_env(environ: Optional[dict] = None) -> bool:
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_ADVERSARY", "").lower() in ("1", "true", "on")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +115,7 @@ def cross_check(
     failure *outside* any function (a bug in this very loop) escapes,
     to be contained by the pipeline's outer boundary.
     """
-    config = config or AdversaryConfig.from_env()
+    config = config or AdversaryConfig()
     started = clock.monotonic()
     out = AdversaryReport()
     groups = _group_entries(report.entries)
@@ -152,8 +126,7 @@ def cross_check(
     ]
     diff_targets = _diff_targets(checkable, config)
     mutant_budget = verifier.budget.capped(
-        deadline=config.mutant_deadline,
-        max_solver_queries=config.mutant_queries,
+        deadline=MUTANT_DEADLINE, max_solver_queries=MUTANT_QUERIES
     )
     deadline_at = (
         started + config.deadline if config.deadline is not None else None

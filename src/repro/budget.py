@@ -20,17 +20,15 @@ instead of grinding on between checks.
 
 A :class:`BudgetSpec` is the immutable configuration (shareable,
 fork-safe); :meth:`BudgetSpec.start` mints a fresh running
-:class:`Budget` per function. Environment knobs (read by
-:meth:`BudgetSpec.from_env`):
-
-* ``REPRO_DEADLINE``      — per-function wall-clock seconds (float);
-* ``REPRO_MAX_QUERIES``   — per-function solver-query budget (int);
-* ``REPRO_MAX_STEPS``     — per-function engine-step budget (int);
-* ``REPRO_MAX_BRANCHES``  — per-function solver-branch budget (int).
+:class:`Budget` per function. One environment knob, read by
+:meth:`BudgetSpec.from_env`: ``REPRO_DEADLINE``, the per-function
+wall-clock seconds. The other three axes are set in code
+(``BudgetSpec(max_steps=...)``).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -101,39 +99,37 @@ class BudgetSpec:
 
     @classmethod
     def from_env(cls, environ: Optional[dict] = None) -> "BudgetSpec":
+        """The spec the ``REPRO_DEADLINE`` knob asks for. A value that
+        is not a finite, positive number of seconds warns and is
+        ignored."""
         env = os.environ if environ is None else environ
-        return cls(
-            deadline=_env_float(env, "REPRO_DEADLINE"),
-            max_solver_queries=_env_int(env, "REPRO_MAX_QUERIES"),
-            max_steps=_env_int(env, "REPRO_MAX_STEPS"),
-            max_branches=_env_int(env, "REPRO_MAX_BRANCHES"),
-        )
+        raw = env.get("REPRO_DEADLINE")
+        if not raw:
+            return cls()
+        try:
+            return cls(deadline=positive_seconds(raw))
+        except ValueError:
+            warnings.warn(
+                f"REPRO_DEADLINE={raw!r} is not a finite, positive number "
+                "of seconds; ignoring it",
+                RuntimeWarning,
+            )
+            return cls()
 
 
-def _env_float(env, key: str) -> Optional[float]:
-    raw = env.get(key)
-    if not raw:
-        return None
+def positive_seconds(value) -> float:
+    """``value`` as a finite, positive number of seconds; raises
+    ``ValueError`` otherwise. A NaN deadline would never fire and a
+    non-positive one would time out every function, so both are
+    refused wherever a deadline enters: ``REPRO_DEADLINE``, the
+    ``reprod.py`` time flags and a daemon request's ``deadline``."""
     try:
-        return float(raw)
-    except ValueError:
-        warnings.warn(
-            f"{key}={raw!r} is not a number; ignoring it", RuntimeWarning
-        )
-        return None
-
-
-def _env_int(env, key: str) -> Optional[int]:
-    raw = env.get(key)
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        warnings.warn(
-            f"{key}={raw!r} is not an integer; ignoring it", RuntimeWarning
-        )
-        return None
+        seconds = float(value)
+    except (OverflowError, ValueError):
+        seconds = math.nan
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"{value!r} is not a finite, positive number of seconds")
+    return seconds
 
 
 class Budget:

@@ -260,7 +260,7 @@ class HybridVerifier:
         self.manual_pure_pre = manual_pure_pre or {}
         self.auto_extract = auto_extract
         #: Per-function budget spec; each function gets a fresh running
-        #: Budget minted from it. Default: the REPRO_* env knobs.
+        #: Budget minted from it. Default: ``REPRO_DEADLINE`` only.
         self.budget = budget if budget is not None else BudgetSpec.from_env()
         #: Persistent proof store; default: the REPRO_CACHE env knobs
         #: (``None`` — no caching — unless ``REPRO_CACHE=1``).

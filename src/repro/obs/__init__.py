@@ -18,15 +18,14 @@ Environment knobs (read once at import):
   gate; plain counters still tick — they are a handful of dict adds);
 * ``REPRO_TRACE=out.json`` — record trace events and write the Chrome
   trace (Perfetto-loadable) to ``out.json`` at process exit and after
-  every ``HybridVerifier.run``;
-* ``REPRO_METRICS=out.json`` — dump the full metrics snapshot as JSON
-  at process exit.
+  every ``HybridVerifier.run``.
+
+Counters are read per run, from the ``HybridReport``.
 """
 
 from __future__ import annotations
 
 import atexit
-import json
 import os
 
 from repro.obs import clock  # noqa: F401  (re-export)
@@ -71,21 +70,10 @@ __all__ = [
     "validate_trace",
 ]
 
-_METRICS_PATH: str | None = None
-_OWNER_PID = os.getpid()
-
-
-def _dump_metrics() -> None:
-    if _METRICS_PATH and os.getpid() == _OWNER_PID:
-        with open(_METRICS_PATH, "w") as fh:
-            json.dump(metrics.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def configure_from_env(environ=os.environ) -> None:
-    """Apply the ``REPRO_OBS`` / ``REPRO_TRACE`` / ``REPRO_METRICS``
-    knobs. Called once at import; callable again in tests."""
-    global _METRICS_PATH
+    """Apply the ``REPRO_OBS`` / ``REPRO_TRACE`` knobs. Called once at
+    import; callable again in tests."""
     if environ.get("REPRO_OBS", "").strip() == "0":
         trace.OFF = True
         return
@@ -93,9 +81,7 @@ def configure_from_env(environ=os.environ) -> None:
     trace_path = environ.get("REPRO_TRACE", "").strip()
     if trace_path:
         trace.enable(trace_path)
-    _METRICS_PATH = environ.get("REPRO_METRICS", "").strip() or None
 
 
 configure_from_env()
 atexit.register(trace.flush)
-atexit.register(_dump_metrics)

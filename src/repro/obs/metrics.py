@@ -7,16 +7,15 @@ reset convention. The registry absorbs them:
 
 * the legacy dicts stay importable (tests and benchmarks keep working
   unchanged) but are *registered* here as named groups, so
-  :meth:`Metrics.reset` is the one reset path — the old
-  ``reset_*_stats`` functions are thin deprecated aliases over
-  ``metrics.reset(group)``;
+  :meth:`Metrics.reset` (``metrics.reset("solver")`` etc.) is the one
+  reset path;
 * new first-class counters / gauges / histograms live directly in the
   registry under dotted names (``tactic.unfolds``,
   ``gillian.consumes``, ``solver.query_seconds``, and the adversary
   layer's ``adversary.*`` family — per-status counts, replay/mutant/
   diff work counters, ``adversary.pass_failures``…);
 * :meth:`Metrics.snapshot` renders everything as one plain-data dict
-  for the bench JSON and ``REPRO_METRICS`` dumps;
+  for the bench JSON;
 * :meth:`Metrics.delta_snapshot` / :meth:`Metrics.merge_delta` are the
   fork-worker protocol: a pool worker snapshots before an item, diffs
   after, and the parent merges the delta so ``jobs=N`` counters are as
@@ -138,8 +137,7 @@ class Metrics:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> dict:
-        """Everything, as one plain-data dict (bench JSON /
-        ``REPRO_METRICS`` shape)."""
+        """Everything, as one plain-data dict (the bench JSON shape)."""
         return {
             "counters": dict(self._counters),
             "gauges": dict(self._gauges),

@@ -5,7 +5,7 @@ term graph, the solver's caches and a hot proof store resident
 across requests, so an edit-verify loop pays for *exactly what
 changed* instead of a cold pipeline start per invocation:
 
-* :mod:`.config`     — ``ServiceConfig`` + the ``REPRO_SERVICE_*`` knobs;
+* :mod:`.config`     — ``ServiceConfig``, set from ``reprod.py``'s flags;
 * :mod:`.protocol`   — newline-delimited JSON request/response framing;
 * :mod:`.corpus`     — the registry of loadable verification corpora;
 * :mod:`.invalidate` — the call-graph-aware incremental re-verification

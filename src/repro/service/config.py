@@ -1,57 +1,38 @@
-"""Service configuration and its ``REPRO_SERVICE_*`` environment knobs.
+"""Service configuration: one :class:`ServiceConfig`, which
+``scripts/reprod.py`` builds from its flags, one per field.
 
-* ``REPRO_SERVICE_SOCKET``        — Unix socket path (default
-  ``.reprod.sock``);
-* ``REPRO_SERVICE_QUEUE``         — admission-queue bound; a submit
-  arriving with the queue full is *shed* with a ``retry_after`` hint
-  instead of growing an unbounded backlog (default 8);
-* ``REPRO_SERVICE_DEADLINE``      — default per-request wall-clock
-  deadline in seconds, inherited into every function's budget
-  (unset = no deadline); a request may tighten it, never loosen it;
-* ``REPRO_SERVICE_DRAIN_TIMEOUT`` — how long a graceful drain waits
-  for the in-flight request before giving up (default 30 s);
-* ``REPRO_SERVICE_WATCHDOG``      — absolute per-request cap in
-  seconds after which a wedged fork pool's workers are killed so the
-  parent's serial retry can finish the request (unset = off).
-
-The per-function budget knobs (``REPRO_DEADLINE`` etc.) and the store
-knobs (``REPRO_CACHE_DIR`` …) keep their existing meanings; the
-service composes with them rather than replacing them.
+Inside the daemon the per-function ``REPRO_DEADLINE`` knob and the
+store's ``REPRO_CACHE_VERIFY`` keep their meanings; the service
+composes with them rather than replacing them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.budget import _env_float, _env_int
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Immutable daemon configuration (fork- and thread-safe)."""
 
+    #: Unix socket path.
     socket: str = ".reprod.sock"
+    #: Admission-queue bound; a submit arriving with the queue full is
+    #: *shed* with a ``retry_after`` hint instead of growing an
+    #: unbounded backlog.
     queue_bound: int = 8
+    #: Default per-request wall-clock deadline in seconds, inherited
+    #: into every function's budget (``None`` = no deadline); a request
+    #: may tighten it, never loosen it.
     deadline: Optional[float] = None
+    #: How long a graceful drain waits for the in-flight request.
     drain_timeout: float = 30.0
+    #: Absolute per-request cap in seconds after which a wedged fork
+    #: pool's workers are killed so the parent's serial retry can
+    #: finish the request (``None`` = off).
     watchdog: Optional[float] = None
     jobs: int = 1
     #: Proof-store root; ``None`` runs without persistence (session
     #: memory still gives warm resubmits, but a restart is cold).
     cache_dir: Optional[str] = None
-
-    @classmethod
-    def from_env(cls, environ: Optional[dict] = None, **overrides) -> "ServiceConfig":
-        env = os.environ if environ is None else environ
-        values = dict(
-            socket=env.get("REPRO_SERVICE_SOCKET") or ".reprod.sock",
-            queue_bound=_env_int(env, "REPRO_SERVICE_QUEUE") or 8,
-            deadline=_env_float(env, "REPRO_SERVICE_DEADLINE"),
-            drain_timeout=_env_float(env, "REPRO_SERVICE_DRAIN_TIMEOUT") or 30.0,
-            watchdog=_env_float(env, "REPRO_SERVICE_WATCHDOG"),
-            cache_dir=env.get("REPRO_CACHE_DIR") or None,
-        )
-        values.update(overrides)
-        return cls(**values)

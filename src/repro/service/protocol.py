@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.budget import positive_seconds
+
 #: One line (request or response) may not exceed this; a client that
 #: sends more is told so and disconnected (framing can't be trusted
 #: past an unterminated oversized line).
@@ -95,11 +97,21 @@ def validate_request(msg: dict) -> Optional[str]:
         return "'params' must be an object"
     if msg.get("contracts") is not None and not isinstance(msg["contracts"], dict):
         return "'contracts' must be an object"
+    # ``bool`` is an ``int`` subclass, and ``json.loads`` parses
+    # ``NaN``/``Infinity``: a NaN deadline would never fire and escape
+    # the daemon's own deadline, so each is refused here.
     deadline = msg.get("deadline")
-    if deadline is not None and not isinstance(deadline, (int, float)):
-        return "'deadline' must be a number of seconds"
+    if deadline is not None:
+        if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
+            return "'deadline' must be a number of seconds"
+        try:
+            positive_seconds(deadline)
+        except ValueError as e:
+            return f"'deadline': {e}"
     jobs = msg.get("jobs")
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+    if jobs is not None and (
+        isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1
+    ):
         return "'jobs' must be a positive integer"
     return None
 

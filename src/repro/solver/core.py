@@ -39,8 +39,8 @@ whose lower bound rose
 (:attr:`~repro.solver.intervals.LinearStore.lens_woken`), in the
 interning order and with the cursor of a scan over every known term,
 so the derivations are the same. The
-cross-query result cache is a bounded LRU (capacity via the
-``REPRO_SOLVER_CACHE`` knob) with hit/miss/eviction counters in
+cross-query result cache is a bounded LRU (capacity
+:data:`DEFAULT_CACHE_CAPACITY`) with hit/miss/eviction counters in
 :attr:`Solver.stats`. Behind it an *alpha memo* of the same capacity
 answers a query that renames an earlier one
 (:func:`~repro.solver.terms.alpha_key`) without a search.
@@ -66,8 +66,6 @@ construction.
 from __future__ import annotations
 
 import enum
-import os
-import warnings
 from collections import OrderedDict
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
@@ -469,11 +467,6 @@ GLOBAL_STATS = metrics.register_legacy(
 )
 
 
-def reset_global_stats() -> None:
-    """Deprecated alias: resets route through the metrics registry."""
-    metrics.reset("solver")
-
-
 def _describe_query(fs: Sequence[Term]) -> str:
     """A short human-readable rendering of a query, for the top-K
     slowest-queries table (computed lazily — only when a query is slow
@@ -486,8 +479,8 @@ def _describe_query(fs: Sequence[Term]) -> str:
     return body if len(body) <= 160 else body[:157] + "..."
 
 
-#: Default LRU capacity when neither the constructor nor the
-#: ``REPRO_SOLVER_CACHE`` knob says otherwise.
+#: LRU capacity of the exact result cache and of the alpha memo,
+#: unless the constructor says otherwise.
 DEFAULT_CACHE_CAPACITY = 16384
 
 #: The search when ``strategy=`` names none: closed path-condition
@@ -501,31 +494,11 @@ DEFAULT_STRATEGY = "prefix_reuse"
 PREFIX_SLOTS = 4
 
 
-def _cache_capacity_from_env(environ: Optional[dict] = None) -> int:
-    env = os.environ if environ is None else environ
-    raw = env.get("REPRO_SOLVER_CACHE")
-    if not raw:
-        return DEFAULT_CACHE_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        capacity = 0
-    if capacity < 1:
-        warnings.warn(
-            f"REPRO_SOLVER_CACHE={raw!r} is not a positive integer; "
-            f"using the default ({DEFAULT_CACHE_CAPACITY})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return DEFAULT_CACHE_CAPACITY
-    return capacity
-
-
 class Solver:
     """Facade: check satisfiability / entailment with caching.
 
     The cross-query result cache is a bounded LRU (``cache_capacity``
-    entries, default from ``REPRO_SOLVER_CACHE``); hit/miss/eviction
+    entries, default :data:`DEFAULT_CACHE_CAPACITY`); hit/miss/eviction
     counters and the configured capacity live in :attr:`stats`.
 
     On an exact miss, a second LRU of the same capacity, the *alpha
@@ -566,12 +539,10 @@ class Solver:
     def __init__(
         self,
         branch_budget: int = 4096,
-        cache_capacity: Optional[int] = None,
+        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         strategy: str = DEFAULT_STRATEGY,
     ) -> None:
         self.branch_budget = branch_budget
-        if cache_capacity is None:
-            cache_capacity = _cache_capacity_from_env()
         self.cache_capacity = cache_capacity
         get_strategy(strategy)  # an unknown name raises now
         self.strategy = strategy

@@ -24,7 +24,6 @@ from repro.store.store import (
     CACHEABLE_STATUSES,
     STORE_STATS,
     ProofStore,
-    reset_store_stats,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "canon",
     "function_fingerprint",
     "logic_digest",
-    "reset_store_stats",
 ]

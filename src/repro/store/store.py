@@ -102,11 +102,6 @@ STORE_STATS = metrics.register_legacy(
 )
 
 
-def reset_store_stats() -> None:
-    """Deprecated alias: resets route through the metrics registry."""
-    metrics.reset("store")
-
-
 class ProofStore:
     """One cache root; safe to share between a parent and its forked
     pool workers (publishes are atomic and idempotent, journal appends

@@ -5,9 +5,9 @@ import pytest
 
 from repro.obs import metrics as metrics_mod
 from repro.obs.metrics import Metrics, metrics
-from repro.parallel import PARALLEL_STATS, reset_parallel_stats
-from repro.solver.core import GLOBAL_STATS, reset_global_stats
-from repro.store.store import STORE_STATS, reset_store_stats
+from repro.parallel import PARALLEL_STATS
+from repro.solver.core import GLOBAL_STATS
+from repro.store.store import STORE_STATS
 
 
 class TestInstruments:
@@ -31,7 +31,7 @@ class TestInstruments:
 
 class TestLegacyGroups:
     """The four historical stats dicts are absorbed as named groups;
-    the old ``reset_*_stats`` functions are thin aliases."""
+    ``metrics.reset(group)`` is the one way to zero one."""
 
     def test_groups_registered(self):
         groups = metrics.snapshot()["groups"]
@@ -43,13 +43,13 @@ class TestLegacyGroups:
         metrics.reset("solver")
         assert GLOBAL_STATS["checks"] == 0
 
-    def test_deprecated_aliases_route_through_registry(self):
+    def test_each_group_reset_zeroes_its_dict(self):
         GLOBAL_STATS["checks"] += 1
         PARALLEL_STATS["fanouts"] += 1
         STORE_STATS["hits"] += 1
-        reset_global_stats()
-        reset_parallel_stats()
-        reset_store_stats()
+        metrics.reset("solver")
+        metrics.reset("parallel")
+        metrics.reset("store")
         assert GLOBAL_STATS["checks"] == 0
         assert PARALLEL_STATS["fanouts"] == 0
         assert STORE_STATS["hits"] == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.budget import Budget, BudgetSpec
+from repro.budget import Budget, BudgetSpec, positive_seconds
 from repro.errors import BudgetExhausted
 
 
@@ -112,26 +112,41 @@ class TestSpec:
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEADLINE", "2.5")
+        # The other three axes have no knob: these are ignored.
         monkeypatch.setenv("REPRO_MAX_QUERIES", "100")
         monkeypatch.setenv("REPRO_MAX_STEPS", "200")
         monkeypatch.setenv("REPRO_MAX_BRANCHES", "300")
-        spec = BudgetSpec.from_env()
-        assert spec == BudgetSpec(2.5, 100, 200, 300)
+        assert BudgetSpec.from_env() == BudgetSpec(deadline=2.5)
 
     def test_from_env_empty(self, monkeypatch):
-        for k in (
-            "REPRO_DEADLINE",
-            "REPRO_MAX_QUERIES",
-            "REPRO_MAX_STEPS",
-            "REPRO_MAX_BRANCHES",
-        ):
-            monkeypatch.delenv(k, raising=False)
+        monkeypatch.delenv("REPRO_DEADLINE", raising=False)
         assert not BudgetSpec.from_env()
+        assert not BudgetSpec.from_env({"REPRO_DEADLINE": ""})
 
     def test_from_env_garbage_warns_and_ignores(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEADLINE", "soon")
-        monkeypatch.setenv("REPRO_MAX_STEPS", "many")
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="REPRO_DEADLINE"):
             spec = BudgetSpec.from_env()
         assert spec.deadline is None
-        assert spec.max_steps is None
+
+    @pytest.mark.parametrize(
+        "raw", ["nan", "NaN", "inf", "-inf", "0", "0.0", "-1", "-0.5"]
+    )
+    def test_from_env_non_positive_or_non_finite_warns_and_ignores(self, raw):
+        with pytest.warns(RuntimeWarning, match="REPRO_DEADLINE"):
+            spec = BudgetSpec.from_env({"REPRO_DEADLINE": raw})
+        assert spec.deadline is None
+        assert not spec
+
+
+class TestPositiveSeconds:
+    @pytest.mark.parametrize("raw", ["2.5", 2.5, 3, "1e-3"])
+    def test_accepts_finite_positive(self, raw):
+        assert positive_seconds(raw) == float(raw)
+
+    @pytest.mark.parametrize(
+        "raw", ["nan", float("nan"), "inf", float("inf"), "0", 0, -1, "-2", "soon", ""]
+    )
+    def test_rejects_the_rest(self, raw):
+        with pytest.raises(ValueError):
+            positive_seconds(raw)

@@ -11,13 +11,13 @@ import pytest
 import repro.parallel as parallel
 from repro import faultinject
 from repro.errors import WorkerCrashed
+from repro.obs.metrics import metrics
 from repro.parallel import (
     PARALLEL_STATS,
     cgroup_cpu_quota,
     default_jobs,
     fanout,
     fork_available,
-    reset_parallel_stats,
 )
 
 needs_fork = pytest.mark.skipif(
@@ -96,7 +96,7 @@ class TestSerialPath:
 @needs_fork
 class TestPoolPath:
     def test_worker_exception_does_not_lose_siblings(self):
-        reset_parallel_stats()
+        metrics.reset("parallel")
         out = fanout(
             fail_on_three, None, [1, 2, 3, 4, 5], jobs=2,
             on_error=lambda item, exc: ("failed", item),
@@ -121,7 +121,7 @@ class TestPoolPath:
 
     def test_raising_item_maps_through_on_error(self):
         # on_error sees the worker's own exception, message intact.
-        reset_parallel_stats()
+        metrics.reset("parallel")
         out = fanout(
             fail_on_three, None, [1, 2, 3], jobs=2,
             on_error=lambda item, exc: f"degraded:{item}:{exc}",
@@ -132,7 +132,7 @@ class TestPoolPath:
     def test_without_on_error_first_failure_reraises_after_drain(self):
         # Both failures are drained; the one earliest in item order
         # is the one re-raised.
-        reset_parallel_stats()
+        metrics.reset("parallel")
         with pytest.raises(ValueError, match="cannot process 1"):
             fanout(fail_on_odd, None, [0, 1, 2, 3], jobs=2)
         assert PARALLEL_STATS["worker_failures"] == 2
@@ -140,7 +140,7 @@ class TestPoolPath:
     def test_killed_worker_recovers_via_parent_retry(self):
         # The crash rule fires in workers only; the parent's serial
         # retry (where it never fires) recovers the lost item.
-        reset_parallel_stats()
+        metrics.reset("parallel")
         faultinject.install("parallel.worker@3:crash")
         out = fanout(double, None, list(range(6)), jobs=2)
         assert out == [i * 2 for i in range(6)]
@@ -149,7 +149,7 @@ class TestPoolPath:
 
     def test_crashed_item_recovers_in_parent(self):
         # A crash the parent's retry recovers never reaches on_error.
-        reset_parallel_stats()
+        metrics.reset("parallel")
         faultinject.install("parallel.worker@2:crash::100")
         seen = []
         out = fanout(
@@ -165,7 +165,7 @@ class TestPoolPath:
         """os._exit(1) in a worker breaks the pool; the affected items
         re-run serially in the parent (where the guard in the worker fn
         keeps them alive) and the full result set comes back."""
-        reset_parallel_stats()
+        metrics.reset("parallel")
         out = fanout(exit_on_three, None, [1, 2, 3, 4, 5], jobs=2)
         assert out == [2, 4, 6, 8, 10]
         assert PARALLEL_STATS["broken_pools"] == 1
@@ -174,7 +174,7 @@ class TestPoolPath:
     def test_all_workers_crashing_completes(self):
         # The crash rule fires in workers only, on every item: the pool
         # breaks once, and the parent's serial retry finishes the batch.
-        reset_parallel_stats()
+        metrics.reset("parallel")
         faultinject.install("parallel.worker:crash::100")
         out = fanout(double, None, [0, 1, 2, 3], jobs=2)
         assert out == [0, 2, 4, 6]
@@ -182,7 +182,7 @@ class TestPoolPath:
         assert PARALLEL_STATS["serial_retries"] >= 1
 
     def test_unrecoverable_item_is_worker_crashed(self):
-        reset_parallel_stats()
+        metrics.reset("parallel")
         seen = {}
 
         def on_error(item, exc):
@@ -197,7 +197,7 @@ class TestPoolPath:
         assert PARALLEL_STATS["broken_pools"] == 1
 
     def test_reentrant_fanout_degrades_to_serial(self):
-        reset_parallel_stats()
+        metrics.reset("parallel")
         parallel._ACTIVE = True
         try:
             out = fanout(double, None, [1, 2, 3], jobs=4)

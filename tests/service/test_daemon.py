@@ -66,6 +66,25 @@ class TestMalformedInput:
             r = c.request({"op": "explode"})
             assert r["error"] == "bad-request" and "op must be" in r["message"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline", float("nan")),  # sent as the JSON token NaN
+            ("deadline", -5),
+            ("deadline", True),
+            ("jobs", True),
+        ],
+    )
+    def test_bad_deadline_or_jobs_is_a_bad_request(
+        self, local_daemon, field, value
+    ):
+        d = local_daemon(deadline=30.0)
+        with ServiceClient(d.config.socket) as c:
+            r = c.request({"op": "submit", "corpus": "demo", field: value})
+            assert not r["ok"] and r["error"] == "bad-request"
+            assert field in r["message"]
+            assert c.status()["sessions"] == {}  # nothing was verified
+
     def test_unknown_corpus(self, local_daemon):
         d = local_daemon()
         with ServiceClient(d.config.socket) as c:

@@ -61,6 +61,31 @@ class TestValidate:
         )
         assert "jobs" in protocol.validate_request({**base, "jobs": 0})
 
+    @pytest.mark.parametrize(
+        "deadline", [float("nan"), float("inf"), -5, -0.5, 0, 0.0, True, False]
+    )
+    def test_deadline_must_be_finite_positive_seconds(self, deadline):
+        msg = {"op": "submit", "corpus": "demo", "deadline": deadline}
+        assert "deadline" in protocol.validate_request(msg)
+
+    def test_nan_deadline_off_the_wire_is_refused(self):
+        msg = protocol.decode(b'{"op":"submit","corpus":"demo","deadline":NaN}')
+        assert "deadline" in protocol.validate_request(msg)
+        msg = protocol.decode(
+            b'{"op":"submit","corpus":"demo","deadline":Infinity}'
+        )
+        assert "deadline" in protocol.validate_request(msg)
+
+    @pytest.mark.parametrize("jobs", [True, False, 1.5, -1])
+    def test_jobs_must_be_a_positive_int_not_a_bool(self, jobs):
+        msg = {"op": "submit", "corpus": "demo", "jobs": jobs}
+        assert "jobs" in protocol.validate_request(msg)
+
+    def test_good_deadline_and_jobs_pass(self):
+        msg = {"op": "submit", "corpus": "demo", "deadline": 2.5, "jobs": 2}
+        assert protocol.validate_request(msg) is None
+        assert protocol.validate_request({**msg, "deadline": 3}) is None
+
     def test_error_response_shapes(self):
         r = protocol.error_response(
             "overloaded", "full", {"id": "r9"}, retry_after=0.2

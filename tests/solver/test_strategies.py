@@ -363,23 +363,13 @@ class TestStrategyKnob:
 
 
 class TestCacheKnob:
-    def test_env_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "3")
-        s = Solver()
-        assert s.cache_capacity == 3
-        assert s.stats["cache_capacity"] == 3
+    """The capacity is a constructor argument; no environment knob."""
 
     def test_default_capacity(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER_CACHE", raising=False)
-        assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
-
-    def test_invalid_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "zero")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
-        monkeypatch.setenv("REPRO_SOLVER_CACHE", "-5")
-        with pytest.warns(RuntimeWarning):
-            assert Solver().cache_capacity == DEFAULT_CACHE_CAPACITY
+        monkeypatch.setenv("REPRO_SOLVER_CACHE", "3")  # ignored
+        s = Solver()
+        assert s.cache_capacity == DEFAULT_CACHE_CAPACITY
+        assert s.stats["cache_capacity"] == DEFAULT_CACHE_CAPACITY
 
     def test_lru_evicts_at_capacity(self):
         s = Solver(cache_capacity=2)
