@@ -8,7 +8,8 @@ Usage::
 
 Every daemon setting is one of the flags below. The store root comes
 only from ``--cache-dir``; without it the daemon keeps no persistent
-store. The time flags take a finite, positive number of seconds.
+store. The time flags take a finite, positive number of seconds;
+``--jobs`` and ``--queue-bound`` take a positive integer.
 
 Starts the daemon, prints one readiness line (``reprod listening on
 <socket> pid <pid>``) and serves until a ``drain``/``shutdown``
@@ -31,13 +32,21 @@ from repro.service.config import ServiceConfig  # noqa: E402
 from repro.service.daemon import VerifierDaemon  # noqa: E402
 
 
+def positive_int(value: str) -> int:
+    """A flag value that must be an integer of at least 1."""
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+    return n
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--socket", default=None,
                     help="Unix socket path (default .reprod.sock)")
-    ap.add_argument("--jobs", type=int, default=None,
+    ap.add_argument("--jobs", type=positive_int, default=None,
                     help="default pool width (default 1)")
-    ap.add_argument("--queue-bound", type=int, default=None,
+    ap.add_argument("--queue-bound", type=positive_int, default=None,
                     help="admission queue bound; shed beyond it (default 8)")
     ap.add_argument("--deadline", type=positive_seconds, default=None,
                     help="default per-request deadline in seconds (default none)")
@@ -52,8 +61,6 @@ def main() -> int:
 
     # Each flag is named after the ServiceConfig field it sets.
     overrides = {k: v for k, v in vars(args).items() if v is not None}
-    if "jobs" in overrides:
-        overrides["jobs"] = max(1, overrides["jobs"])
     config = ServiceConfig(**overrides)
 
     daemon = VerifierDaemon(config)

@@ -51,7 +51,7 @@ class TacticError(Exception):
 
 @dataclass
 class TacticStats:
-    """Counts of automation steps — used by the E9 ablation bench."""
+    """Counts of automation steps (the E9 ablation pins them)."""
 
     unfolds: int = 0
     folds: int = 0

@@ -19,7 +19,7 @@ The same renderers back two front ends:
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 from repro.obs.trace import TOPLEVEL
 
@@ -230,20 +230,3 @@ def profile_from_trace(doc: dict) -> tuple[dict, list[dict], dict]:
             )
     queries.sort(key=lambda q: q["seconds"], reverse=True)
     return phases, queries, counters
-
-
-def metrics_summary(snapshot: dict) -> dict:
-    """Reduce a :meth:`Metrics.snapshot` to the bench-JSON payload:
-    counters plus legacy group dicts (histograms summarised, gauges
-    as-is)."""
-    out: dict[str, Any] = {
-        "counters": dict(snapshot.get("counters", {})),
-        "groups": {g: dict(d) for g, d in snapshot.get("groups", {}).items()},
-    }
-    hists = snapshot.get("histograms", {})
-    if hists:
-        out["histograms"] = {k: dict(h) for k, h in hists.items()}
-    gauges = snapshot.get("gauges", {})
-    if gauges:
-        out["gauges"] = dict(gauges)
-    return out

@@ -61,8 +61,8 @@ _PAYLOAD = None
 #: True while a pool is live; guards ``_PAYLOAD`` against re-entrancy.
 _ACTIVE = False
 
-#: Fault/retry counters, surfaced in BENCH json next to the solver
-#: stats so a degraded benchmark run is visible in the record.
+#: Fault/retry counters, surfaced in ``HybridReport.render()`` and
+#: perfbench's per-layer metrics so a degraded run is visible.
 PARALLEL_STATS = metrics.register_legacy(
     "parallel",
     {
@@ -112,14 +112,17 @@ def default_jobs() -> int:
     env = os.environ.get("REPRO_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            warnings.warn(
-                f"REPRO_JOBS={env!r} is not an integer; "
-                "falling back to the CPU count",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+            jobs = 0
+        if jobs > 0:
+            return jobs
+        warnings.warn(
+            f"REPRO_JOBS={env!r} is not a positive integer; "
+            "falling back to the CPU count",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     cpus = os.cpu_count() or 1
     quota = cgroup_cpu_quota()
     return min(cpus, quota) if quota else cpus

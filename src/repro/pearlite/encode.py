@@ -21,7 +21,7 @@ observations" rule: a requires-clause that does not depend on
 prophetic information (no ``^``) is also added as a *pure*
 precondition, making it available to overflow checks without manual
 intervention — the paper leaves this automation as future work; we
-provide it behind a flag (and the E8 bench compares all three modes).
+provide it behind a flag (the E8 tests cover all three modes).
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ class VerifierDaemon:
         self.budget = budget
         self.sessions: dict[str, ServiceSession] = {}
         self.queue: "queue.Queue[_Pending]" = queue.Queue(
-            maxsize=max(1, config.queue_bound)
+            maxsize=config.queue_bound
         )
         self.draining = threading.Event()
         self.drain_reason = ""

@@ -75,8 +75,8 @@ from repro.store.journal import Journal
 CACHEABLE_STATUSES = ("verified", "refuted")
 
 #: Aggregate counters (like PARALLEL_STATS): surfaced in
-#: ``HybridReport.render()`` and the bench JSON. All zero on a run that
-#: never touched a store.
+#: ``HybridReport.render()``. All zero on a run that never touched a
+#: store.
 #: Registered with the metrics registry as group ``"store"`` but
 #: *excluded* from the fork-worker delta merge (``delta=False``): the
 #: parent already credits worker publishes through

@@ -310,11 +310,33 @@ class TestLaidOut:
         p = ptr_offset(base, U64, k)
         outs = heap.store(p, U64, intlit(99), vctx)
         good = ok(outs)
+        # Fig. 5 right: three pieces — values, the written cell, uninit.
+        assert len(good[0].heap.allocs[base].entries) == 3
         # After the write, reading back at k yields the value.
         for o in good:
             rctx = vctx.with_facts(o.facts)
             [ld] = [x for x in o.heap.load(p, U64, rctx) if x.error is None]
             assert ld.value == intlit(99)
+
+    @pytest.mark.parametrize("pushes", [1, 2, 4, 8])
+    def test_consecutive_pushes_grow_linearly(self, ctx, registry, pushes):
+        """Pushes at k, k+1, ... add at most one entry each: no
+        quadratic re-splitting."""
+        k = Var("k", INT)
+        n = Var("n", INT)
+        pc = (
+            le(intlit(0), k),
+            lt(add(k, intlit(pushes - 1)), n),
+            eq(seq_len(Var("vals", SeqSort(INT))), k),
+        )
+        vctx = HeapCtx(registry, ctx.solver, pc)
+        heap, base, _ = self._vec_heap(vctx, k, n)
+        for i in range(pushes):
+            p = ptr_offset(base, U64, add(k, intlit(i)))
+            out = ok(heap.store(p, U64, intlit(i), vctx))[0]
+            heap = out.heap
+            vctx = vctx.with_facts(out.facts)
+        assert len(heap.allocs[base].entries) <= 2 + pushes
 
     def test_read_uninit_region_is_ub(self, ctx, registry):
         k = Var("k", INT)

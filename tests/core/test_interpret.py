@@ -75,14 +75,15 @@ class TestFig4:
         assert len(images) > 1  # the point of Fig. 4
 
     def test_every_strategy_covers_all_value_bytes(self, registry):
-        # Layout independence: all 12 value bytes appear under every
-        # strategy, only their positions move.
+        # Layout independence: all 12 value bytes and 4 padding bytes
+        # appear under every strategy, only their positions move.
         node, x, y = fig4_node()
         expected = {SymByte(x, i) for i in range(4)} | {SymByte(y, i) for i in range(8)}
         for s in ALL_STRATEGIES:
             image = interpret_node(node, LayoutEngine(registry, s))
             got = {b for b in image if isinstance(b, SymByte)}
             assert got == expected
+            assert sum(1 for b in image if b is PAD) == 4
 
 
 class TestConcreteValues:

@@ -31,19 +31,23 @@ class TestProducers:
         assert not out.inconsistent
 
     def test_produce_adds_fractions(self, solver):
-        # Lft-Produce-Alive-Add: [κ]_q * [κ]_q' => [κ]_{q+q'}.
+        # Lft-Produce-Alive-Add: [κ]_q * [κ]_q' => [κ]_{q+q'}, and
+        # LftL-tok-fract over a run of splits and merges.
         ctx = LifetimeCtx().new_lifetime(k1)
-        ctx = ctx.consume_alive(k1, q("1/2"), solver, ()).ctx
-        out = ctx.produce_alive(k1, q("1/2"), solver, ())
-        frac = out.ctx.held_fraction(k1, solver, ())
-        assert solver.entails([], eq(frac, q(1)))
+        for d in range(2, 12):
+            ctx = ctx.consume_alive(k1, q(f"1/{d}"), solver, ()).ctx
+            ctx = ctx.produce_alive(k1, q(f"1/{d}"), solver, ()).ctx
+            frac = ctx.held_fraction(k1, solver, ())
+            assert solver.entails([], eq(frac, q(1)))
 
     def test_produce_alive_over_dead_vanishes(self, solver):
-        # LftL-not-own-end via Lft-Produce-Own-End.
-        ctx = LifetimeCtx().new_lifetime(k1)
-        ctx = ctx.end_lifetime(k1, solver, ()).ctx
-        out = ctx.produce_alive(k1, q("1/2"), solver, ())
-        assert out.inconsistent
+        # LftL-not-own-end via Lft-Produce-Own-End, whether κ was
+        # ended here or its dead token was produced.
+        ended = LifetimeCtx().new_lifetime(k1).end_lifetime(k1, solver, ()).ctx
+        produced = LifetimeCtx().produce_dead(k1, solver, ()).ctx
+        for ctx in (ended, produced):
+            out = ctx.produce_alive(k1, q("1/2"), solver, ())
+            assert out.inconsistent
 
     def test_produce_dead_idempotent(self, solver):
         # LftL-end-persist: the producer is idempotent.
@@ -97,6 +101,14 @@ class TestConsumers:
         assert out.fraction is not None
         held = out.ctx.held_fraction(k1, solver, ())
         assert solver.entails([], eq(held, q("1/2")))
+
+    def test_open_close_churn_restores_token(self, solver):
+        # A gunfold/gfold cycle takes half the token and gives it back.
+        ctx = LifetimeCtx().new_lifetime(k1)
+        for _ in range(100):
+            out = ctx.consume_alive_any(k1, solver, ())
+            ctx = out.ctx.produce_alive(k1, out.fraction, solver, ()).ctx
+        assert solver.entails([], eq(ctx.held_fraction(k1, solver, ()), q(1)))
 
     def test_nested_opens_always_possible(self, solver):
         # consume_alive_any never exhausts the token.

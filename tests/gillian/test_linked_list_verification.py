@@ -1,14 +1,19 @@
 """End-to-end verification of the LinkedList module — the paper's §6
-evaluation as a test suite (experiments E1 and E2), plus negative
+evaluation as a test suite (experiments E1 and E2, the §7.3 observation
+ablation E8 and the §4.2 guarded-predicate ablation E9), plus negative
 controls ensuring the verifier rejects genuinely broken code."""
 
 import pytest
 
 import repro.rustlib.linked_list as ll
+from repro.gillian.matcher import TacticStats
 from repro.gillian.verifier import verify_function
 from repro.gilsonite.specs import show_safety_spec
 from repro.lang.builder import BodyBuilder
 from repro.lang.types import USIZE, RefTy, option_ty
+from repro.pearlite.encode import PearliteEncoder
+from repro.pearlite.parser import parse_pearlite
+from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
 from repro.rustlib.linked_list import build_program
 from repro.rustlib.specs import (
     functional_new,
@@ -32,6 +37,23 @@ E1_FUNCTIONS = [
     "LinkedList::pop_front",
     "LinkedList::front_mut",
 ]
+
+E2_FUNCTIONS = [
+    "LinkedList::new",
+    "LinkedList::push_front_node",
+    "LinkedList::pop_front_node",
+]
+
+
+def _encoded(program, ownables, name, manual=True):
+    """The §5.4 encoding of ``name``'s Pearlite contract, with its
+    manually extracted pure preconditions unless ``manual`` is off."""
+    pure = MANUAL_PURE_PRECONDITIONS.get(name, []) if manual else []
+    return PearliteEncoder(ownables).encode_contract(
+        program.bodies[name],
+        LINKED_LIST_CONTRACTS[name],
+        manual_pure_pre=[parse_pearlite(p) for p in pure],
+    )
 
 
 class TestTypeSafetyE1:
@@ -102,19 +124,80 @@ class TestFunctionalCorrectnessE2:
         )
         assert r.ok, [str(i) for i in r.issues]
 
+    @pytest.mark.parametrize("name", E2_FUNCTIONS)
+    def test_encoded_contract(self, env, name):
+        """The same table through the §5.4 encoding of the Pearlite
+        contracts, with the manually extracted pure preconditions."""
+        program, ownables, solver = env
+        r = verify_function(
+            program, program.bodies[name], _encoded(program, ownables, name), solver
+        )
+        assert r.ok, [str(i) for i in r.issues]
+
+    def test_front_mut_has_no_functional_contract(self):
+        """§7.1: front_mut's functional spec needs borrow extraction
+        with prophecies, which neither the paper nor we implement."""
+        assert LINKED_LIST_CONTRACTS["LinkedList::front_mut"] == {}
+
     def test_push_front_node_needs_extracted_precondition(self, env):
         """§7.3 / E8: without manually extracting the len < usize::MAX
         precondition from its observation, the overflow obligation
-        cannot be discharged."""
+        cannot be discharged — whether the spec is built by hand or
+        encoded from the Pearlite contract."""
         program, ownables, solver = env
-        spec = functional_push_front_node(
-            program, ownables, with_extracted_precondition=False
-        )
+        name = "LinkedList::push_front_node"
+        for spec in (
+            functional_push_front_node(
+                program, ownables, with_extracted_precondition=False
+            ),
+            _encoded(program, ownables, name, manual=False),
+        ):
+            r = verify_function(program, program.bodies[name], spec, solver)
+            assert not r.ok
+            assert any("panic" in str(i) for i in r.issues)
+
+
+class TestGuardedPredicateAutomationE9:
+    """§4.2: the fold/unfold heuristics open and close the guarded
+    borrows on their own. The counts are the steps a VeriFast-style
+    tool would need as manual ghost annotations."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            # (unfolds, gunfolds, gfolds, auto_updates)
+            ("LinkedList::push_front_node", (8, 1, 2, 2)),
+            ("LinkedList::pop_front_node", (4, 1, 3, 3)),
+        ],
+    )
+    def test_automation_counts(self, env, name, expected):
+        program, _, _ = env
+        stats = TacticStats()
         r = verify_function(
-            program, program.bodies["LinkedList::push_front_node"], spec, solver
+            program, program.bodies[name], program.specs[name], Solver(),
+            stats=stats,
         )
-        assert not r.ok
-        assert any("panic" in str(i) for i in r.issues)
+        assert r.ok, [str(i) for i in r.issues]
+        got = (stats.unfolds, stats.gunfolds, stats.gfolds, stats.auto_updates)
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "name, ok",
+        [
+            ("LinkedList::new", True),  # touches no borrow
+            ("LinkedList::push_front_node", False),
+            ("LinkedList::pop_front_node", False),
+        ],
+    )
+    def test_without_automation(self, env, name, ok):
+        """With the repair heuristics off, the borrow-opening proofs
+        fail: the automation is load-bearing."""
+        program, _, _ = env
+        r = verify_function(
+            program, program.bodies[name], program.specs[name], Solver(),
+            auto_repair=False,
+        )
+        assert r.ok == ok
 
 
 class TestNegativeControls:

@@ -38,11 +38,36 @@ def client_body():
     return fn.finish()
 
 
+def lifo_client_body():
+    """Push x, push y, pop: the popped value must be y."""
+    fn = BodyBuilder(
+        "client::push_push_pop", params=[("x", T), ("y", T)],
+        ret=option_ty(T), generics=("T",), is_safe=True,
+    )
+    bbs = [fn.block() if i == 0 else fn.block(f"bb{i}") for i in range(5)]
+    l = fn.local("l", LIST)
+    bbs[0].call(l, "LinkedList::new", [], bbs[1])
+    for i, arg in ((1, "x"), (2, "y")):
+        r = fn.local(f"r{i}", MUT_LIST)
+        bbs[i].assign(r, fn.ref("l", mutable=True))
+        u = fn.local(f"u{i}", UNIT)
+        bbs[i].call(u, "LinkedList::push_front", [fn.move(r), fn.copy(arg)], bbs[i + 1])
+    r3 = fn.local("r3", MUT_LIST)
+    bbs[3].assign(r3, fn.ref("l", mutable=True))
+    o = fn.local("o", option_ty(T))
+    bbs[3].call(o, "LinkedList::pop_front", [fn.move(r3)], bbs[4])
+    bbs[4].ghost_assert("match o { None => false, Some(v) => v == y }")
+    bbs[4].assign(fn.ret_place, fn.copy("o"))
+    bbs[4].ret()
+    return fn.finish()
+
+
 @pytest.fixture(scope="module")
 def env():
     program, ownables = build_program()
     install_callee_specs(program, ownables)
     program.add_body(client_body())
+    program.add_body(lifo_client_body())
     return program, ownables
 
 
@@ -53,10 +78,11 @@ class TestDispatch:
             program, ownables, LINKED_LIST_CONTRACTS,
             manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
         )
-        entries = hv.verify_one("client::push_pop")
-        assert len(entries) == 1
-        assert entries[0].half == "creusot"
-        assert entries[0].ok, str(entries[0].detail.issues)
+        for client in ("client::push_pop", "client::push_push_pop"):
+            entries = hv.verify_one(client)
+            assert len(entries) == 1
+            assert entries[0].half == "creusot"
+            assert entries[0].ok, str(entries[0].detail.issues)
 
     def test_unsafe_body_goes_to_gillian(self, env):
         program, ownables = env

@@ -18,15 +18,11 @@ class TestInstruments:
         assert m.counter("a") == 3
         assert m.counter("missing") == 0
 
-    def test_gauges_and_histograms(self):
+    def test_gauges(self):
         m = Metrics()
         m.gauge("g", 1.5)
-        m.observe("h", 2.0)
-        m.observe("h", 4.0)
-        snap = m.snapshot()
-        assert snap["gauges"]["g"] == 1.5
-        h = snap["histograms"]["h"]
-        assert h == {"count": 2, "total": 6.0, "min": 2.0, "max": 4.0}
+        m.gauge("g", 2.5)
+        assert m.snapshot()["gauges"] == {"g": 2.5}
 
 
 class TestLegacyGroups:

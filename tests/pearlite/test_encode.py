@@ -121,18 +121,23 @@ class TestContractEncoding:
                 ]
             },
         )
-        # Pre: token * ownership of self with a named repr.
+        # Pre: token * ownership of self with a named repr; no
+        # observation, since there is no requires clause.
         pre_parts = list(iter_parts(spec.pre))
-        assert any(isinstance(p, AliveLft) for p in pre_parts)
+        assert sum(isinstance(p, AliveLft) for p in pre_parts) == 1
         own_parts = [p for p in pre_parts if isinstance(p, Pred)]
-        assert own_parts and own_parts[0].name.startswith("own:&")
-        # Post: ∃m_ret. ownership of result * the observation.
+        assert len(own_parts) == 1 and own_parts[0].name.startswith("own:&")
+        assert not any(isinstance(p, Observation) for p in pre_parts)
+        # Post: token * ∃m_ret. ownership of result * the observation.
         post_parts = list(iter_parts(spec.post))
+        assert sum(isinstance(p, AliveLft) for p in post_parts) == 1
         ex = [p for p in post_parts if isinstance(p, Exists)]
-        assert ex, "post must quantify the result repr"
+        assert len(ex) == 1, "post must quantify the result repr once"
         inner = list(iter_parts(ex[0].body))
         assert any(isinstance(p, Observation) for p in inner)
         assert any(isinstance(p, Pred) and p.name.startswith("own:Option") for p in inner)
+        # The forall row: the lifetime plus one repr value per parameter.
+        assert len(spec.forall) == 1 + len(body.params)
 
     def test_requires_becomes_observation(self, env):
         program, ownables, enc = env

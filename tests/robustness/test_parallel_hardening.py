@@ -225,9 +225,12 @@ class TestDefaultJobs:
         with pytest.warns(RuntimeWarning, match="'lots'"):
             assert default_jobs() == (os.cpu_count() or 1)
 
-    def test_zero_clamps_to_one(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        assert default_jobs() == 1
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_env_warns(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
+        with pytest.warns(RuntimeWarning, match="not a positive integer"):
+            assert default_jobs() == (os.cpu_count() or 1)
 
     def test_unset_uses_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)

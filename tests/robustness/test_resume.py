@@ -21,6 +21,7 @@ from repro.hybrid.pipeline import HybridVerifier
 from repro.lang.mir import Program
 from repro.parallel import fork_available
 from repro.store import ProofStore
+from repro.store.journal import Journal
 
 from tests.robustness.conftest import FAST_FNS, _fast_body, fingerprint
 
@@ -52,11 +53,10 @@ def run_victim(env, store_root, jobs):
     return p
 
 
-def entry_count(store_root):
-    entries = store_root / "entries"
-    if not entries.exists():
-        return 0
-    return sum(1 for _ in entries.glob("*/*.json"))
+def journaled_entries(store_root):
+    """Entries whose journal record is written: a publish renames the
+    entry file into place first and appends its record after."""
+    return len(Journal(store_root / "journal.jsonl").completed_fingerprints())
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -111,9 +111,9 @@ def test_sigkill_during_publish_resumes(tmp_path):
     faultinject.install("store.write@fn2:delay:30")
     p = run_victim(env, tmp_path, jobs=1)
     deadline = time.monotonic() + 60
-    while entry_count(tmp_path) < 2 and time.monotonic() < deadline:
+    while journaled_entries(tmp_path) < 2 and time.monotonic() < deadline:
         time.sleep(0.02)
-    assert entry_count(tmp_path) >= 2
+    assert journaled_entries(tmp_path) >= 2
     os.kill(p.pid, signal.SIGKILL)
     p.join(timeout=60)
     assert p.exitcode == -signal.SIGKILL
