@@ -15,8 +15,9 @@ Starts the daemon, prints one readiness line (``reprod listening on
 <socket> pid <pid>``) and serves until a ``drain``/``shutdown``
 request or SIGTERM/SIGINT, both of which drain gracefully: the
 in-flight request finishes its current chunk, everything never
-dispatched is journaled as the resume set, the journal is compacted,
-and the process exits 0. See ``src/repro/service/``.
+dispatched is answered as ``drained`` (it publishes nothing, so the
+next daemon over the same store re-verifies it), and the process
+exits 0. See ``src/repro/service/``.
 """
 
 import argparse

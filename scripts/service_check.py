@@ -6,16 +6,21 @@ socket and asserts the service's acceptance criteria:
 1. **warm resubmission is free** — the second submit of an unchanged
    corpus re-verifies zero functions and skips program setup entirely
    (no ``service.parse`` / ``service.logic`` phase spans);
-2. **contract edits re-verify exactly the transitive cone** — editing
-   ``demo::leaf``'s contract re-verifies ``leaf``, its direct caller
-   ``mid`` and its transitive caller ``top`` (forced past the store),
-   while the unrelated ``side`` is reused;
+2. **contract edits re-verify exactly the moved fingerprints, and
+   nothing goes stale** — editing ``demo::leaf``'s contract
+   re-verifies exactly the functions whose fingerprints moved
+   (``leaf`` and its direct caller ``mid``) and reuses the rest; an
+   edit that ``mid`` can no longer meet turns the response
+   ``refuted``; and after every edit the daemon's per-function
+   statuses equal those of a fresh store-less ``HybridVerifier.run``
+   under the same contracts;
 3. **worker crashes degrade, never kill the daemon** — with
    ``parallel.worker@leaf:crash`` injected at ``jobs=2``, the request
    completes (parent-side serial retry) and ``health`` still answers;
 4. **SIGTERM drains and a restart resumes** — the daemon exits 0,
-   journals what it never got to, and a restarted daemon over the same
-   store re-verifies exactly the drained remainder;
+   answers what it never got to as ``drained``, and a restarted daemon
+   over the same store misses on exactly the drained remainder and
+   answers the finished half from the store;
 5. **the daemon and the CLI agree** — the ``demo`` and ``linked_list``
    corpora through a daemon at ``--jobs 1`` and ``--jobs 2``, on a cold
    store and again after a restart on the warm one, give the same
@@ -39,7 +44,6 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.hybrid.pipeline import HybridVerifier, entries_status  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 from repro.service.corpus import load_corpus  # noqa: E402
-from repro.store import ProofStore  # noqa: E402
 
 
 def fail(msg: str) -> None:
@@ -102,19 +106,30 @@ def check_incremental(root: pathlib.Path) -> None:
                 fail(f"warm resubmit paid program setup: {leaked}")
             print(f"  warm resubmit: 0 re-verified, phases={sorted(warm['phases'])}")
 
-            edit = c.submit("demo", id="edit", contracts={
-                "demo::leaf": {"ensures": ["result == x", "x == x"]},
-            })
-            cone = ["demo::leaf", "demo::mid", "demo::top"]
-            if edit["reverified"] != cone:
-                fail(f"contract edit re-verified {edit['reverified']}, "
-                     f"wanted exactly {cone}")
-            if "demo::side" not in edit["reused"]:
-                fail(f"unrelated demo::side was not reused: {edit}")
-            if edit["reasons"]["demo::top"] != "invalidated:demo::leaf":
-                fail(f"demo::top not force-invalidated: {edit['reasons']}")
-            print(f"  contract edit: cone={cone}, side reused, "
-                  f"top={edit['reasons']['demo::top']}")
+            before, _ = cli_view("demo", {})
+            edits = (
+                ("tautology", {"ensures": ["result == x", "x == x"]}, "verified"),
+                ("weakened", {"ensures": ["result >= x"]}, "refuted"),
+            )
+            for tag, leaf, want_status in edits:
+                contracts = {"demo::leaf": leaf}
+                fps, fresh = cli_view("demo", contracts)
+                moved = sorted(n for n in fps if fps[n] != before[n])
+                edit = c.submit("demo", id=tag, contracts=contracts)
+                if edit["reverified"] != moved:
+                    fail(f"{tag} edit re-verified {edit['reverified']}, "
+                         f"wanted exactly the moved fingerprints {moved}")
+                if edit["reused"] != sorted(set(fps) - set(moved)):
+                    fail(f"{tag} edit did not reuse the rest: {edit}")
+                if edit["status"] != want_status:
+                    fail(f"{tag} edit status {edit['status']}, "
+                         f"wanted {want_status}: {edit['functions']}")
+                if edit["functions"] != fresh:
+                    fail(f"{tag} edit is stale: daemon {edit['functions']} "
+                         f"!= fresh run {fresh}")
+                before = fps
+                print(f"  {tag} leaf contract: re-verified {moved}, "
+                      f"status {edit['status']}, same as a fresh run")
     finally:
         d.stop()
         d.kill()
@@ -152,6 +167,9 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
     deadline = time.monotonic() + 20
     while time.monotonic() < deadline and not any(entries.rglob("*.json")):
         time.sleep(0.02)
+    # leaf has published; the pause lets the dispatcher pass the stop
+    # check before mid's (delayed) chunk, so the signal lands inside it.
+    time.sleep(0.3)
     d.proc.send_signal(signal.SIGTERM)
     code = d.proc.wait(timeout=30)
     t.join(timeout=30)
@@ -161,18 +179,14 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
     drained = sorted(r.get("drained", []))
     if drained != ["demo::side", "demo::top"]:
         fail(f"drained set {drained}, wanted side+top")
-    journal = [rec for rec in ProofStore(base / "cache").journal.read()
-               if rec.get("kind") == "drain"]
-    if not journal or sorted(journal[-1]["pending"]) != drained:
-        fail(f"drain not journaled correctly: {journal}")
-    print(f"  SIGTERM: exit 0, drained={drained}, journaled")
+    print(f"  SIGTERM: exit 0, drained={drained}")
 
     d2 = Daemon(base, "b")
     try:
         with d2.client() as c:
             r2 = c.submit("demo")
             if sorted(r2["reverified"]) != drained:
-                fail(f"resume re-verified {r2['reverified']}, "
+                fail(f"resume missed on {r2['reverified']}, "
                      f"wanted exactly {drained}")
             if sorted(r2["cached"]) != ["demo::leaf", "demo::mid"]:
                 fail(f"resume did not reuse the finished half: {r2}")
@@ -183,21 +197,25 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
         d2.kill()
 
 
-def cli_statuses(corpus_name: str) -> dict:
+def cli_view(corpus_name: str, overrides: dict) -> tuple[dict, dict]:
+    """Fingerprints and per-function statuses of a fresh store-less
+    run of the corpus under its contracts merged with ``overrides``."""
     corpus = load_corpus(corpus_name)
-    report = HybridVerifier(
+    verifier = HybridVerifier(
         corpus.program,
         corpus.ownables,
-        corpus.contracts,
+        {**corpus.contracts, **overrides},
         manual_pure_pre=corpus.manual_pure_pre,
         auto_extract=corpus.auto_extract,
-    ).run()
-    return {n: entries_status(es) for n, es in report.by_function().items()}
+    )
+    report = verifier.run()
+    statuses = {n: entries_status(es) for n, es in report.by_function().items()}
+    return {n: verifier.fingerprint(n) for n in statuses}, statuses
 
 
 def check_daemon_matches_cli(root: pathlib.Path) -> None:
     corpora = ("demo", "linked_list")
-    want = {name: cli_statuses(name) for name in corpora}
+    want = {name: cli_view(name, {})[1] for name in corpora}
     for jobs in (1, 2):
         base = root / f"same-jobs{jobs}"
         for phase in ("cold", "warm"):

@@ -52,14 +52,12 @@ silently never fire; new subsystems add theirs via
 ``solver.check_sat``    each solver query (cache hit or miss)
 ``store.write``         proof-store entry publish, context = fn name
 ``store.read``          proof-store entry lookup, context = fn name
-``store.compact``       journal compaction rewrite, context = journal path
-``journal.append``      journal record append (data actions), context = kind
 ``adversary.replay``    concrete-replay cross-check, context = fn name
 ``adversary.mutate``    mutation-probe cross-check, context = fn name
 ``adversary.diff``      differential re-verification, context = fn name
 ``service.accept``      daemon request admission, context = op name
 ``service.dispatch``    one chunk of a stop-hooked run, context = its fns
-``service.invalidate``  call-graph invalidation diff, context = session key
+``service.invalidate``  the session's fingerprint diff, context = session key
 ``service.drain``       daemon drain/shutdown path, context = reason
 ======================  =================================================
 
@@ -106,14 +104,12 @@ SITES: dict[str, str] = {
     "solver.check_sat": "each solver query (cache hit or miss)",
     "store.write": "proof-store entry publish (context: fn name)",
     "store.read": "proof-store entry lookup (context: fn name)",
-    "store.compact": "journal compaction rewrite (context: journal path)",
-    "journal.append": "journal record append, data actions (context: kind)",
     "adversary.replay": "concrete-replay cross-check (context: fn name)",
     "adversary.mutate": "mutation-probe cross-check (context: fn name)",
     "adversary.diff": "differential re-verification (context: fn name)",
     "service.accept": "daemon request admission (context: op name)",
     "service.dispatch": "one chunk of a stop-hooked run (context: its fns, comma-joined)",
-    "service.invalidate": "call-graph invalidation diff (context: session key)",
+    "service.invalidate": "the session's fingerprint diff (context: session key)",
     "service.drain": "daemon drain/shutdown path (context: reason)",
 }
 

@@ -28,9 +28,11 @@ verifies only the misses, and publishes each fresh result atomically
 as soon as it completes (workers publish their own — a ``kill -9``
 mid-run loses at most the in-flight functions, and the next run
 resumes from the store with a report identical to an uninterrupted
-one, modulo wall-clock). ``run`` is the only lookup–verify–publish
-loop: the daemon (:mod:`repro.service`) drives it too, through its
-stop hook, deadline and force set.
+one, modulo wall-clock). The entry file is the only record: a
+function is completed exactly when its entry exists, and a function
+that was never dispatched is a store miss next time. ``run`` is the
+only lookup–verify–publish loop: the daemon (:mod:`repro.service`)
+drives it too, through its stop hook and deadline.
 
 All wall-clock bookkeeping here uses the deadline clock of
 :mod:`repro.obs.clock` (``time.monotonic``, like :mod:`repro.budget`):
@@ -47,7 +49,7 @@ the whole run — including forked workers — as one Chrome trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from repro import faultinject, obs
 from repro.budget import Budget, BudgetSpec
@@ -397,7 +399,6 @@ class HybridVerifier:
         *,
         stop: Optional[Callable[[], Optional[str]]] = None,
         deadline: Optional[float] = None,
-        force: Collection[str] = (),
         fingerprints: Optional[dict[str, str]] = None,
     ) -> HybridReport:
         """Verify ``functions`` (default: every body in the program).
@@ -405,7 +406,8 @@ class HybridVerifier:
         ``jobs=1`` runs today's deterministic serial path; ``jobs=N``
         fans the per-function verifications out over a fork-based
         process pool, reassembling entries in the serial order.
-        ``jobs=None`` uses ``REPRO_JOBS``/CPU count.
+        ``jobs=None`` uses ``REPRO_JOBS``/CPU count; ``jobs < 1`` is
+        refused with :class:`ValueError`.
 
         Always returns a *complete* report: per-function failures of
         any kind (budget exhaustion, worker crash, internal error)
@@ -424,11 +426,9 @@ class HybridVerifier:
           either set, the misses run in caller order in chunks of
           ``jobs``. Before each chunk the hook and the deadline are
           checked; once one fires, the rest become ``error`` (or
-          ``timeout``) entries, a ``{"kind": "drain"}`` journal record
-          lists them and no ``end`` record is written. Each chunk runs
-          under the budget capped by the time left; fingerprints stay
-          on the uncapped budget.
-        * ``force`` names skip every store read but still publish.
+          ``timeout``) entries and publish nothing, so the next run
+          misses on them. Each chunk runs under the budget capped by
+          the time left; fingerprints stay on the uncapped budget.
         * ``fingerprints`` supplies store keys already computed for
           ``functions`` (under the same contracts and budget).
 
@@ -442,15 +442,16 @@ class HybridVerifier:
         started = clock.monotonic()
         report = HybridReport()
         names = functions if functions is not None else list(self.program.bodies)
-        jobs = default_jobs() if jobs is None else max(1, jobs)
+        if jobs is None:
+            jobs = default_jobs()
+        elif jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {jobs}")
         parallel_before = dict(PARALLEL_STATS)
         store_before = dict(STORE_STATS)
         solver_before = dict(GLOBAL_STATS)
         phases_before = obs.phases_snapshot()
-        cached = self._lookup_cached(names, force, fingerprints or {})
+        cached = self._lookup_cached(names, fingerprints or {})
         pending = [n for n in names if n not in cached]
-        if self.store is not None and pending:
-            self.store.begin_run(pending)
         if stop is None and deadline is None:
             if jobs > 1:
                 # Longest estimate first, so the slow functions don't
@@ -462,10 +463,10 @@ class HybridVerifier:
                     ),
                     reverse=True,
                 )
-            fresh = self._verify_batch(pending, jobs, force)
+            fresh = self._verify_batch(pending, jobs)
         else:
             fresh, report.drain_reason = self._verify_chunks(
-                pending, jobs, force, stop, deadline
+                pending, jobs, stop, deadline
             )
         reason = report.drain_reason
         for name in names:
@@ -481,8 +482,6 @@ class HybridVerifier:
                 )]
             report.outcomes[name] = how
             report.entries.extend(entries)
-        if self.store is not None and pending and not report.drain_reason:
-            self.store.end_run()
         if verify_verdicts or (
             verify_verdicts is None and _adversary_enabled()
         ):
@@ -513,19 +512,18 @@ class HybridVerifier:
         return report
 
     def _verify_batch(
-        self, names: list[str], jobs: int, force: Collection[str]
+        self, names: list[str], jobs: int
     ) -> dict[str, list[HybridEntry]]:
         """Verify and publish ``names``: in order in this process at
         ``jobs=1``, else over the fork pool."""
-        items = [(n, n in force) for n in names]
         if jobs == 1:
-            return {item[0]: _verify_worker(self, item) for item in items}
+            return {name: _verify_worker(self, name) for name in names}
         results = fanout(
             _verify_worker,
             self,
-            items,
+            names,
             jobs,
-            on_error=lambda item, exc: [self._failure_entry(item[0], exc)],
+            on_error=lambda name, exc: [self._failure_entry(name, exc)],
         )
         for name, entries in zip(names, results):
             fp = self._run_fps.get(name)
@@ -536,16 +534,15 @@ class HybridVerifier:
                 # verified but failed to write (I/O error, death
                 # between verify and publish).
                 self._publish(name, entries)
-            elif name not in force:
+            else:
                 # The entry appeared since the (miss) lookup: a worker
                 # published it; its counters died with its process, so
-                # credit the run here. A forced key held its entry
-                # before the run, so there is nothing new to credit.
+                # credit the run here.
                 self.store.note_worker_publish(fp)
         return dict(zip(names, results))
 
     def _verify_chunks(
-        self, pending, jobs, force, stop, deadline
+        self, pending, jobs, stop, deadline
     ) -> tuple[dict[str, list[HybridEntry]], str]:
         """The stop-hooked loop over ``pending`` in chunks of ``jobs``.
         Returns the results and the drain reason (``""`` when every
@@ -559,8 +556,6 @@ class HybridVerifier:
                 if reason is None and left is not None and left <= 0:
                     reason = "deadline"
                 if reason is not None:
-                    if self.store is not None:
-                        self.store.drain_run(pending[at:])
                     return fresh, reason
                 chunk = pending[at : at + jobs]
                 if left is not None:
@@ -570,7 +565,7 @@ class HybridVerifier:
                 except Exception as e:
                     fresh.update((n, [self._failure_entry(n, e)]) for n in chunk)
                 else:
-                    fresh.update(self._verify_batch(chunk, jobs, force))
+                    fresh.update(self._verify_batch(chunk, jobs))
         finally:
             self.budget = base
         return fresh, ""
@@ -594,12 +589,9 @@ class HybridVerifier:
     # -- store plumbing ------------------------------------------------------
 
     def _lookup_cached(
-        self,
-        names: list[str],
-        force: Collection[str],
-        fingerprints: dict[str, str],
+        self, names: list[str], fingerprints: dict[str, str]
     ) -> dict[str, list[HybridEntry]]:
-        """Resolve every unforced name against the store. Fixes this
+        """Resolve every name against the store. Fixes this
         run's fingerprints (inherited by forked workers) and maps
         strict-mode corruption to ``error`` entries — a corrupt cache
         degrades the run, never crashes it."""
@@ -611,8 +603,6 @@ class HybridVerifier:
         }
         cached: dict[str, list[HybridEntry]] = {}
         for name in names:
-            if name in force:
-                continue
             try:
                 # The span attributes the nested store.get to the
                 # function being looked up.
@@ -641,22 +631,20 @@ def _adversary_enabled() -> bool:
     return os.environ.get("REPRO_ADVERSARY", "").lower() in ("1", "true", "on")
 
 
-def _verify_worker(verifier: "HybridVerifier", item: tuple) -> list[HybridEntry]:
-    """Verify and publish one ``(name, force)`` item. The pool worker
+def _verify_worker(verifier: "HybridVerifier", name: str) -> list[HybridEntry]:
+    """Verify and publish one function. The pool worker
     (module-level so it pickles by reference; the verifier arrives by
     fork inheritance, see repro.parallel) and the ``jobs=1`` path
     alike. Publishing the moment a function completes means a parent
     killed mid-run loses nothing already verified.
 
-    An unforced item first probes the store, so the parent's serial
-    retry of a *dead* worker's item resumes from the entry the worker
-    published before dying. The probe is guarded by ``has`` so the
-    common path (entry absent, the run's lookup already counted the
-    miss) counts no second miss. A forced item never reads the store:
-    its key still holds the entry from before the contract edit."""
-    name, force = item
+    It first probes the store, so the parent's serial retry of a
+    *dead* worker's item resumes from the entry the worker published
+    before dying. The probe is guarded by ``has`` so the common path
+    (entry absent, the run's lookup already counted the miss) counts
+    no second miss."""
     store, fp = verifier.store, verifier._run_fps.get(name)
-    if not force and store is not None and fp and store.has(fp):
+    if store is not None and fp and store.has(fp):
         try:
             with span("store.lookup", function=name):
                 hit = store.get(fp, context=name)

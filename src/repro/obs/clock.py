@@ -1,6 +1,6 @@
 """The single timing authority for the whole stack.
 
-Every module that measures time imports these three names instead of
+Every module that measures time imports these two names instead of
 reaching for :mod:`time` directly, so the choice of clock is made in
 exactly one place and is auditable:
 
@@ -10,10 +10,7 @@ exactly one place and is auditable:
 * :func:`monotonic` — the *deadline* clock (``time.monotonic``):
   monotonic and slewed rather than stepped under NTP adjustments, the
   right clock for budgets and resume accounting that must never move
-  backwards;
-* :func:`wall` — the *calendar* clock (``time.time``): only for
-  human-facing timestamps in durable records. Never use it to compute
-  a duration — it steps under NTP/admin adjustments.
+  backwards.
 
 (Both ``perf_counter`` and ``monotonic`` read ``CLOCK_MONOTONIC`` on
 Linux, so timestamps taken with :func:`now` are comparable across a
@@ -31,6 +28,3 @@ now = time.perf_counter
 
 #: Deadline clock: monotonic, immune to wall-clock steps.
 monotonic = time.monotonic
-
-#: Calendar clock: timestamps for humans and durable records only.
-wall = time.time

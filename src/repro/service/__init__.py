@@ -8,11 +8,10 @@ changed* instead of a cold pipeline start per invocation:
 * :mod:`.config`     — ``ServiceConfig``, set from ``reprod.py``'s flags;
 * :mod:`.protocol`   — newline-delimited JSON request/response framing;
 * :mod:`.corpus`     — the registry of loadable verification corpora;
-* :mod:`.invalidate` — the call-graph-aware incremental re-verification
-  index (contract edits propagate to transitive callers, body edits
-  stay local);
-* :mod:`.session`    — one corpus's hot verification state; it hands
-  the dirty set to ``HybridVerifier.run``, the CLI's own loop;
+* :mod:`.session`    — one corpus's hot verification state; it diffs
+  fingerprints against what it has committed (a function is dirty when
+  new or when its fingerprint moved) and hands the dirty set to
+  ``HybridVerifier.run``, the CLI's own loop;
 * :mod:`.daemon`     — sockets, admission control, load shedding, the
   watchdog, and graceful drain;
 * :mod:`.client`     — a small synchronous client.
@@ -25,25 +24,15 @@ from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.corpus import Corpus, corpus_names, load_corpus, register_corpus
 from repro.service.daemon import VerifierDaemon
-from repro.service.invalidate import (
-    InvalidationIndex,
-    call_graph,
-    reverse_graph,
-    transitive_callers,
-)
 from repro.service.session import ServiceSession
 
 __all__ = [
     "Corpus",
-    "InvalidationIndex",
     "ServiceClient",
     "ServiceConfig",
     "ServiceSession",
     "VerifierDaemon",
-    "call_graph",
     "corpus_names",
     "load_corpus",
     "register_corpus",
-    "reverse_graph",
-    "transitive_callers",
 ]

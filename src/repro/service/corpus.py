@@ -6,19 +6,20 @@ preconditions. Loaders are registered by name and called with the
 request's ``params``, so a client can ask for a *variant* of a corpus
 (e.g. the demo corpus with padding statements inserted into one body —
 the service tests' stand-in for an edit) and the session's
-invalidation index sees exactly the functions whose content changed.
+fingerprint diff sees exactly the functions whose content changed.
 
 Built-ins:
 
 * ``demo`` — four safe functions forming the call chain
   ``demo::top → demo::mid → demo::leaf`` plus the independent
   ``demo::side``, each contracted ``ensures result == x``. Small
-  enough to verify in milliseconds, shaped to exercise call-graph
-  invalidation: a *body* edit of ``leaf`` (``params={"pad":
+  enough to verify in milliseconds, shaped to exercise incremental
+  re-verification: a *body* edit of ``leaf`` (``params={"pad":
   {"demo::leaf": 1}}``) re-verifies ``leaf`` alone; a *contract* edit
-  of ``leaf`` re-verifies ``leaf``, its direct caller ``mid`` (whose
-  fingerprint hashes callee contracts) and its transitive caller
-  ``top`` (via the index); ``side`` is never touched.
+  of ``leaf`` re-verifies ``leaf`` and its direct caller ``mid``
+  (whose fingerprint hashes callee contracts), while the transitive
+  caller ``top`` (which assumes only ``mid``'s contract) and ``side``
+  are reused.
 * ``linked_list`` — the real ``rustlib`` LinkedList program (unsafe
   bodies, specs installed), loaded lazily.
 """

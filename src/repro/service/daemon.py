@@ -8,7 +8,8 @@ Thread layout (all daemon threads):
   ``status`` / ``drain`` inline (liveness must not queue behind
   verification) and enqueue ``submit`` requests;
 * **dispatcher** — exactly one: it owns every session, so per-request
-  observability deltas and the invalidation index never race;
+  observability deltas and the sessions' committed fingerprints
+  never race;
 * **watchdog** — optional: if the in-flight request exceeds the
   absolute cap, it SIGKILLs the fork pool's workers. The pool
   machinery then sees a broken pool and retries the lost items
@@ -22,8 +23,9 @@ overload into memory exhaustion and unbounded latency.
 
 Graceful drain (``drain``/``shutdown`` op, or SIGTERM via
 ``scripts/reprod.py``): stop admitting, let the in-flight request
-finish its current chunk, journal what was never dispatched, answer
-every queued request with ``draining``, compact the journal, exit.
+finish its current chunk, report what was never dispatched as
+``drained`` (those functions publish nothing, so a restarted daemon
+misses on them), answer every queued request with ``draining``, exit.
 """
 
 from __future__ import annotations
@@ -160,13 +162,6 @@ class VerifierDaemon:
             os.unlink(self.config.socket)
         except OSError:
             pass
-        if self.store is not None:
-            # Bound the journal before exit; a torn compact degrades
-            # to a skipped tail line, never a wrong record.
-            try:
-                self.store.journal.compact()
-            except OSError:
-                pass
 
     # -- accept + per-client handling ---------------------------------------
 

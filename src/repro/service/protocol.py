@@ -13,10 +13,10 @@ Requests are objects with an ``op`` field:
   ``corpus`` optional;
 * ``status``   — daemon + per-session counters;
 * ``health``   — cheap liveness probe (answered even mid-dispatch);
-* ``drain``    — stop admitting, finish in-flight work, journal the
-  rest, then shut down;
+* ``drain``    — stop admitting, finish the in-flight chunk, report
+  the rest as drained, then shut down;
 * ``shutdown`` — alias for drain (there is no abrupt stop: the whole
-  point is never to strand a pool or tear a journal).
+  point is never to strand a pool).
 
 Responses echo the request ``id`` (when given) and carry ``ok``. A
 refusal carries ``error`` — one of ``bad-request`` / ``overloaded`` /

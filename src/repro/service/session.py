@@ -3,23 +3,27 @@
 A session is what makes the daemon *warm*: the parsed program, the
 Ownable registry, the solver (with its result and path-condition
 caches) and the merged contract table stay resident across
-requests, and the invalidation index tracks what the session has
+requests, and a name → fingerprint map records what the session has
 already established. A resubmission with nothing changed re-verifies
 **zero** functions and never re-enters program setup — the
 ``service.parse`` / ``service.logic`` spans are absent from the
 request's phase delta, which is how the tests pin it.
 
 The session does three things: keep the program and contract state,
-diff it against the :class:`InvalidationIndex` and commit what
-verified, and shape the response. The verification itself is
-:meth:`HybridVerifier.run` — the same lookup–verify–publish loop as
-the CLI — driven through its hooks: the daemon's stop signal and the
-request's absolute deadline (checked before each chunk of ``jobs``
-functions; the undispatched rest drains to ``error``/``timeout``
-entries and a ``{"kind": "drain"}`` journal record), and the force
-set of invalidated callers (their store read is skipped). Each
-function's fingerprint is computed once per request and shared by
-the diff and the run's lookup; it is always taken against the base
+diff its fingerprints against the committed ones and commit what
+verified, and shape the response. A function is dirty when it is
+``new`` (never committed) or ``changed`` (its fingerprint moved), and
+nothing else: a fingerprint hashes the body and the contracts of the
+direct callees, so a contract edit dirties the edited function and
+its direct callers, and a transitive caller, which only assumed its
+direct callee's unchanged contract, stays reused. The verification
+itself is :meth:`HybridVerifier.run` — the same lookup–verify–publish
+loop as the CLI — driven through its hooks: the daemon's stop signal
+and the request's absolute deadline (checked before each chunk of
+``jobs`` functions; the undispatched rest drains to
+``error``/``timeout`` entries, publishes nothing and stays dirty).
+Each function's fingerprint is computed once per request and shared
+by the diff and the run's lookup; it is always taken against the base
 :class:`~repro.budget.BudgetSpec` — a deadline tightens the budget
 actually run under, never the store key.
 """
@@ -29,22 +33,20 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from repro import obs
+from repro import faultinject, obs
 from repro.budget import BudgetSpec
 from repro.creusot.vcgen import _normalise_contract
 from repro.hybrid.pipeline import HybridEntry, HybridVerifier, entries_status
 from repro.obs import clock, span
 from repro.obs.metrics import metrics
 from repro.service.corpus import load_corpus
-from repro.service.invalidate import InvalidationIndex, call_graph, reverse_graph
 from repro.solver.core import Solver
 from repro.store import ProofStore
-from repro.store.fingerprint import canon
 from repro.store.store import CACHEABLE_STATUSES
 
 
 class ServiceSession:
-    """Hot state, the invalidation diff and response shaping for one
+    """Hot state, the fingerprint diff and response shaping for one
     corpus; :meth:`HybridVerifier.run` does the verifying."""
 
     def __init__(
@@ -60,13 +62,15 @@ class ServiceSession:
         #: One solver for the session's lifetime: its result and
         #: path-condition caches stay hot across program reloads.
         self.solver = solver or Solver()
-        self.index = InvalidationIndex()
+        #: name -> fingerprint of every function whose deterministic
+        #: verdict this session holds. In memory only: a restarted
+        #: session trusts nothing, and the store answers what it holds.
+        self.committed: dict[str, str] = {}
         self._results: dict[str, list[HybridEntry]] = {}
         self.corpus = None
         self.verifier: Optional[HybridVerifier] = None
         self._params: Optional[dict] = None
         self._overrides: dict = {}
-        self._rev: dict[str, set[str]] = {}
         self._lock = threading.Lock()
         self.requests = 0
 
@@ -83,7 +87,6 @@ class ServiceSession:
         with span("service.parse"):
             self.corpus = load_corpus(self.name, params)
         self._params = params
-        self._rev = reverse_graph(call_graph(self.corpus.program))
         self.verifier = HybridVerifier(
             self.corpus.program,
             self.corpus.ownables,
@@ -114,6 +117,21 @@ class ServiceSession:
         self.verifier.creusot.contracts = {
             k: _normalise_contract(v) for k, v in merged.items()
         }
+
+    def diff(self, fps: dict[str, str]) -> dict[str, str]:
+        """``name -> "new" | "changed"`` for every function of ``fps``
+        (the complete program view) whose fingerprint differs from the
+        committed one. Evicts the dirty functions' commitments; the
+        caller commits those that come back with a deterministic
+        verdict."""
+        faultinject.fire("service.invalidate", self.name)
+        dirty = {}
+        for name, fp in fps.items():
+            old = self.committed.get(name)
+            if old != fp:
+                dirty[name] = "new" if old is None else "changed"
+                self.committed.pop(name, None)
+        return dirty
 
     # -- the request path ----------------------------------------------------
 
@@ -151,14 +169,13 @@ class ServiceSession:
             raise KeyError(f"unknown functions: {unknown}")
 
         fps = {n: verifier.fingerprint(n) for n in bodies}
-        digests = {n: canon(verifier.contracts.get(n)) for n in bodies}
-        dirty = self.index.diff(fps, digests, self._rev, self.name)
-        if dirty.reasons:
-            metrics.inc("service.invalidations", len(dirty.reasons))
-        for n in dirty.reasons:
+        dirty = self.diff(fps)
+        if dirty:
+            metrics.inc("service.invalidations", len(dirty))
+        for n in dirty:
             self._results.pop(n, None)
 
-        todo = [n for n in names if n in dirty.reasons]
+        todo = [n for n in names if n in dirty]
         outcomes: dict[str, str] = {}
         if todo:
             report = verifier.run(
@@ -167,7 +184,6 @@ class ServiceSession:
                 verify_verdicts=False,  # the response has no place for it
                 stop=stop_check,
                 deadline=started + deadline if deadline is not None else None,
-                force=dirty.force,
                 fingerprints=fps,
             )
             outcomes = report.outcomes
@@ -178,7 +194,7 @@ class ServiceSession:
             for n, entries in report.by_function().items():
                 self._results[n] = entries
                 if all(e.status in CACHEABLE_STATUSES for e in entries):
-                    self.index.commit(n, fps[n])
+                    self.committed[n] = fps[n]
 
         statuses = {n: entries_status(self._results[n]) for n in names}
         aggregate = entries_status(e for n in names for e in self._results[n])
@@ -187,10 +203,10 @@ class ServiceSession:
             "ok": aggregate == "verified",
             "status": aggregate,
             "functions": statuses,
-            "reasons": {n: dirty.reasons[n] for n in todo},
+            "reasons": {n: dirty[n] for n in todo},
             "reverified": sorted(n for n in todo if outcomes[n] == "verified"),
             "cached": sorted(n for n in todo if outcomes[n] == "cached"),
-            "reused": sorted(n for n in names if n not in dirty.reasons),
+            "reused": sorted(n for n in names if n not in dirty),
             "drained": [n for n in todo if outcomes[n] == "drained"],
             "phases": sorted(
                 {ph for fn in phase_delta.values() for ph in fn}
@@ -204,7 +220,6 @@ class ServiceSession:
         return {
             "corpus": self.name,
             "requests": self.requests,
-            "committed": len(self.index.fps),
-            "pending_force": sorted(self.index.pending_force),
+            "committed": len(self.committed),
             "loaded": self.corpus is not None,
         }

@@ -3,11 +3,11 @@
 Verified results survive process death: each function's proof entry is
 keyed by a stable fingerprint of everything the proof depended on
 (:mod:`repro.store.fingerprint`), published atomically with per-entry
-checksums (:mod:`repro.store.store`), and recorded in an append-only
-run journal (:mod:`repro.store.journal`). A run killed mid-flight —
-``kill -9`` of the parent or a pool worker — resumes by re-verifying
-only the functions whose entries never landed; corrupt entries are
-quarantined and healed by transparent re-verification.
+checksums (:mod:`repro.store.store`). The entry file is the only
+record of a proof: a run killed mid-flight — ``kill -9`` of the parent
+or a pool worker — resumes by re-verifying only the functions whose
+entries never landed; corrupt entries are quarantined and healed by
+transparent re-verification.
 
 The store is one write-through disk tier with one fixed layout,
 ``entries/<fp[:2]>/<fp>.json`` (DESIGN.md §13).
@@ -19,7 +19,6 @@ from repro.store.fingerprint import (
     function_fingerprint,
     logic_digest,
 )
-from repro.store.journal import Journal
 from repro.store.store import (
     CACHEABLE_STATUSES,
     STORE_STATS,
@@ -28,7 +27,6 @@ from repro.store.store import (
 
 __all__ = [
     "CACHEABLE_STATUSES",
-    "Journal",
     "ProofStore",
     "STORE_FORMAT",
     "STORE_STATS",

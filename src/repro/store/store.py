@@ -8,7 +8,6 @@ Layout (all under one cache root)::
       tmp/                         staging for atomic publishes
       quarantine/                  corrupt entries moved aside, kept for
                                    forensics, transparently re-verified
-      journal.jsonl                append-only run journal (see journal.py)
 
 The store is one tier: every lookup reads its entry file and every
 publish writes through to disk before ``put`` returns (DESIGN.md §13).
@@ -19,11 +18,12 @@ republished at its path.
 
 Durability protocol — a publish is: serialise → write to ``tmp/`` →
 ``fsync`` the file → ``os.replace`` into ``entries/`` → ``fsync`` the
-entry's directory → append a journal record, all with SIGTERM held. A
-crash at any point leaves either no entry (tmp litter is ignored and
-reclaimed) or a complete, checksummed entry; there is no state in
-between that a reader could mistake for a proof, and a journal record
-always implies a readable entry.
+entry's directory. The rename is the publish, and the entry file is the
+only record of it: a function is completed exactly when its entry
+exists. A crash at any point leaves either no entry or a complete,
+checksummed one; there is no state in between that a reader could
+mistake for a proof. A publish that fails removes its own staging
+file; the litter of a killed process is ignored.
 
 Entries are serialised by the plain-data codec (:mod:`.codec`) — JSON
 dicts rebuilt field-by-field into the known result dataclasses, never
@@ -55,9 +55,7 @@ import base64
 import hashlib
 import json
 import os
-import signal
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -68,7 +66,6 @@ from repro.obs.metrics import metrics
 from repro.parallel import with_retries
 from repro.store import codec
 from repro.store.fingerprint import STORE_FORMAT
-from repro.store.journal import Journal
 
 #: Statuses that are functions of the fingerprint alone, hence safe to
 #: replay from disk. Everything else re-verifies next run.
@@ -96,7 +93,6 @@ STORE_STATS = metrics.register_legacy(
         "healed": 0,          # quarantined fingerprints re-published
         "io_retries": 0,      # transient I/O errors absorbed by retry
         "io_errors": 0,       # I/O failures that exhausted the retries
-        "journal_bad_lines": 0,  # torn/invalid journal lines skipped
     },
     delta=False,
 )
@@ -104,8 +100,7 @@ STORE_STATS = metrics.register_legacy(
 
 class ProofStore:
     """One cache root; safe to share between a parent and its forked
-    pool workers (publishes are atomic and idempotent, journal appends
-    are single-write)."""
+    pool workers (publishes are atomic and idempotent)."""
 
     def __init__(self, root, verify_mode: str = "heal") -> None:
         if verify_mode not in ("heal", "strict"):
@@ -119,7 +114,6 @@ class ProofStore:
         self.quarantine_dir = self.root / "quarantine"
         for d in (self.entries_dir, self.tmp_dir, self.quarantine_dir):
             d.mkdir(parents=True, exist_ok=True)
-        self.journal = Journal(self.root / "journal.jsonl")
         #: Fingerprints this process quarantined; a later publish of one
         #: of these is a *heal*.
         self._quarantined: set[str] = set()
@@ -217,11 +211,11 @@ class ProofStore:
             return None
         try:
             entries = self._decode(fp, blob, path)
-        except StoreCorrupted as e:
+        except StoreCorrupted:
             STORE_STATS["corrupt"] += 1
             if self.verify_mode == "strict":
                 raise
-            self._quarantine(fp, path, str(e))
+            self._quarantine(fp, path)
             STORE_STATS["misses"] += 1
             return None
         STORE_STATS["hits"] += 1
@@ -260,7 +254,7 @@ class ProofStore:
             raise StoreCorrupted("payload failed to decode", str(path)) from None
         return entries
 
-    def _quarantine(self, fp: str, path: Path, reason: str) -> None:
+    def _quarantine(self, fp: str, path: Path) -> None:
         """Move a corrupt entry aside (atomic, keeps the evidence) so
         the next publish of this fingerprint heals it."""
         dest = self.quarantine_dir / f"{fp}.{os.getpid()}.quarantined"
@@ -272,12 +266,6 @@ class ProofStore:
             pass
         self._quarantined.add(fp)
         STORE_STATS["quarantined"] += 1
-        try:
-            self.journal.append(
-                {"kind": "quarantine", "fp": fp, "reason": reason}
-            )
-        except OSError:
-            STORE_STATS["io_errors"] += 1
 
     # -- publishes -----------------------------------------------------------
 
@@ -318,22 +306,14 @@ class ProofStore:
         envelope["payload"] = payload
         envelope["checksum"] = hashlib.sha256(payload.encode()).hexdigest()
         blob = (json.dumps(envelope, sort_keys=True) + "\n").encode()
-        with _sigterm_held():
-            try:
-                with_retries(
-                    lambda: self._write_entry(path, fp, function, blob),
-                    on_retry=lambda e: _bump("io_retries"),
-                )
-            except OSError:
-                STORE_STATS["io_errors"] += 1
-                return False
-            try:
-                self.journal.append(
-                    {"kind": "entry", "fn": function, "fp": fp,
-                     "statuses": statuses}
-                )
-            except OSError:
-                STORE_STATS["io_errors"] += 1
+        try:
+            with_retries(
+                lambda: self._write_entry(path, fp, function, blob),
+                on_retry=lambda e: _bump("io_retries"),
+            )
+        except OSError:
+            STORE_STATS["io_errors"] += 1
+            return False
         STORE_STATS["stores"] += 1
         self._published.add(fp)
         if fp in self._quarantined:
@@ -348,13 +328,17 @@ class ProofStore:
         blob = faultinject.corrupt("store.write", function, blob)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.tmp_dir / f"{fp}.{os.getpid()}.tmp"
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
-            os.write(fd, blob)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                os.write(fd, blob)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
         self._fsync_dir(path.parent)
 
     @staticmethod
@@ -372,61 +356,6 @@ class ProofStore:
         finally:
             os.close(fd)
 
-    # -- run bookkeeping -----------------------------------------------------
-
-    def begin_run(self, functions: list[str]) -> None:
-        try:
-            self.journal.append(
-                {"kind": "run", "event": "begin", "functions": len(functions)}
-            )
-        except OSError:
-            STORE_STATS["io_errors"] += 1
-
-    def end_run(self) -> None:
-        try:
-            self.journal.append({"kind": "run", "event": "end"})
-        except OSError:
-            STORE_STATS["io_errors"] += 1
-
-    def drain_run(self, pending: list[str]) -> None:
-        """Close a run that stopped early: no ``end`` record (the run
-        *was* interrupted), but a ``drain`` record naming the functions
-        it never dispatched — the resume set of the next run."""
-        try:
-            self.journal.append({"kind": "drain", "pending": list(pending)})
-        except OSError:
-            STORE_STATS["io_errors"] += 1
-
-    def resume_info(self) -> dict:
-        """What the journal knows: published fingerprints, interrupted
-        runs, and how many journal lines were torn/skipped."""
-        completed = self.journal.completed_fingerprints()
-        STORE_STATS["journal_bad_lines"] += self.journal.bad_lines
-        return {
-            "completed": completed,
-            "interrupted_runs": self.journal.interrupted_runs(),
-            "bad_lines": self.journal.bad_lines,
-        }
-
 
 def _bump(key: str) -> None:
     STORE_STATS[key] += 1
-
-
-@contextmanager
-def _sigterm_held():
-    """Defer SIGTERM across one entry's write and its journal record.
-    A pool that loses a worker terminates the surviving workers; one
-    caught between the two writes would leave an entry the journal
-    never lists, so resume would report a finished function as
-    unfinished. SIGKILL cannot be held: there the entry is still a
-    valid cache hit, only unjournaled."""
-    mask = getattr(signal, "pthread_sigmask", None)
-    if mask is None:
-        yield
-        return
-    old = mask(signal.SIG_BLOCK, {signal.SIGTERM})
-    try:
-        yield
-    finally:
-        mask(signal.SIG_SETMASK, old)

@@ -93,7 +93,7 @@ class TestParallelEquivalence:
         real_fanout = pipeline.fanout
 
         def spy(fn, payload, items, jobs, on_error=None):
-            seen.extend(name for name, _force in items)
+            seen.extend(items)
             return real_fanout(fn, payload, items, jobs, on_error=on_error)
 
         monkeypatch.setattr(pipeline, "fanout", spy)
@@ -155,9 +155,9 @@ def test_pool_gets_longest_estimate_first(monkeypatch):
     seen = []
 
     def fake_fanout(fn, payload, items, jobs, on_error=None):
-        seen.extend(name for name, _force in items)
+        seen.extend(items)
         return [
-            [HybridEntry(n, "gillian-rust", True, None)] for n, _force in items
+            [HybridEntry(n, "gillian-rust", True, None)] for n in items
         ]
 
     monkeypatch.setattr(pipeline, "fanout", fake_fanout)
@@ -173,6 +173,31 @@ def test_jobs_none_uses_default(env, monkeypatch):
     assert default_jobs() == 2
     report = _run(env, jobs=None)
     assert report.ok, report.render()
+
+
+@pytest.mark.parametrize("jobs", [0, -3, None])
+def test_jobs_below_one_is_refused(monkeypatch, jobs):
+    # None still means the default width; a width below one is a
+    # caller error, refused before any lookup or verification.
+    monkeypatch.setenv("REPRO_JOBS", "3")
+    widths = []
+
+    def fake_fanout(fn, payload, items, jobs, on_error=None):
+        widths.append(jobs)
+        return [[HybridEntry(n, "gillian-rust", True, None)] for n in items]
+
+    monkeypatch.setattr(pipeline, "fanout", fake_fanout)
+    program = Program()
+    for n in ("fn0", "fn1"):
+        program.add_body(_fast_body(n))
+    hv = HybridVerifier(program, OwnableRegistry(program), {})
+    if jobs is None:
+        assert hv.run(["fn0", "fn1"], jobs=jobs).ok
+        assert widths == [3]
+    else:
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            hv.run(["fn0", "fn1"], jobs=jobs)
+        assert widths == []
 
 
 def test_invalid_repro_jobs_warns(monkeypatch):

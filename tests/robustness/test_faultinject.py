@@ -83,8 +83,8 @@ class TestParse:
         sites = faultinject.registered_sites()
         for expected in (
             "parallel.worker", "pipeline.verify_one", "store.write",
-            "store.compact", "journal.append", "service.accept",
-            "service.dispatch", "service.invalidate", "service.drain",
+            "store.read", "service.accept", "service.dispatch",
+            "service.invalidate", "service.drain",
         ):
             assert expected in sites
 

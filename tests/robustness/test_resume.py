@@ -1,13 +1,14 @@
 """Checkpoint/resume: a run killed mid-flight (``kill -9`` semantics —
 no cleanup, no atexit, no flushed buffers) loses only its in-flight
-functions. The next run resumes from the store journal, re-verifies
-exactly the incomplete functions, and produces a report identical to an
-uninterrupted run's.
+functions. The next run resumes from the store's entry files,
+re-verifies exactly the incomplete functions, and produces a report
+identical to an uninterrupted run's.
 
 The victim pipeline runs in a forked child process so the kill is
 real process death, not a simulated exception unwinding the stack.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -21,7 +22,6 @@ from repro.hybrid.pipeline import HybridVerifier
 from repro.lang.mir import Program
 from repro.parallel import fork_available
 from repro.store import ProofStore
-from repro.store.journal import Journal
 
 from tests.robustness.conftest import FAST_FNS, _fast_body, fingerprint
 
@@ -53,10 +53,14 @@ def run_victim(env, store_root, jobs):
     return p
 
 
-def journaled_entries(store_root):
-    """Entries whose journal record is written: a publish renames the
-    entry file into place first and appends its record after."""
-    return len(Journal(store_root / "journal.jsonl").completed_fingerprints())
+def completed(store_root):
+    """The functions with a published entry, from the envelopes'
+    ``function`` field: the rename into ``entries/`` is the publish, so
+    an entry file is never partly written."""
+    return sorted(
+        json.loads(path.read_text())["function"]
+        for path in (store_root / "entries").rglob("*.json")
+    )
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -73,24 +77,22 @@ def test_killed_run_resumes_with_identical_report(tmp_path, jobs):
     assert p.exitcode == 1
     faultinject.clear()
 
-    store = ProofStore(tmp_path)
-    info = store.resume_info()
-    assert info["interrupted_runs"] == 1
-    completed = info["completed"]
-    assert "fn2" not in completed.values()  # the in-flight function
+    done = completed(tmp_path)
+    assert "fn2" not in done  # the in-flight function
     if jobs == 1:
         # Serial order is deterministic: fn0 and fn1 made it.
-        assert sorted(completed.values()) == ["fn0", "fn1"]
+        assert done == ["fn0", "fn1"]
     else:
         # Pool scheduling is not, but something completed and fn2 never.
-        assert 1 <= len(completed) <= 3
+        assert 1 <= len(done) <= 3
 
+    store = ProofStore(tmp_path)
     resumed = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=jobs)
     assert fingerprint(resumed) == fingerprint(baseline)
     # Exactly the incomplete functions were re-verified.
-    assert resumed.store_stats["hits"] == len(completed)
-    assert resumed.store_stats["misses"] == len(FAST_FNS) - len(completed)
-    assert resumed.store_stats["stores"] == len(FAST_FNS) - len(completed)
+    assert resumed.store_stats["hits"] == len(done)
+    assert resumed.store_stats["misses"] == len(FAST_FNS) - len(done)
+    assert resumed.store_stats["stores"] == len(FAST_FNS) - len(done)
 
     # And the run after that is pure replay.
     warm = HybridVerifier(*env, {}, store=ProofStore(tmp_path)).run(
@@ -111,20 +113,17 @@ def test_sigkill_during_publish_resumes(tmp_path):
     faultinject.install("store.write@fn2:delay:30")
     p = run_victim(env, tmp_path, jobs=1)
     deadline = time.monotonic() + 60
-    while journaled_entries(tmp_path) < 2 and time.monotonic() < deadline:
+    while len(completed(tmp_path)) < 2 and time.monotonic() < deadline:
         time.sleep(0.02)
-    assert journaled_entries(tmp_path) >= 2
+    assert len(completed(tmp_path)) >= 2
     os.kill(p.pid, signal.SIGKILL)
     p.join(timeout=60)
     assert p.exitcode == -signal.SIGKILL
     faultinject.clear()
 
-    store = ProofStore(tmp_path)
-    info = store.resume_info()
-    assert info["interrupted_runs"] == 1
-    assert sorted(info["completed"].values()) == ["fn0", "fn1"]
-    assert info["bad_lines"] == 0  # journal appends are single writes
+    assert completed(tmp_path) == ["fn0", "fn1"]
 
+    store = ProofStore(tmp_path)
     resumed = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
     assert fingerprint(resumed) == fingerprint(baseline)
     assert resumed.store_stats["hits"] == 2
@@ -146,10 +145,9 @@ def test_two_interrupted_runs_accumulate(tmp_path):
         assert p.exitcode == 1
         faultinject.clear()
 
+    assert completed(tmp_path) == ["fn0", "fn1", "fn2"]
+
     store = ProofStore(tmp_path)
-    info = store.resume_info()
-    assert info["interrupted_runs"] == 2
-    assert sorted(set(info["completed"].values())) == ["fn0", "fn1", "fn2"]
 
     resumed = HybridVerifier(*env, {}, store=store).run(FAST_FNS, jobs=1)
     assert fingerprint(resumed) == fingerprint(baseline)

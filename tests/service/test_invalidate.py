@@ -1,119 +1,52 @@
-"""Call-graph invalidation: graph shape, transitive closure, and the
-dirty-set semantics (new / changed / invalidated+forced)."""
+"""The session's fingerprint diff: a function is dirty when it is
+``new`` (never committed) or ``changed`` (its fingerprint moved), and
+only then."""
 
-from repro.service.corpus import load_corpus
-from repro.service.invalidate import (
-    InvalidationIndex,
-    call_graph,
-    reverse_graph,
-    transitive_callers,
-)
+from repro.service.session import ServiceSession
 
 
-def demo_graphs():
-    corpus = load_corpus("demo")
-    g = call_graph(corpus.program)
-    return g, reverse_graph(g)
-
-
-class TestGraph:
-    def test_demo_call_graph(self):
-        g, rev = demo_graphs()
-        assert g["demo::top"] == ("demo::mid",)
-        assert g["demo::mid"] == ("demo::leaf",)
-        assert g["demo::leaf"] == ()
-        assert g["demo::side"] == ()
-        assert rev["demo::leaf"] == {"demo::mid"}
-        assert rev["demo::mid"] == {"demo::top"}
-
-    def test_transitive_callers_walks_upward(self):
-        _, rev = demo_graphs()
-        origin = transitive_callers(rev, {"demo::leaf"})
-        assert origin == {
-            "demo::mid": "demo::leaf",
-            "demo::top": "demo::leaf",
-        }
-
-    def test_roots_excluded_and_cycles_terminate(self):
-        rev = {"a": {"b"}, "b": {"a"}}
-        origin = transitive_callers(rev, {"a"})
-        assert origin == {"b": "a"}
+def committed(fps):
+    """A session that has committed ``fps`` after its first diff."""
+    session = ServiceSession("demo")
+    session.diff(fps)
+    session.committed.update(fps)
+    return session
 
 
 class TestIndex:
-    REV = {"leaf": {"mid"}, "mid": {"top"}}
+    FPS = {"leaf": "f1", "mid": "f2", "top": "f3"}
 
     def test_everything_new_on_first_diff(self):
-        idx = InvalidationIndex()
-        fps = {"leaf": "f1", "mid": "f2"}
-        out = idx.diff(fps, {"leaf": "c1", "mid": "c2"}, self.REV)
-        assert out.reasons == {"leaf": "new", "mid": "new"}
-        assert out.force == set()
+        session = ServiceSession("demo")
+        out = session.diff({"leaf": "f1", "mid": "f2"})
+        assert out == {"leaf": "new", "mid": "new"}
 
     def test_clean_after_commit(self):
-        idx = InvalidationIndex()
-        fps = {"leaf": "f1", "mid": "f2"}
-        digests = {"leaf": "c1", "mid": "c2"}
-        idx.diff(fps, digests, self.REV)
-        for n in fps:
-            idx.commit(n, fps[n])
-        assert not idx.diff(fps, digests, self.REV)
+        session = committed(self.FPS)
+        assert session.diff(self.FPS) == {}
+        assert session.committed == self.FPS
 
     def test_body_edit_stays_local(self):
-        idx = InvalidationIndex()
-        fps = {"leaf": "f1", "mid": "f2", "top": "f3"}
-        digests = {"leaf": "c1", "mid": "c2", "top": "c3"}
-        idx.diff(fps, digests, self.REV)
-        for n in fps:
-            idx.commit(n, fps[n])
-        out = idx.diff({**fps, "leaf": "f1'"}, digests, self.REV)
-        assert out.reasons == {"leaf": "changed"}
-        assert out.force == set()
+        session = committed(self.FPS)
+        out = session.diff({**self.FPS, "leaf": "f1'"})
+        assert out == {"leaf": "changed"}
 
-    def test_contract_edit_propagates_and_forces(self):
-        idx = InvalidationIndex()
-        # A leaf contract edit moves leaf's and mid's fingerprints
-        # (mid hashes its direct callee's contract); top's fingerprint
-        # is unchanged — exactly the case that must be *forced*.
-        fps = {"leaf": "f1", "mid": "f2", "top": "f3"}
-        digests = {"leaf": "c1", "mid": "c2", "top": "c3"}
-        idx.diff(fps, digests, self.REV)
-        for n in fps:
-            idx.commit(n, fps[n])
-        out = idx.diff(
-            {"leaf": "f1'", "mid": "f2'", "top": "f3"},
-            {**digests, "leaf": "c1'"},
-            self.REV,
-        )
-        assert out.reasons == {
-            "leaf": "changed",
-            "mid": "changed",
-            "top": "invalidated:leaf",
-        }
-        assert out.force == {"top"}
+    def test_contract_edit_dirties_exactly_the_moved_fingerprints(self):
+        # A leaf contract edit moves leaf's and mid's fingerprints (mid
+        # hashes its direct callee's contract); top's is unchanged, so
+        # top stays clean.
+        session = committed(self.FPS)
+        out = session.diff({"leaf": "f1'", "mid": "f2'", "top": "f3"})
+        assert out == {"leaf": "changed", "mid": "changed"}
+        assert session.committed == {"top": "f3"}
 
-    def test_pending_force_survives_an_uncommitted_round(self):
-        # The forced re-verification never produced a cacheable
-        # verdict (drain/timeout): the function must stay forced, or
-        # the unchanged fingerprint would resurrect the stale store
-        # entry on the next submit.
-        idx = InvalidationIndex()
-        fps = {"leaf": "f1", "mid": "f2", "top": "f3"}
-        digests = {"leaf": "c1", "mid": "c2", "top": "c3"}
-        idx.diff(fps, digests, self.REV)
-        for n in fps:
-            idx.commit(n, fps[n])
-        edited = {**digests, "leaf": "c1'"}
-        idx.diff({"leaf": "f1'", "mid": "f2'", "top": "f3"}, edited, self.REV)
-        # No commits at all (the round was drained) -> resubmit:
-        out = idx.diff(
-            {"leaf": "f1'", "mid": "f2'", "top": "f3"}, edited, self.REV
-        )
-        assert out.reasons["top"] == "invalidated:leaf"
-        assert out.force == {"top"}
-        assert out.reasons["leaf"] == "new"  # evicted, fp-keyed lookup is safe
-        # A cacheable commit finally clears the pending force.
-        idx.commit("top", "f3")
-        assert "top" not in idx.diff(
-            {"leaf": "f1'", "mid": "f2'", "top": "f3"}, edited, self.REV
-        ).reasons
+    def test_uncommitted_round_stays_dirty(self):
+        # The dirty round never produced a cacheable verdict (drain or
+        # timeout): the dirty functions were evicted, so they stay
+        # dirty until a commit, even when the edit is reverted.
+        session = committed(self.FPS)
+        session.diff({**self.FPS, "leaf": "f1'"})
+        assert session.diff({**self.FPS, "leaf": "f1'"}) == {"leaf": "new"}
+        assert session.diff(self.FPS) == {"leaf": "new"}
+        session.committed["leaf"] = "f1"
+        assert session.diff(self.FPS) == {}

@@ -1,4 +1,4 @@
-"""The hot session: incremental dispatch, warm reuse, call-graph
+"""The hot session: incremental dispatch, warm reuse, fingerprint
 invalidation, deadlines and drain — all in-process (no sockets)."""
 
 import pytest
@@ -17,6 +17,17 @@ def session(tmp_path):
 
 
 ALL = sorted(DEMO_FNS)
+
+
+def _fresh(params=None, contracts=None):
+    """Fingerprints and per-function statuses of a fresh, store-less
+    run of the demo corpus under ``params`` and ``contracts``."""
+    corpus = load_corpus("demo", params)
+    hv = HybridVerifier(
+        corpus.program, corpus.ownables, {**corpus.contracts, **(contracts or {})}
+    )
+    statuses = {n: entries_status(es) for n, es in hv.run().by_function().items()}
+    return {n: hv.fingerprint(n) for n in statuses}, statuses
 
 
 class TestIncremental:
@@ -51,39 +62,75 @@ class TestIncremental:
         [
             pytest.param(1, None, id="jobs1"),
             pytest.param(2, None, id="jobs2"),
-            # top's worker dies, so the pool's serial retry in the
-            # parent re-verifies it: a forced item must read nothing
-            # there either. mid's delay keeps its worker from
-            # publishing before the pool breaks, so no unforced retry
-            # can resume from a store hit.
+            # mid's worker dies, so the pool's serial retry in the
+            # parent re-verifies it. leaf's delay keeps its worker from
+            # publishing before the pool breaks, so its retry verifies
+            # too instead of resuming from a store hit.
             pytest.param(
                 2,
-                "parallel.worker@top:crash,pipeline.verify_one@mid:delay:0.3",
-                id="jobs2-top-crash",
+                "parallel.worker@mid:crash,pipeline.verify_one@leaf:delay:0.3",
+                id="jobs2-crash",
             ),
         ],
     )
-    def test_contract_edit_reverifies_the_transitive_cone(
+    def test_contract_edit_reverifies_moved_keys(
         self, session, jobs, fault
     ):
+        contracts = {"demo::leaf": {"ensures": ["result == x", "x == x"]}}
+        old_fps, _ = _fresh()
+        new_fps, fresh = _fresh(contracts=contracts)
+        moved = sorted(n for n in ALL if new_fps[n] != old_fps[n])
+        # leaf's own contract and mid's direct callee's contract moved;
+        # top only assumes mid's unchanged contract.
+        assert moved == ["demo::leaf", "demo::mid"]
         session.submit()
         if fault:
             faultinject.install(fault)
         before = dict(STORE_STATS)
-        r = session.submit(
-            contracts={"demo::leaf": {"ensures": ["result == x", "x == x"]}},
-            jobs=jobs,
-        )
+        r = session.submit(contracts=contracts, jobs=jobs)
+        faultinject.clear()
         assert r["ok"]
-        assert r["reverified"] == ["demo::leaf", "demo::mid", "demo::top"]
-        assert r["reasons"]["demo::top"] == "invalidated:demo::leaf"
-        assert r["reasons"]["demo::mid"] == "changed"
-        assert "demo::side" in r["reused"]
-        # demo::top's fingerprint did not move: the store still holds
-        # its old entry under the same key, and the forced dispatch
-        # must NOT read it (leaf/mid changed fingerprints are honest
-        # misses; only a hit could resurrect the stale result).
-        assert STORE_STATS["hits"] - before.get("hits", 0) == 0
+        assert r["reverified"] == moved
+        assert r["reasons"] == {n: "changed" for n in moved}
+        assert r["reused"] == ["demo::side", "demo::top"]
+        # The moved keys are honest misses, each published once.
+        delta = {k: STORE_STATS[k] - before[k] for k in STORE_STATS}
+        assert delta["hits"] == 0
+        assert delta["misses"] == delta["stores"] == len(moved)
+        assert r["functions"] == fresh
+
+    def test_refuting_leaf_edit_turns_the_aggregate_refuted(self, session):
+        session.submit()
+        contracts = {"demo::leaf": {"ensures": ["result >= x"]}}
+        r = session.submit(contracts=contracts)
+        assert not r["ok"] and r["status"] == "refuted"
+        assert r["functions"] == {
+            "demo::leaf": "verified",
+            "demo::mid": "refuted",
+            "demo::side": "verified",
+            "demo::top": "verified",
+        }
+        assert r["reverified"] == ["demo::leaf", "demo::mid"]
+        assert r["functions"] == _fresh(contracts=contracts)[1]
+
+    def test_every_edit_matches_a_fresh_run(self, session):
+        """The staleness check: after each edit the session's verdicts
+        equal those of a fresh run with no store and no session."""
+        weakened = {"demo::leaf": {"ensures": ["result >= x"]}}
+        tautology = {"demo::leaf": {"ensures": ["result == x", "x == x"]}}
+        pad = {"pad": {"demo::mid": 1}}
+        for params, contracts in (
+            (None, None),
+            (None, tautology),
+            (None, weakened),
+            (pad, weakened),
+            (pad, None),
+            (None, None),
+        ):
+            r = session.submit(params=params, contracts=contracts)
+            assert r["functions"] == _fresh(params, contracts)[1], (
+                params, contracts,
+            )
 
     def test_warm_after_contract_edit(self, session):
         session.submit()
@@ -226,15 +273,15 @@ class TestDegradation:
         assert not r["ok"] and r["status"] == "timeout"
         assert sorted(r["drained"]) == ALL
         assert set(r["functions"].values()) == {"timeout"}
-        # The drain is journaled as the resume set.
-        drains = [
-            rec for rec in session.store.journal.read()
-            if rec.get("kind") == "drain"
-        ]
-        assert drains and sorted(drains[-1]["pending"]) == ALL
+        # A drained function publishes no entry, so it is a store miss.
+        assert not any(
+            session.store.has(session.verifier.fingerprint(n)) for n in ALL
+        )
         # Nothing was committed: the next submit re-verifies all.
+        before = dict(STORE_STATS)
         r2 = session.submit()
         assert r2["ok"] and r2["reverified"] == ALL
+        assert STORE_STATS["misses"] - before["misses"] == len(ALL)
 
     def test_stop_check_drains_between_chunks(self, session):
         calls = []
@@ -247,6 +294,10 @@ class TestDegradation:
         done = [n for n, s in r["functions"].items() if s == "verified"]
         assert len(done) == 2 and len(r["drained"]) == 2
         assert r["status"] == "error"
+        # The entry files are the record: the done half has one, the
+        # drained half none.
+        has = {n: session.store.has(session.verifier.fingerprint(n)) for n in ALL}
+        assert sorted(n for n in ALL if has[n]) == sorted(done)
         # Resume: exactly the drained half re-verifies; the completed
         # half answers from the store/session.
         r2 = session.submit()
@@ -254,7 +305,7 @@ class TestDegradation:
 
     def test_nothing_cacheable_is_not_committed(self, session):
         session.submit(deadline=0.0)  # all timeout
-        assert session.index.fps == {}
+        assert session.committed == {}
 
     def test_entries_status_severity(self, session):
         session.submit()

@@ -124,7 +124,9 @@ class TestEnvActivation:
         assert cold.store_stats["stores"] == len(FAST_FNS)
         warm = HybridVerifier(program, ownables, {}).run(FAST_FNS, jobs=1)
         assert warm.store_stats["hits"] == len(FAST_FNS)
-        assert (tmp_path / "cache" / "journal.jsonl").exists()
+        assert len(list((tmp_path / "cache" / "entries").rglob("*.json"))) == len(
+            FAST_FNS
+        )
 
     def test_cache_off_by_default(self, env, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)

@@ -1,5 +1,5 @@
 """The store's durability contract: atomic publishes, checksummed
-reads, quarantine/heal, journal self-validation, env configuration."""
+reads, quarantine/heal, env configuration."""
 
 import json
 import os
@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import StoreCorrupted
 from repro.hybrid.pipeline import HybridEntry
-from repro.store import CACHEABLE_STATUSES, Journal, ProofStore, STORE_STATS
+from repro.store import CACHEABLE_STATUSES, ProofStore, STORE_STATS
 
 FP = "ab" + "0" * 62
 FP2 = "cd" + "1" * 62
@@ -45,9 +45,9 @@ class TestRoundTrip:
         rel = store._entry_path(FP).relative_to(store.entries_dir)
         assert rel.parts == (FP[:2], f"{FP}.json")
         assert entry_file(store, FP).exists()
-        # One fixed layout: nothing but the four fixed members.
+        # One fixed layout: nothing but the three fixed members.
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "entries", "journal.jsonl", "quarantine", "tmp",
+            "entries", "quarantine", "tmp",
         ]
 
     def test_miss_is_none(self, tmp_path):
@@ -68,6 +68,16 @@ class TestRoundTrip:
         store.put(FP, "fn0", entries_for("fn0"))
         store.put(FP2, "fn1", entries_for("fn1"))
         assert list(store.tmp_dir.iterdir()) == []
+
+    def test_tmp_litter_of_a_killed_writer_is_ignored(self, tmp_path):
+        # A writer killed between its staging write and the rename
+        # leaves a half-written tmp file; it is never read as a proof.
+        store = ProofStore(tmp_path)
+        (store.tmp_dir / f"{FP}.4242.tmp").write_bytes(b'{"version": ')
+        assert store.get(FP) is None
+        assert STORE_STATS["misses"] == 1 and STORE_STATS["corrupt"] == 0
+        assert store.put(FP, "fn0", entries_for("fn0"))
+        assert store.get(FP) is not None
 
     @pytest.mark.parametrize("status", ["timeout", "crashed", "error"])
     def test_nondeterministic_verdicts_not_persisted(self, tmp_path, status):
@@ -158,50 +168,6 @@ class TestCorruption:
     def test_bad_verify_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="verify_mode"):
             ProofStore(tmp_path, verify_mode="paranoid")
-
-
-class TestJournal:
-    def test_entries_and_run_brackets(self, tmp_path):
-        store = ProofStore(tmp_path)
-        store.begin_run(["fn0", "fn1"])
-        store.put(FP, "fn0", entries_for("fn0"))
-        store.end_run()
-        records = store.journal.read()
-        assert [r["kind"] for r in records] == ["run", "entry", "run"]
-        assert records[1]["fn"] == "fn0" and records[1]["fp"] == FP
-        assert store.journal.completed_fingerprints() == {FP: "fn0"}
-        assert store.journal.interrupted_runs() == 0
-
-    def test_interrupted_run_detected(self, tmp_path):
-        store = ProofStore(tmp_path)
-        store.begin_run(["fn0"])  # no end: the parent was killed
-        assert store.journal.interrupted_runs() == 1
-        info = store.resume_info()
-        assert info["interrupted_runs"] == 1
-
-    def test_torn_tail_line_skipped(self, tmp_path):
-        journal = Journal(tmp_path / "journal.jsonl")
-        journal.append({"kind": "entry", "fn": "fn0", "fp": FP})
-        with open(journal.path, "ab") as fh:
-            fh.write(b'{"c":"dead","r":{"kind":"entry","fn":"f')  # torn
-        records = journal.read()
-        assert len(records) == 1 and journal.bad_lines == 1
-
-    def test_checksum_mismatch_skipped(self, tmp_path):
-        journal = Journal(tmp_path / "journal.jsonl")
-        journal.append({"kind": "entry", "fn": "fn0", "fp": FP})
-        raw = journal.path.read_bytes().replace(b'"fn0"', b'"fn9"')
-        journal.path.write_bytes(raw)
-        assert journal.read() == [] and journal.bad_lines == 1
-
-    def test_unreadable_journal_degrades_not_raises(self, tmp_path):
-        # An EACCES/EIO on the journal must follow the store's
-        # never-crash model: zero resumable records, not an exception.
-        journal = Journal(tmp_path / "locked")
-        journal.path.mkdir()  # read_bytes -> EISDIR, an OSError
-        assert journal.read() == [] and journal.bad_lines == 1
-        assert journal.completed_fingerprints() == {}
-        assert journal.interrupted_runs() == 0
 
 
 class TestFromEnv:

@@ -2,6 +2,8 @@
 persistent I/O errors — each must degrade (retry, quarantine, heal,
 re-verify), never crash a run or serve a wrong answer."""
 
+import os
+
 import pytest
 
 from repro import faultinject
@@ -35,6 +37,18 @@ class TestIoErrors:
         assert STORE_STATS["io_errors"] == 1
         assert STORE_STATS["io_retries"] >= 2
         assert not entry_file(store, FP).exists()
+
+    def test_failed_publish_removes_its_staging_file(self, tmp_path, monkeypatch):
+        store = ProofStore(tmp_path)
+
+        def fail(fd):
+            raise OSError("EIO")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        assert not store.put(FP, "fn0", entries_for("fn0"))
+        assert list(store.tmp_dir.iterdir()) == []
+        assert not entry_file(store, FP).exists()
+        assert STORE_STATS["io_errors"] == 1 and STORE_STATS["stores"] == 0
 
     def test_persistent_read_error_is_a_miss(self, tmp_path):
         store = ProofStore(tmp_path)
