@@ -14,7 +14,9 @@ Mirroring the split between safe and unsafe Rust:
 The pipeline therefore *discharges* the axioms the safe half relies
 on: every unsafe contract assumed by Creusot is proven by Gillian-Rust
 against the real implementation — end-to-end verification, with each
-tool doing what it is specialised for.
+tool doing what it is specialised for. The type-safety obligation
+depends on no contract, so a verifier that runs again after a
+contract edit reuses it and re-runs only the functional one.
 
 Functions are verified independently, so :meth:`HybridVerifier.run`
 can fan the per-function Creusot/Gillian-Rust jobs out over a
@@ -59,13 +61,20 @@ from repro.obs import report as obs_report
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import metrics
 from repro.parallel import PARALLEL_STATS, default_jobs, fanout
-from repro.store import ProofStore, STORE_STATS, function_fingerprint, logic_digest
+from repro.store import (
+    CACHEABLE_STATUSES,
+    ProofStore,
+    STORE_STATS,
+    function_fingerprint,
+    logic_digest,
+)
 
 from repro.creusot.vcgen import CreusotResult, CreusotVerifier
 from repro.gillian.verifier import VerificationResult, verify_function
 from repro.gilsonite.ownable import OwnableRegistry
 from repro.gilsonite.specs import Spec, show_safety_spec
 from repro.lang.mir import Body, Program
+from repro.lang.pretty import pretty_body
 from repro.pearlite.ast import PearliteSpec
 from repro.pearlite.encode import PearliteEncoder
 from repro.solver.core import GLOBAL_STATS, Solver
@@ -136,6 +145,10 @@ class HybridReport:
     #: Why the run drained (the stop hook's reason, or ``deadline``);
     #: empty for a run that dispatched everything.
     drain_reason: str = ""
+    #: Type-safety obligations answered by the entry an earlier run of
+    #: this verifier produced: their body, logic and budget had not
+    #: changed, only (perhaps) contracts.
+    safety_reused: int = 0
     #: Adversarial cross-check results (``--verify-verdicts`` /
     #: ``REPRO_ADVERSARY=1``): an
     #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
@@ -216,6 +229,11 @@ class HybridReport:
                 f"{st.get('disk_reads', 0)} disk reads --"
             )
         if verbose:
+            if self.safety_reused:
+                lines.append(
+                    f"-- type safety: {self.safety_reused} reused "
+                    "from an earlier run --"
+                )
             searched = ("alpha_hits", "prefix_hits", "prefix_misses")
             if any(ss.get(k) for k in searched):
                 lines.append(
@@ -240,7 +258,14 @@ class HybridReport:
 
 
 class HybridVerifier:
-    """Drives both halves over one program."""
+    """Drives both halves over one program.
+
+    The logic digest is computed once, so the logic tables (predicates,
+    lemmas, ownables, installed specs) and the Ownable registry are
+    fixed for the verifier's lifetime: store keys and type-safety reuse
+    rely on the digest. Contracts, the budget and whole bodies
+    (replaced, never mutated in place) may change between runs; the
+    daemon builds a new verifier on every program reload."""
 
     def __init__(
         self,
@@ -274,12 +299,30 @@ class HybridVerifier:
         #: The logic digest, computed on first use: program and
         #: ownables are fixed for the verifier's lifetime.
         self._logic: Optional[str] = None
+        #: name -> (body, its pretty text): each body printed once.
+        self._texts: dict[str, tuple[Body, str]] = {}
+        #: name -> (key, entry): the last deterministic type-safety
+        #: entry of each unsafe function, recorded by run() in the
+        #: parent (see :meth:`_safety_key`).
+        self._safety: dict[str, tuple[tuple, HybridEntry]] = {}
+        #: name -> the type-safety entry the current run() reuses
+        #: instead of verifying again; set before any fan-out, so
+        #: forked workers inherit it.
+        self._reuse: dict[str, HybridEntry] = {}
 
     def logic(self) -> str:
         """The program-wide logic digest every fingerprint folds in."""
         if self._logic is None:
             self._logic = logic_digest(self.program, self.ownables)
         return self._logic
+
+    def _body_text(self, name: str) -> str:
+        """``name``'s pretty-printed body, printed once per body."""
+        body = self.program.bodies[name]
+        known = self._texts.get(name)
+        if known is None or known[0] is not body:
+            known = self._texts[name] = (body, pretty_body(body))
+        return known[1]
 
     def fingerprint(self, name: str) -> str:
         """``name``'s store key under the current contracts and the
@@ -292,7 +335,30 @@ class HybridVerifier:
             auto_extract=self.auto_extract,
             budget=self.budget,
             logic=self.logic(),
+            body_text=self._body_text(name),
         )
+
+    def _safety_key(self, name: str) -> Optional[tuple]:
+        """What ``name``'s type-safety verdict depends on and may
+        change within this verifier, read under the base budget.
+
+        The ``#[show_safety]`` spec is built from the signature, so the
+        verdict depends on the body, the logic context and the budget,
+        and on no contract. The logic is fixed for the verifier's
+        lifetime (see the class docstring), which leaves the body's
+        text and the base budget. ``None`` — nothing
+        is reused — when the budget counts steps, solver queries or
+        branches: the two obligations share one running budget, so
+        the functional verdict would then depend on what type safety
+        spent."""
+        spec = self.budget
+        if spec is not None and (
+            spec.max_steps is not None
+            or spec.max_solver_queries is not None
+            or spec.max_branches is not None
+        ):
+            return None
+        return (self._body_text(name), spec)
 
     def verify_one(self, name: str) -> list[HybridEntry]:
         """Verify one function, degrading every failure mode into
@@ -345,19 +411,19 @@ class HybridVerifier:
                         note=f"{r.vcs} VCs, {r.elapsed * 1000:.0f} ms",
                     )
                 ]
-            entries = []
             # Type safety first (show_safety), then the Pearlite contract.
-            safety = show_safety_spec(self.ownables, body)
-            rs = verify_function(
-                self.program, body, safety, self.solver, budget=budget
-            )
-            entries.append(
-                HybridEntry(
+            safety = self._reuse.get(name)
+            if safety is None:
+                rs = verify_function(
+                    self.program, body, show_safety_spec(self.ownables, body),
+                    self.solver, budget=budget,
+                )
+                safety = HybridEntry(
                     name, "gillian-rust", rs.ok, rs,
                     note=f"type safety, {rs.elapsed * 1000:.0f} ms",
                     status=rs.status,
                 )
-            )
+            entries = [safety]
             contract = self.contracts.get(name)
             if contract is not None and _has_clauses(contract):
                 from repro.pearlite.parser import parse_pearlite
@@ -432,6 +498,12 @@ class HybridVerifier:
         * ``fingerprints`` supplies store keys already computed for
           ``functions`` (under the same contracts and budget).
 
+        The verifier keeps each unsafe function's deterministic
+        type-safety entry across runs. A function verified again with
+        the same body under the same base budget — after a contract
+        edit, its own or a callee's — reuses that entry and runs only
+        its functional obligation (``report.safety_reused``).
+
         ``verify_verdicts=True`` (or ``REPRO_ADVERSARY=1`` when the
         argument is left ``None``) runs the adversarial cross-check
         (:mod:`repro.adversary`) over the finished verdicts and
@@ -452,22 +524,32 @@ class HybridVerifier:
         phases_before = obs.phases_snapshot()
         cached = self._lookup_cached(names, fingerprints or {})
         pending = [n for n in names if n not in cached]
-        if stop is None and deadline is None:
-            if jobs > 1:
-                # Longest estimate first, so the slow functions don't
-                # start last and leave one worker finishing alone; the
-                # stable sort keeps submission order among ties.
-                pending.sort(
-                    key=lambda n: _estimate_cost(
-                        self.program.bodies.get(n), self.contracts.get(n)
-                    ),
-                    reverse=True,
+        # Offered under the base budget, before _verify_chunks caps it.
+        self._reuse = reuse = self._reusable_safety(pending)
+        try:
+            if stop is None and deadline is None:
+                if jobs > 1:
+                    # Longest estimate first, so the slow functions
+                    # don't start last and leave one worker finishing
+                    # alone; the stable sort keeps submission order
+                    # among ties.
+                    pending.sort(
+                        key=lambda n: _estimate_cost(
+                            self.program.bodies.get(n), self.contracts.get(n)
+                        ),
+                        reverse=True,
+                    )
+                fresh = self._verify_batch(pending, jobs)
+            else:
+                fresh, report.drain_reason = self._verify_chunks(
+                    pending, jobs, stop, deadline
                 )
-            fresh = self._verify_batch(pending, jobs)
-        else:
-            fresh, report.drain_reason = self._verify_chunks(
-                pending, jobs, stop, deadline
-            )
+        finally:
+            self._reuse = {}
+        # A worker's copy of an offered entry compares equal to it.
+        report.safety_reused = sum(
+            1 for n, e in reuse.items() if n in fresh and fresh[n][0] == e
+        )
         reason = report.drain_reason
         for name in names:
             if name in cached:
@@ -482,6 +564,7 @@ class HybridVerifier:
                 )]
             report.outcomes[name] = how
             report.entries.extend(entries)
+            self._record_safety(name, entries)
         if verify_verdicts or (
             verify_verdicts is None and _adversary_enabled()
         ):
@@ -585,6 +668,31 @@ class HybridVerifier:
             return AdversaryReport(
                 internal_error=f"{type(e).__name__}: {e}"
             )
+
+    # -- type-safety reuse ---------------------------------------------------
+
+    def _reusable_safety(self, names: list[str]) -> dict[str, HybridEntry]:
+        """The recorded type-safety entries of ``names`` whose key has
+        not moved. Only a function with a record pays for its key."""
+        out = {}
+        for name in names:
+            known = self._safety.get(name)
+            if known is not None and name in self.program.bodies:
+                if known[0] == self._safety_key(name):
+                    out[name] = known[1]
+        return out
+
+    def _record_safety(self, name: str, entries: list[HybridEntry]) -> None:
+        """Keep ``name``'s type-safety entry when it is deterministic."""
+        first = entries[0]
+        if (
+            isinstance(first.detail, VerificationResult)
+            and first.detail.kind == "type_safety"
+            and first.status in CACHEABLE_STATUSES
+        ):
+            key = self._safety_key(name)
+            if key is not None:
+                self._safety[name] = (key, first)
 
     # -- store plumbing ------------------------------------------------------
 

@@ -111,12 +111,16 @@ class ServiceSession:
             return
         self._overrides = dict(overrides)
         merged = self._merged_contracts()
-        self.verifier.contracts = merged
-        # The Creusot half normalises contracts at construction; keep
-        # its view in lock-step with the session's.
+        old = self.verifier.contracts
+        # The Creusot half normalises (parses) contracts at
+        # construction; keep its view in lock-step with the session's,
+        # re-normalising only the contracts that changed.
+        normalised = self.verifier.creusot.contracts
         self.verifier.creusot.contracts = {
-            k: _normalise_contract(v) for k, v in merged.items()
+            k: normalised[k] if k in old and old[k] == v else _normalise_contract(v)
+            for k, v in merged.items()
         }
+        self.verifier.contracts = merged
 
     def diff(self, fps: dict[str, str]) -> dict[str, str]:
         """``name -> "new" | "changed"`` for every function of ``fps``

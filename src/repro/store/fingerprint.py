@@ -5,17 +5,27 @@ unchanged. Per function, that closure is (cf. Why3/Creusot session
 shapes and Gillian's per-procedure summaries):
 
 * the function's MIR body (pretty-printed — a canonical, readable
-  serialisation that is independent of object identity);
+  serialisation that is independent of object identity; a verifier
+  prints each body once and passes the text in as ``body_text``);
 * its own Pearlite contract and manual pure preconditions, plus the
   encoder configuration (``auto_extract``);
-* the contracts/specs of every callee the body can invoke — the axioms
-  the proof *assumes* (compositionality: a callee's body may change
-  freely, but its contract may not);
+* the Pearlite contracts of every callee the body can invoke — the
+  axioms the proof *assumes* (compositionality: a callee's body may
+  change freely, but its contract may not);
 * the program's logic context — predicates, lemmas, Ownable impls and
-  installed specs — which fold/unfold automation can consult anywhere;
+  installed specs — which fold/unfold automation can consult anywhere.
+  A callee's installed Gilsonite spec reaches the key only through
+  this digest, which hashes every installed spec;
 * the solver/budget configuration, because budgets change verdicts
   (a lower branch cap can turn ``verified`` into ``refuted``);
 * a format version, bumped when entry layout or semantics change.
+
+An unsafe function's type-safety obligation uses a subset of this
+closure: its ``#[show_safety]`` spec is built from the signature, so
+the verdict depends on the body, the logic context and the budget,
+and on no contract. :class:`repro.hybrid.pipeline.HybridVerifier`
+reuses it across contract-only edits on that basis; the store key
+stays whole, one entry per function.
 
 Everything is hashed through a canonicaliser that never depends on
 memory addresses or global counter state: in ``repr`` *fallbacks*
@@ -43,7 +53,7 @@ from repro.lang.pretty import pretty_body
 
 #: Bump on any change to entry layout, payload semantics, or the
 #: fingerprint recipe itself; old entries become misses, never lies.
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 _ADDR = re.compile(r"0x[0-9a-fA-F]+")
 _FRESH = re.compile(r"#\d+")
@@ -202,11 +212,13 @@ def function_fingerprint(
     auto_extract: bool = False,
     budget=None,
     logic: Optional[str] = None,
+    body_text: Optional[str] = None,
 ) -> str:
     """The content address of one function's verification result.
 
-    ``logic`` lets callers amortise :func:`logic_digest` over a run;
-    omitted, it is computed here.
+    ``logic`` and ``body_text`` (the body's :func:`pretty_body`) let a
+    caller amortise :func:`logic_digest` and the printing over a run;
+    omitted, they are computed here.
     """
     body = program.bodies[name]
     contracts = contracts or {}
@@ -214,7 +226,7 @@ def function_fingerprint(
     h = hashlib.sha256()
     h.update(f"format={STORE_FORMAT}\n".encode())
     h.update(f"fn={name}\n".encode())
-    h.update(pretty_body(body).encode())
+    h.update((body_text if body_text is not None else pretty_body(body)).encode())
     h.update(b"\ncontract=")
     h.update(canon(contracts.get(name)).encode())
     h.update(b"\nmanual_pure_pre=")
@@ -225,8 +237,6 @@ def function_fingerprint(
     for callee in _callees(body):
         h.update(f"\ncallee {callee}\n".encode())
         h.update(canon(contracts.get(callee)).encode())
-        h.update(b"/")
-        h.update(canon(program.specs.get(callee)).encode())
     h.update(b"\nlogic=")
     h.update((logic if logic is not None else logic_digest(program)).encode())
     return h.hexdigest()

@@ -32,12 +32,14 @@ checkout, shared CI cache), and the checksum only detects accidents,
 so reading an entry must be safe on arbitrary bytes.
 
 Validation — every read re-checks the envelope: JSON well-formedness,
-format version, fingerprint echo, SHA-256 of the payload, and payload
-decodability. Any failure is *corruption*: in ``heal`` mode (default)
-the file is moved to ``quarantine/`` and the lookup reports a miss, so
-the caller re-verifies and the fresh publish heals the entry; in
-``strict`` mode a :class:`~repro.errors.StoreCorrupted` surfaces (the
-pipeline maps it to an ``error`` entry — it still never crashes a run).
+format version, fingerprint echo, SHA-256 of the payload, payload
+decodability, and that the envelope's ``function`` and ``statuses``
+echo the decoded payload. Any failure is *corruption*: in ``heal``
+mode (default) the file is moved to ``quarantine/`` and the lookup
+reports a miss, so the caller re-verifies and the fresh publish heals
+the entry; in ``strict`` mode a :class:`~repro.errors.StoreCorrupted`
+surfaces (the pipeline maps it to an ``error`` entry — it still never
+crashes a run).
 
 Only deterministic verdicts (``verified`` / ``refuted``) are
 persisted: a ``timeout`` depends on the machine's speed that day, a
@@ -252,6 +254,15 @@ class ProofStore:
             entries = codec.decode_entries(json.loads(base64.b64decode(payload)))
         except Exception:
             raise StoreCorrupted("payload failed to decode", str(path)) from None
+        # The envelope's ``function`` and ``statuses`` sit outside the
+        # checksum and are read without decoding the payload, so they
+        # must echo it.
+        if {e.function for e in entries} != {envelope.get("function")} or (
+            envelope.get("statuses") != [e.status for e in entries]
+        ):
+            raise StoreCorrupted(
+                "entry envelope does not match its payload", str(path)
+            )
         return entries
 
     def _quarantine(self, fp: str, path: Path) -> None:

@@ -132,6 +132,17 @@ class TestIncremental:
                 params, contracts,
             )
 
+    def test_override_change_renormalises_only_what_changed(self, session):
+        session.submit()
+        before = dict(session.verifier.creusot.contracts)
+        session.submit(contracts={"demo::leaf": {"ensures": ["result >= x"]}})
+        after = session.verifier.creusot.contracts
+        assert after["demo::leaf"] is not before["demo::leaf"]
+        assert all(after[n] is before[n] for n in ALL if n != "demo::leaf")
+        # Dropping the override re-normalises leaf's corpus contract.
+        session.submit()
+        assert session.verifier.creusot.contracts["demo::leaf"] == before["demo::leaf"]
+
     def test_warm_after_contract_edit(self, session):
         session.submit()
         contracts = {"demo::leaf": {"ensures": ["result == x", "x == x"]}}
@@ -347,3 +358,47 @@ class TestAlphaMemo:
         assert f"-- solver: 0 checks, {ss['alpha_hits']} alpha-memo hits" in text
         table = obs_report.render_phase_table(report.phase_stats)
         assert fn in table
+
+
+class TestTypeSafetyReuse:
+    """The session keeps its verifier across requests, so a contract
+    edit re-runs only the functional obligation of each moved unsafe
+    function: its type-safety entry is reused from the earlier run."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_contract_edit_reuses_type_safety(self, tmp_path, monkeypatch, jobs):
+        from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
+
+        reports = []
+        real_run = HybridVerifier.run
+
+        def run(self, *args, **kw):
+            reports.append(real_run(self, *args, **kw))
+            return reports[-1]
+
+        monkeypatch.setattr(HybridVerifier, "run", run)
+        fns = ["LinkedList::pop_front", "LinkedList::pop_front_node"]
+        session = ServiceSession("linked_list", store=ProofStore(tmp_path / "cache"))
+        session.submit(functions=fns, jobs=jobs)
+        cold = reports[-1]
+        base = LINKED_LIST_CONTRACTS["LinkedList::pop_front_node"]
+        edit = {"LinkedList::pop_front_node": {
+            **base, "ensures": [*base.get("ensures", []), "1 == 1"],
+        }}
+        r = session.submit(functions=fns, contracts=edit, jobs=jobs)
+        # pop_front_node's own contract and pop_front's callee contract
+        # moved; both re-verify, and neither re-runs type safety.
+        assert r["reverified"] == fns
+        report = reports[-1]
+        assert report.safety_reused == 2
+        for fn in fns:
+            assert report.phase_stats[fn]["symex"]["calls"] == 1
+            assert report.by_function()[fn][0] == cold.by_function()[fn][0]
+        corpus = load_corpus("linked_list")
+        fresh = HybridVerifier(
+            corpus.program, corpus.ownables, {**corpus.contracts, **edit},
+            manual_pure_pre=corpus.manual_pure_pre,
+        ).run(fns)
+        assert r["functions"] == {
+            n: entries_status(es) for n, es in fresh.by_function().items()
+        }

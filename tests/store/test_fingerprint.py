@@ -6,9 +6,14 @@ cache never hits) and *sensitive* to every input the proof depends on
 (else it serves stale proofs). Both directions are tested here.
 """
 
+from dataclasses import replace
+
 from repro.budget import BudgetSpec
+from repro.gilsonite.ownable import OwnableRegistry
+from repro.gilsonite.specs import show_safety_spec
 from repro.lang.builder import BodyBuilder
 from repro.lang.mir import Program
+from repro.lang.pretty import pretty_body
 from repro.lang.types import U64, UNIT
 from repro.store import canon, function_fingerprint, logic_digest
 
@@ -135,6 +140,18 @@ class TestSensitivity:
         # ...but a contract on an unrelated function must not.
         assert base == fp(p, contracts={"fn3": {"ensures": ["true"]}})
 
+    def test_callee_installed_spec_changes_fingerprint(self):
+        # A callee's installed Gilsonite spec reaches the caller's key
+        # through the logic digest, which hashes every installed spec.
+        p = build()
+        spec = show_safety_spec(OwnableRegistry(p), p.bodies["fn0"])
+        p.specs["fn0"] = spec
+        before, logic = fp(p), logic_digest(p)
+        p.specs["fn0"] = replace(spec, trusted=True)
+        assert logic_digest(p) != logic
+        assert fp(p) != before
+        assert fp(p, logic=logic_digest(p)) == fp(p) != fp(p, logic=logic)
+
     def test_budget_changes_fingerprint(self):
         p = build()
         assert fp(p, budget=BudgetSpec(max_branches=10)) != fp(
@@ -148,6 +165,12 @@ class TestSensitivity:
         p = build()
         assert fp(p, auto_extract=True) != fp(p, auto_extract=False)
         assert fp(p, manual_pure_pre={"caller": ["x@ < 100"]}) != fp(p)
+
+    def test_given_body_text_is_the_printed_body(self):
+        p = build()
+        text = pretty_body(p.bodies["caller"])
+        assert fp(p, body_text=text) == fp(p)
+        assert fp(p, body_text=text + "\n") != fp(p)
 
     def test_functions_do_not_share_fingerprints(self):
         p = build()

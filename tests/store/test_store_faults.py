@@ -2,11 +2,13 @@
 persistent I/O errors — each must degrade (retry, quarantine, heal,
 re-verify), never crash a run or serve a wrong answer."""
 
+import json
 import os
 
 import pytest
 
 from repro import faultinject
+from repro.errors import StoreCorrupted
 from repro.hybrid.pipeline import HybridVerifier
 from repro.store import ProofStore, STORE_STATS
 
@@ -114,6 +116,42 @@ class TestTornWriteAndBitflip:
         others = [e for e in fingerprint(report) if e[0] != "fn1"]
         assert others == [e for e in fingerprint(cold) if e[0] != "fn1"]
         assert report.status == "error"  # degraded, never raised
+
+
+class TestEditedEnvelope:
+    """``function`` and ``statuses`` sit outside the payload checksum;
+    an envelope that no longer echoes its payload is corruption."""
+
+    EDITS = [
+        pytest.param({"function": "fn9", "statuses": ["refuted"]}, id="both"),
+        pytest.param({"function": "fn9"}, id="function"),
+        pytest.param({"statuses": ["refuted"]}, id="statuses"),
+    ]
+
+    def edit(self, store, fields):
+        store.put(FP, "fn0", entries_for("fn0"))
+        path = entry_file(store, FP)
+        envelope = json.loads(path.read_text())
+        envelope.update(fields)
+        path.write_text(json.dumps(envelope, sort_keys=True) + "\n")
+        return path
+
+    @pytest.mark.parametrize("fields", EDITS)
+    def test_heal_mode_quarantines_and_misses(self, tmp_path, fields):
+        store = ProofStore(tmp_path)
+        path = self.edit(store, fields)
+        assert store.get(FP, context="fn0") is None
+        assert not path.exists()
+        assert len(list(store.quarantine_dir.iterdir())) == 1
+        assert STORE_STATS["corrupt"] == STORE_STATS["quarantined"] == 1
+        assert STORE_STATS["misses"] == 1 and STORE_STATS["hits"] == 0
+
+    @pytest.mark.parametrize("fields", EDITS)
+    def test_strict_mode_raises(self, tmp_path, fields):
+        store = ProofStore(tmp_path, verify_mode="strict")
+        self.edit(store, fields)
+        with pytest.raises(StoreCorrupted, match="does not match its payload"):
+            store.get(FP, context="fn0")
 
 
 class TestGrammar:
