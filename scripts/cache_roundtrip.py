@@ -5,13 +5,17 @@ Runs the linked-list hybrid example repeatedly against one cache:
 
 1. **cold** — empty store: every function verifies and publishes into
    ``entries/<fp[:2]>/<fp>.json``;
-2. **warm** — same inputs, fresh process: every function replays from
+2. **parallel cold** — a second empty store at ``jobs=2``: the pool
+   workers only verify and the parent publishes, so every function
+   lands under the same fingerprint as in the first store, and the
+   report is identical to the cold one;
+3. **warm** — same inputs, fresh process: every function replays from
    disk, and the report is identical to the cold one (modulo
    wall-clock);
-3. **heal** — one entry file gets a flipped byte: exactly that one
+4. **heal** — one entry file gets a flipped byte: exactly that one
    function is quarantined, re-verified and republished; the report is
    still identical and the run never fails;
-4. **hot**  — two runs inside one process: both replay every entry
+5. **hot**  — two runs inside one process: both replay every entry
    from disk (one read per function per run) and match the cold
    report.
 
@@ -41,8 +45,9 @@ FUNCTIONS = [
 ]
 
 # Runs in a subprocess: build the example program, run the pipeline
-# (argv[2] times, same process) with the env-configured store, dump
-# what the parent asserts on — one record per run.
+# (argv[2] times, same process, at jobs=argv[3]) with the
+# env-configured store, dump what the parent asserts on — one record
+# per run.
 _DRIVER = """
 import json, sys
 sys.path.insert(0, "examples")
@@ -60,10 +65,10 @@ verifier = HybridVerifier(
     manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
 )
 functions = json.loads(sys.argv[1])
-runs = int(sys.argv[2]) if len(sys.argv) > 2 else 1
+runs, jobs = int(sys.argv[2]), int(sys.argv[3])
 out = []
 for _ in range(runs):
-    report = verifier.run(functions)
+    report = verifier.run(functions, jobs=jobs)
     out.append({
         "ok": report.ok,
         "entries": [[e.function, e.half, e.ok, e.status] for e in report.entries],
@@ -74,7 +79,7 @@ print(json.dumps(out))
 """
 
 
-def run_pipeline(cache_dir, runs=1, extra_env=None):
+def run_pipeline(cache_dir, runs=1, jobs=1, extra_env=None):
     env = dict(
         os.environ,
         PYTHONPATH="src",
@@ -83,7 +88,10 @@ def run_pipeline(cache_dir, runs=1, extra_env=None):
         **(extra_env or {}),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _DRIVER, json.dumps(FUNCTIONS), str(runs)],
+        [
+            sys.executable, "-c", _DRIVER,
+            json.dumps(FUNCTIONS), str(runs), str(jobs),
+        ],
         cwd=REPO,
         env=env,
         capture_output=True,
@@ -95,6 +103,10 @@ def run_pipeline(cache_dir, runs=1, extra_env=None):
             f"pipeline subprocess failed:\n{proc.stdout}\n{proc.stderr}"
         )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def entry_names(cache_dir):
+    return sorted(p.name for p in (cache_dir / "entries").glob("*/*.json"))
 
 
 def expect(cond, message):
@@ -111,7 +123,7 @@ def main() -> int:
         cache_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-cache-"))
     n = len(FUNCTIONS)
 
-    print(f"[1/4] cold run against {cache_dir}")
+    print(f"[1/5] cold run against {cache_dir}")
     [cold] = run_pipeline(cache_dir)
     expect(cold["ok"], "cold run verifies everything")
     expect(
@@ -125,7 +137,23 @@ def main() -> int:
         f"all {n} entries published under entries/<fp[:2]>/",
     )
 
-    print("[2/4] warm run")
+    par_dir = pathlib.Path(tempfile.mkdtemp(prefix="repro-cache-jobs2-"))
+    print(f"[2/5] cold run at jobs=2 against {par_dir}")
+    [par] = run_pipeline(par_dir, jobs=2)
+    expect(
+        par["store"] == cold["store"],
+        f"jobs=2 cold run verifies and publishes all {n} functions",
+    )
+    expect(
+        entry_names(par_dir) == entry_names(cache_dir),
+        f"jobs=2 publishes the same {n} fingerprints as jobs=1",
+    )
+    expect(
+        par["entries"] == cold["entries"],
+        "jobs=2 report is identical to the cold one",
+    )
+
+    print("[3/5] warm run")
     [warm] = run_pipeline(cache_dir)
     expect(
         warm["store"]["hits"] == n and warm["store"]["misses"] == 0,
@@ -136,7 +164,7 @@ def main() -> int:
         "warm report is identical to the cold one",
     )
 
-    print("[3/4] corrupt one entry, heal run")
+    print("[4/5] corrupt one entry, heal run")
     entries = sorted((cache_dir / "entries").glob("*/*.json"))
     expect(len(entries) == n, f"{n} entry files on disk")
     victim = entries[0]
@@ -165,7 +193,7 @@ def main() -> int:
         "healed report is identical to the cold one",
     )
 
-    print("[4/4] hot runs: two runs in one process, both from disk")
+    print("[5/5] hot runs: two runs in one process, both from disk")
     runs = run_pipeline(cache_dir, runs=2)
     for i, hot in enumerate(runs, 1):
         expect(

@@ -14,8 +14,8 @@ store. The time flags take a finite, positive number of seconds;
 Starts the daemon, prints one readiness line (``reprod listening on
 <socket> pid <pid>``) and serves until a ``drain``/``shutdown``
 request or SIGTERM/SIGINT, both of which drain gracefully: the
-in-flight request finishes its current chunk, everything never
-dispatched is answered as ``drained`` (it publishes nothing, so the
+in-flight request finishes the functions it has handed out, everything
+never dispatched is answered as ``drained`` (it publishes nothing, so the
 next daemon over the same store re-verifies it), and the process
 exits 0. See ``src/repro/service/``.
 """

@@ -168,7 +168,7 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
     while time.monotonic() < deadline and not any(entries.rglob("*.json")):
         time.sleep(0.02)
     # leaf has published; the pause lets the dispatcher pass the stop
-    # check before mid's (delayed) chunk, so the signal lands inside it.
+    # check before mid (delayed), so the signal lands while it runs.
     time.sleep(0.3)
     d.proc.send_signal(signal.SIGTERM)
     code = d.proc.wait(timeout=30)

@@ -82,11 +82,6 @@ class Address:
     def field(self, ty: Ty, index: int) -> "Address":
         return Address(self.base, self.projection + (FieldElem(ty, index),))
 
-    def variant_field(self, ty: Ty, variant: int, index: int) -> "Address":
-        return Address(
-            self.base, self.projection + (VariantFieldElem(ty, variant, index),)
-        )
-
     def offset(self, ty: Ty, e: Term) -> "Address":
         return Address(self.base, self.projection + (OffsetElem(ty, e),))
 

@@ -48,14 +48,6 @@ class ClosingToken:
         return f"C_{self.pred}({self.lifetime}, {self.fraction}, [{inner}])"
 
 
-@dataclass
-class BorrowOutcome:
-    ctx: Optional["GuardedPredCtx"]
-    borrow: Optional[BorrowInstance] = None
-    token: Optional[ClosingToken] = None
-    error: Optional[str] = None
-
-
 def _args_match(
     ours: tuple[Term, ...],
     theirs: tuple[Term, ...],

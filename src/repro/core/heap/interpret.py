@@ -70,10 +70,6 @@ class SymByte:
 Byte = Union[int, SymByte, _Pad, _UninitByte]
 
 
-class InterpretationError(Exception):
-    pass
-
-
 def interpret_node(node: StructuralNode, engine: LayoutEngine) -> list[Byte]:
     """The byte image of a node under a concrete layout."""
     size = engine.size_of(node.ty)

@@ -56,12 +56,10 @@ from repro.solver.terms import (
     intlit,
     is_some,
     le,
-    none,
     seq_len,
     some,
     some_val,
     tuple_get,
-    tuple_mk,
 )
 
 
@@ -160,18 +158,6 @@ def validity_constraints(
             # enum payload invariants would require per-variant guards;
             # they are (re)imposed at downcast time by the heap.
     return out
-
-
-def struct_value(field_values: Iterable[Term]) -> Term:
-    return tuple_mk(*field_values)
-
-
-def struct_field(value: Term, index: int) -> Term:
-    return tuple_get(value, index)
-
-
-def option_none(elem_sort: Sort) -> Term:
-    return none(elem_sort)
 
 
 def option_some(payload: Term) -> Term:

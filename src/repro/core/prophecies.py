@@ -123,10 +123,6 @@ class ProphecyCtx:
             return ProphOutcome(None, error=f"cannot resolve {x} without controller")
         return ProphOutcome(self, facts=(eq(x, e.value),), value=e.value)
 
-    def current_value(self, x: Var) -> Optional[Term]:
-        e = self.entries.get(x)
-        return e.value if e else None
-
     def __repr__(self) -> str:
         parts = []
         for x, e in self.entries.items():

@@ -56,7 +56,7 @@ silently never fire; new subsystems add theirs via
 ``adversary.mutate``    mutation-probe cross-check, context = fn name
 ``adversary.diff``      differential re-verification, context = fn name
 ``service.accept``      daemon request admission, context = op name
-``service.dispatch``    one chunk of a stop-hooked run, context = its fns
+``service.dispatch``    one function of a stop-hooked run, context = fn name
 ``service.invalidate``  the session's fingerprint diff, context = session key
 ``service.drain``       daemon drain/shutdown path, context = reason
 ======================  =================================================
@@ -108,7 +108,7 @@ SITES: dict[str, str] = {
     "adversary.mutate": "mutation-probe cross-check (context: fn name)",
     "adversary.diff": "differential re-verification (context: fn name)",
     "service.accept": "daemon request admission (context: op name)",
-    "service.dispatch": "one chunk of a stop-hooked run (context: its fns, comma-joined)",
+    "service.dispatch": "one function of a stop-hooked run (context: fn name)",
     "service.invalidate": "the session's fingerprint diff (context: session key)",
     "service.drain": "daemon drain/shutdown path (context: reason)",
 }

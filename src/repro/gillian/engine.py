@@ -177,23 +177,6 @@ def borrowed_locals(body: Body) -> set[str]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Place access
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PlaceAccess:
-    """Either a frame path or a memory address."""
-
-    kind: str  # "frame" | "memory"
-    local: Optional[str] = None
-    path: tuple = ()  # frame: sequence of ("field", i, container_sort) etc.
-    ptr: Optional[Term] = None
-    ty: Optional[Ty] = None
-    facts: tuple[Term, ...] = ()
-
-
 class Engine:
     def __init__(
         self,

@@ -60,6 +60,12 @@ class Lemma:
 
     name: str
 
+    def synthesised_predicates(self) -> tuple[str, ...]:
+        """The predicates :meth:`apply` defines on first use. They are
+        functions of the lemma alone, so the store's logic digest
+        hashes the lemma and leaves them out."""
+        return ()
+
     def apply(
         self,
         model: RustStateModel,
@@ -132,6 +138,9 @@ class FreezeLinkedListLemma(Lemma):
     dll_seg: str
     elem_repr: Sort
     name: str = "freeze_linked_list"
+
+    def synthesised_predicates(self) -> tuple[str, ...]:
+        return (self.frozen_pred,)
 
     def ensure_frozen_def(self, model: RustStateModel) -> None:
         if self.frozen_pred in model.program.predicates:

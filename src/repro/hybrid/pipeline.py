@@ -27,14 +27,17 @@ With a :class:`~repro.store.ProofStore` attached (``store=...`` or
 ``REPRO_CACHE=1``), completed proofs persist across process death:
 ``run`` looks every function up by its content fingerprint first,
 verifies only the misses, and publishes each fresh result atomically
-as soon as it completes (workers publish their own — a ``kill -9``
-mid-run loses at most the in-flight functions, and the next run
-resumes from the store with a report identical to an uninterrupted
-one, modulo wall-clock). The entry file is the only record: a
-function is completed exactly when its entry exists, and a function
-that was never dispatched is a store miss next time. ``run`` is the
-only lookup–verify–publish loop: the daemon (:mod:`repro.service`)
-drives it too, through its stop hook and deadline.
+as soon as it arrives (a ``kill -9`` mid-run loses at most the
+in-flight functions, and the next run resumes from the store with a
+report identical to an uninterrupted one, modulo wall-clock). Only
+the process that called ``run`` touches the store: pool workers
+compute, the parent looks up and publishes. The entry file is the
+only record: a function is completed exactly when its entry exists,
+and a function that was never dispatched is a store miss next time.
+``run`` is the only lookup–verify–publish loop and has one dispatch
+loop (:func:`repro.parallel.fanout`, serial at ``jobs=1``): the
+daemon (:mod:`repro.service`) drives it too, through its stop hook
+and deadline, checked before each function is handed out.
 
 All wall-clock bookkeeping here uses the deadline clock of
 :mod:`repro.obs.clock` (``time.monotonic``, like :mod:`repro.budget`):
@@ -68,6 +71,7 @@ from repro.store import (
     function_fingerprint,
     logic_digest,
 )
+from repro.store.fingerprint import logic_tables
 
 from repro.creusot.vcgen import CreusotResult, CreusotVerifier
 from repro.gillian.verifier import VerificationResult, verify_function
@@ -134,13 +138,13 @@ class HybridReport:
     #: ``{function: {phase: {calls,total,self}}}``; includes forked
     #: workers' phases (merged through the pool deltas).
     phase_stats: dict = field(default_factory=dict)
-    #: Slowest solver queries on record at run() end
+    #: Slowest solver queries recorded in *this run*
     #: (``[{seconds, function, query}, …]``, slowest first).
     top_queries: list = field(default_factory=list)
     #: How each function's answer came about in this run: ``cached``
     #: (answered by the store lookup — a hit, or a strict-mode
     #: corruption ``error``), ``verified`` (run now) or ``drained``
-    #: (the stop hook or the deadline fired before its chunk).
+    #: (the stop hook or the deadline fired before it was handed out).
     outcomes: dict = field(default_factory=dict)
     #: Why the run drained (the stop hook's reason, or ``deadline``);
     #: empty for a run that dispatched everything.
@@ -154,6 +158,9 @@ class HybridReport:
     #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
     #: when the adversary layer did not run.
     adversary: Optional[object] = None
+    #: The ``tactic.*`` / ``gillian.*`` counters of *this run* (delta
+    #: of the metrics registry across run(), forked workers included).
+    tactic_stats: dict = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:
@@ -246,9 +253,7 @@ class HybridReport:
             lines.append("")
             lines.append(
                 obs_report.render_profile(
-                    self.phase_stats,
-                    self.top_queries,
-                    metrics.snapshot()["counters"],
+                    self.phase_stats, self.top_queries, self.tactic_stats
                 )
             )
         if self.adversary is not None:
@@ -260,12 +265,13 @@ class HybridReport:
 class HybridVerifier:
     """Drives both halves over one program.
 
-    The logic digest is computed once, so the logic tables (predicates,
-    lemmas, ownables, installed specs) and the Ownable registry are
-    fixed for the verifier's lifetime: store keys and type-safety reuse
-    rely on the digest. Contracts, the budget and whole bodies
-    (replaced, never mutated in place) may change between runs; the
-    daemon builds a new verifier on every program reload."""
+    Contracts, the budget, whole bodies and whole entries of the logic
+    tables (predicates, lemmas, ownables, installed specs) may be
+    added, removed or replaced between runs: :meth:`check_logic`, at
+    the start of every run, re-derives the logic digest when a table
+    entry moved. An entry mutated in place, and the Ownable registry,
+    stay fixed for the verifier's lifetime; the daemon builds a new
+    verifier on every program reload."""
 
     def __init__(
         self,
@@ -292,13 +298,22 @@ class HybridVerifier:
         #: Persistent proof store; default: the REPRO_CACHE env knobs
         #: (``None`` — no caching — unless ``REPRO_CACHE=1``).
         self.store = store if store is not None else ProofStore.from_env()
-        #: name -> fingerprint for the functions of the current run();
-        #: populated before any fan-out so forked workers inherit it
-        #: and can publish their own results.
+        #: name -> fingerprint for the functions of the current run(),
+        #: under which the parent publishes each fresh result.
         self._run_fps: dict[str, str] = {}
-        #: The logic digest, computed on first use: program and
-        #: ownables are fixed for the verifier's lifetime.
+        #: The logic digest, computed on first use and dropped by
+        #: check_logic() when a logic table entry moved.
         self._logic: Optional[str] = None
+        #: (label, name, id) of every logic table entry at the last
+        #: check_logic() (the first runs at construction), and the
+        #: entries themselves, held so that no id is reused while it is
+        #: compared against.
+        self._logic_ids: tuple = ()
+        self._logic_pins: list = []
+        #: The current run()'s absolute deadline
+        #: (:func:`repro.obs.clock.monotonic`), read by verify_one in
+        #: the parent and in forked workers alike.
+        self._deadline: Optional[float] = None
         #: name -> (body, its pretty text): each body printed once.
         self._texts: dict[str, tuple[Body, str]] = {}
         #: name -> (key, entry): the last deterministic type-safety
@@ -309,12 +324,25 @@ class HybridVerifier:
         #: instead of verifying again; set before any fan-out, so
         #: forked workers inherit it.
         self._reuse: dict[str, HybridEntry] = {}
+        self.check_logic()
 
     def logic(self) -> str:
         """The program-wide logic digest every fingerprint folds in."""
         if self._logic is None:
             self._logic = logic_digest(self.program, self.ownables)
         return self._logic
+
+    def check_logic(self) -> None:
+        """Forget the logic digest and the type-safety records if a
+        logic table entry was added, removed or replaced since the last
+        check. It compares identities, not contents (microseconds, not
+        the digest's milliseconds); run() calls it once, and the
+        daemon's session once per request."""
+        entries = list(logic_tables(self.program))
+        ids = tuple((label, name, id(value)) for label, name, value in entries)
+        if ids != self._logic_ids:
+            self._logic, self._safety = None, {}
+            self._logic_ids, self._logic_pins = ids, entries
 
     def _body_text(self, name: str) -> str:
         """``name``'s pretty-printed body, printed once per body."""
@@ -344,13 +372,12 @@ class HybridVerifier:
 
         The ``#[show_safety]`` spec is built from the signature, so the
         verdict depends on the body, the logic context and the budget,
-        and on no contract. The logic is fixed for the verifier's
-        lifetime (see the class docstring), which leaves the body's
-        text and the base budget. ``None`` — nothing
-        is reused — when the budget counts steps, solver queries or
-        branches: the two obligations share one running budget, so
-        the functional verdict would then depend on what type safety
-        spent."""
+        and on no contract. A moved logic table drops every record
+        (:meth:`check_logic`), which leaves the body's text and the
+        base budget. ``None`` — nothing is reused — when the
+        budget counts steps, solver queries or branches: the two
+        obligations share one running budget, so the functional verdict
+        would then depend on what type safety spent."""
         spec = self.budget
         if spec is not None and (
             spec.max_steps is not None
@@ -363,8 +390,12 @@ class HybridVerifier:
     def verify_one(self, name: str) -> list[HybridEntry]:
         """Verify one function, degrading every failure mode into
         ✗-with-reason entries — this is the pipeline's fault boundary;
-        no exception escapes it."""
-        budget = self.budget.start() if self.budget else None
+        no exception escapes it. Inside a run with a deadline the
+        budget is capped by the time left before it."""
+        spec = self.budget
+        if self._deadline is not None:
+            spec = spec.capped(deadline=self._deadline - clock.monotonic())
+        budget = spec.start() if spec else None
         with span("verify", function=name):
             try:
                 faultinject.fire("pipeline.verify_one", name)
@@ -481,22 +512,26 @@ class HybridVerifier:
         mid-flight is retried serially before being reported crashed.
 
         With a store attached, cached functions are answered from disk
-        and only the misses are verified (and published as they
-        complete — checkpointing: a killed run resumes from here).
-        ``report.outcomes`` says which answer came from where.
+        and only the misses are verified. This process publishes each
+        fresh result the moment it arrives — checkpointing: a killed
+        run resumes from here. ``report.outcomes`` says which answer
+        came from where.
 
         Hooks for a long-lived caller (the daemon's session):
 
         * ``stop`` returns a drain reason or ``None``; ``deadline`` is
           an absolute :func:`repro.obs.clock.monotonic` time. With
-          either set, the misses run in caller order in chunks of
-          ``jobs``. Before each chunk the hook and the deadline are
-          checked; once one fires, the rest become ``error`` (or
-          ``timeout``) entries and publish nothing, so the next run
-          misses on them. Each chunk runs under the budget capped by
-          the time left; fingerprints stay on the uncapped budget.
+          either set, the misses are handed out in caller order, at
+          most ``jobs`` in flight. Before each function is handed out
+          the hook and the deadline are checked; once one fires, the
+          rest become ``error`` (or ``timeout``) entries and publish
+          nothing, so the next run misses on them.
         * ``fingerprints`` supplies store keys already computed for
           ``functions`` (under the same contracts and budget).
+
+        With a deadline, each function's budget is capped by the time
+        left before it when it starts; fingerprints stay on the
+        uncapped budget.
 
         The verifier keeps each unsafe function's deterministic
         type-safety entry across runs. A function verified again with
@@ -518,34 +553,56 @@ class HybridVerifier:
             jobs = default_jobs()
         elif jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
+        self.check_logic()
         parallel_before = dict(PARALLEL_STATS)
         store_before = dict(STORE_STATS)
         solver_before = dict(GLOBAL_STATS)
+        counters_before = metrics.snapshot()["counters"]
         phases_before = obs.phases_snapshot()
+        queries_before = obs_trace.query_ids()
         cached = self._lookup_cached(names, fingerprints or {})
         pending = [n for n in names if n not in cached]
-        # Offered under the base budget, before _verify_chunks caps it.
+        worker, halt = _verify_worker, None
+        if stop is not None or deadline is not None:
+            worker = _dispatch_worker
+
+            def halt() -> Optional[str]:
+                reason = stop() if stop is not None else None
+                if reason is None and deadline is not None and (
+                    clock.monotonic() >= deadline
+                ):
+                    reason = "deadline"
+                if reason is not None:
+                    report.drain_reason = reason
+                return reason
+
+        elif jobs > 1:
+            # Longest estimate first, so the slow functions don't start
+            # last and leave one worker finishing alone; the stable sort
+            # keeps submission order among ties.
+            pending.sort(
+                key=lambda n: _estimate_cost(
+                    self.program.bodies.get(n), self.contracts.get(n)
+                ),
+                reverse=True,
+            )
+        # Set before the fan-out, so forked workers inherit both; the
+        # safety entries are offered under the base budget.
         self._reuse = reuse = self._reusable_safety(pending)
+        self._deadline = deadline
         try:
-            if stop is None and deadline is None:
-                if jobs > 1:
-                    # Longest estimate first, so the slow functions
-                    # don't start last and leave one worker finishing
-                    # alone; the stable sort keeps submission order
-                    # among ties.
-                    pending.sort(
-                        key=lambda n: _estimate_cost(
-                            self.program.bodies.get(n), self.contracts.get(n)
-                        ),
-                        reverse=True,
-                    )
-                fresh = self._verify_batch(pending, jobs)
-            else:
-                fresh, report.drain_reason = self._verify_chunks(
-                    pending, jobs, stop, deadline
-                )
+            results = fanout(
+                worker,
+                self,
+                pending,
+                jobs,
+                on_error=lambda name, exc: [self._failure_entry(name, exc)],
+                on_result=self._publish,
+                stop=halt,
+            )
         finally:
-            self._reuse = {}
+            self._reuse, self._deadline = {}, None
+        fresh = dict(zip(pending, results))
         # A worker's copy of an offered entry compares equal to it.
         report.safety_reused = sum(
             1 for n, e in reuse.items() if n in fresh and fresh[n][0] == e
@@ -589,69 +646,16 @@ class HybridVerifier:
                 k: STORE_STATS[k] - store_before.get(k, 0)
                 for k in STORE_STATS
             }
+        report.tactic_stats = {
+            k: v - counters_before.get(k, 0)
+            for k, v in metrics.snapshot()["counters"].items()
+            if k.startswith(("tactic.", "gillian."))
+            and v != counters_before.get(k, 0)
+        }
         report.phase_stats = obs.phases_since(phases_before)
-        report.top_queries = obs.top_queries()
+        report.top_queries = obs.top_queries(exclude_ids=queries_before)
         obs_trace.flush()
         return report
-
-    def _verify_batch(
-        self, names: list[str], jobs: int
-    ) -> dict[str, list[HybridEntry]]:
-        """Verify and publish ``names``: in order in this process at
-        ``jobs=1``, else over the fork pool."""
-        if jobs == 1:
-            return {name: _verify_worker(self, name) for name in names}
-        results = fanout(
-            _verify_worker,
-            self,
-            names,
-            jobs,
-            on_error=lambda name, exc: [self._failure_entry(name, exc)],
-        )
-        for name, entries in zip(names, results):
-            fp = self._run_fps.get(name)
-            if self.store is None or not fp:
-                continue
-            if not self.store.has(fp):
-                # Re-publish in the parent: covers a worker that
-                # verified but failed to write (I/O error, death
-                # between verify and publish).
-                self._publish(name, entries)
-            else:
-                # The entry appeared since the (miss) lookup: a worker
-                # published it; its counters died with its process, so
-                # credit the run here.
-                self.store.note_worker_publish(fp)
-        return dict(zip(names, results))
-
-    def _verify_chunks(
-        self, pending, jobs, stop, deadline
-    ) -> tuple[dict[str, list[HybridEntry]], str]:
-        """The stop-hooked loop over ``pending`` in chunks of ``jobs``.
-        Returns the results and the drain reason (``""`` when every
-        chunk was dispatched)."""
-        fresh: dict[str, list[HybridEntry]] = {}
-        base = self.budget
-        try:
-            for at in range(0, len(pending), jobs):
-                reason = stop() if stop is not None else None
-                left = None if deadline is None else deadline - clock.monotonic()
-                if reason is None and left is not None and left <= 0:
-                    reason = "deadline"
-                if reason is not None:
-                    return fresh, reason
-                chunk = pending[at : at + jobs]
-                if left is not None:
-                    self.budget = base.capped(deadline=left)
-                try:
-                    faultinject.fire("service.dispatch", ",".join(chunk))
-                except Exception as e:
-                    fresh.update((n, [self._failure_entry(n, e)]) for n in chunk)
-                else:
-                    fresh.update(self._verify_batch(chunk, jobs))
-        finally:
-            self.budget = base
-        return fresh, ""
 
     def _cross_check(self, report: HybridReport):
         """Run the adversary layer over a finished report. Outermost
@@ -740,29 +744,17 @@ def _adversary_enabled() -> bool:
 
 
 def _verify_worker(verifier: "HybridVerifier", name: str) -> list[HybridEntry]:
-    """Verify and publish one function. The pool worker
-    (module-level so it pickles by reference; the verifier arrives by
-    fork inheritance, see repro.parallel) and the ``jobs=1`` path
-    alike. Publishing the moment a function completes means a parent
-    killed mid-run loses nothing already verified.
+    """The fan-out's per-function job (module-level so it pickles by
+    reference; the verifier arrives by fork inheritance, see
+    repro.parallel). It only computes: the parent publishes."""
+    return verifier.verify_one(name)
 
-    It first probes the store, so the parent's serial retry of a
-    *dead* worker's item resumes from the entry the worker published
-    before dying. The probe is guarded by ``has`` so the common path
-    (entry absent, the run's lookup already counted the miss) counts
-    no second miss."""
-    store, fp = verifier.store, verifier._run_fps.get(name)
-    if store is not None and fp and store.has(fp):
-        try:
-            with span("store.lookup", function=name):
-                hit = store.get(fp, context=name)
-        except StoreCorrupted:
-            hit = None  # strict mode: the entry is gone either way
-        if hit is not None:
-            return hit
-    entries = verifier.verify_one(name)
-    verifier._publish(name, entries)
-    return entries
+
+def _dispatch_worker(verifier: "HybridVerifier", name: str) -> list[HybridEntry]:
+    """:func:`_verify_worker` for a stop-hooked run, behind the
+    ``service.dispatch`` fault site."""
+    faultinject.fire("service.dispatch", name)
+    return verifier.verify_one(name)
 
 
 def _emit_tactics_event(name: str, entries: list) -> None:

@@ -31,7 +31,6 @@ from repro.lang.types import (
     USIZE,
     AdtTy,
     ArrayTy,
-    IntTy,
     RawPtrTy,
     RefTy,
     TupleTy,
@@ -121,8 +120,3 @@ def rvalue_ty(program: Program, body: Body, rv: Rvalue) -> Ty:
     if isinstance(rv, Cast):
         return rv.target
     raise TypingError(f"unknown rvalue {rv}")
-
-
-def int_validity_range(ty: IntTy) -> tuple[int, int]:
-    """The [min, max] validity invariant of a machine integer type."""
-    return ty.min_value, ty.max_value

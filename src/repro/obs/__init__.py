@@ -20,7 +20,11 @@ Environment knobs (read once at import):
   trace (Perfetto-loadable) to ``out.json`` at process exit and after
   every ``HybridVerifier.run``.
 
-Counters are read per run, from the ``HybridReport``.
+Counters are read per run, from the ``HybridReport``: each field is
+the delta of its group across ``HybridVerifier.run``. Forked pool
+workers ship what they counted back to the parent with each result
+(:func:`worker_delta` / :func:`merge_worker_delta`); they never touch
+the proof store, so its counters tick in the parent alone.
 """
 
 from __future__ import annotations

@@ -17,7 +17,9 @@ reset convention. The registry absorbs them:
 * :meth:`Metrics.delta_snapshot` / :meth:`Metrics.merge_delta` are the
   fork-worker protocol: a pool worker snapshots before an item, diffs
   after, and the parent merges the delta so ``jobs=N`` counters are as
-  complete as a serial run's (see :mod:`repro.parallel`).
+  complete as a serial run's (see :mod:`repro.parallel`). Every group
+  travels the same way; the ``store`` group's delta is always empty,
+  because only the parent touches the store.
 
 Everything is plain dict arithmetic — no locks (one verification runs
 on one thread; forked workers have their own copy-on-write registry
@@ -38,10 +40,6 @@ class Metrics:
         self._gauges: dict[str, float] = {}
         #: group name -> the legacy module-level dict it aliases.
         self._legacy: dict[str, dict] = {}
-        #: groups excluded from the fork-worker delta protocol because
-        #: they have their own parent-side crediting path (the proof
-        #: store's ``note_worker_publish``) — merging would double-count.
-        self._no_delta: set[str] = set()
         #: extra state to clear on a full reset (trace aggregates).
         self._reset_hooks: list[Callable[[], None]] = []
 
@@ -58,16 +56,10 @@ class Metrics:
 
     # -- legacy groups -------------------------------------------------------
 
-    def register_legacy(
-        self, group: str, stats: dict, *, delta: bool = True
-    ) -> dict:
+    def register_legacy(self, group: str, stats: dict) -> dict:
         """Adopt a legacy module-level stats dict as group ``group``.
-        Returns the dict unchanged (callers keep their module alias).
-        ``delta=False`` opts the group out of the fork-worker merge
-        (for counters the parent already credits by other means)."""
+        Returns the dict unchanged (callers keep their module alias)."""
         self._legacy[group] = stats
-        if not delta:
-            self._no_delta.add(group)
         return stats
 
     def on_reset(self, hook: Callable[[], None]) -> None:
@@ -112,11 +104,7 @@ class Metrics:
         before it starts an item)."""
         return {
             "counters": dict(self._counters),
-            "groups": {
-                g: dict(d)
-                for g, d in self._legacy.items()
-                if g not in self._no_delta
-            },
+            "groups": {g: dict(d) for g, d in self._legacy.items()},
         }
 
     def delta_since(self, baseline: dict) -> dict:
@@ -131,8 +119,6 @@ class Metrics:
         groups: dict[str, dict] = {}
         base_g = baseline.get("groups", {})
         for g, d in self._legacy.items():
-            if g in self._no_delta:
-                continue
             bg = base_g.get(g, {})
             gd = {k: v - bg.get(k, 0) for k, v in d.items() if v != bg.get(k, 0)}
             if gd:

@@ -12,6 +12,10 @@ the results (picklable dataclasses; terms re-intern on unpickle via
 ``jobs=1`` bypasses the pool entirely, preserving the serial code path
 — and therefore report ordering and determinism — bit for bit.
 
+The caller sees each result in its own process the moment it arrives
+(``on_result``), so the side effects of a result — the proof store's
+publish — happen in the parent alone; workers only compute.
+
 Fault tolerance (the degradation ladder, outermost rung first):
 
 1. a worker that *raises* delivers its exception through the future;
@@ -21,17 +25,17 @@ Fault tolerance (the degradation ladder, outermost rung first):
    pool: every undelivered future is cancelled, and the affected items
    are retried **serially in the parent** (bounded attempts with
    backoff) — transient crashes recover, deterministic ones surface
-   as :class:`~repro.errors.WorkerCrashed` through ``on_error``;
+   as :class:`~repro.errors.WorkerCrashed` through ``on_error``; items
+   a windowed fan-out had not yet handed out run serially after them;
 3. a re-entrant ``fanout`` call while a pool is live (fork-inherited
    ``_PAYLOAD`` would be clobbered) is detected and falls back to the
    serial path.
 
-Without ``on_error`` the first failure re-raises after all futures are
-drained (legacy behaviour, still loss-free for completed siblings).
-
 Items are submitted one future each, so idle workers pull the next
 queued item on demand; callers that want longest-first dispatch order
-their ``items`` before calling.
+their ``items`` before calling. With a ``stop`` hook the fan-out is
+windowed instead: at most ``jobs`` items in flight, the hook asked
+before each hand-out.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import random
 import time
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -132,7 +136,7 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _invoke(fn: Callable, idx: int, item) -> tuple:
+def _invoke(fn: Callable, item) -> tuple:
     """Worker-side wrapper: runs one item and ships the observability
     delta (counters, trace events, phase times, slow queries) recorded
     while running it back with the result, so the parent's merged view
@@ -142,7 +146,7 @@ def _invoke(fn: Callable, idx: int, item) -> tuple:
     faultinject.fire("parallel.worker", str(item))
     mark = worker_begin()
     result = fn(_PAYLOAD, item)
-    return idx, result, worker_delta(mark)
+    return result, worker_delta(mark)
 
 
 def fanout(
@@ -150,27 +154,59 @@ def fanout(
     payload,
     items: Iterable[T],
     jobs: Optional[int],
-    on_error: Optional[Callable[[T, BaseException], R]] = None,
+    on_error: Callable[[T, BaseException], R],
+    *,
+    on_result: Optional[Callable[[T, R], None]] = None,
+    stop: Optional[Callable[[], Optional[str]]] = None,
     crash_retries: int = 2,
     backoff: float = 0.05,
 ) -> list:
-    """Run ``fn(payload, item)`` for every item; results in item order.
+    """Run ``fn(payload, item)`` for every item handed out; results in
+    item order.
 
     ``fn`` must be a module-level function (pickled by reference);
     ``payload`` may be arbitrarily unpicklable — it reaches workers via
     fork inheritance. ``jobs=None`` means :func:`default_jobs`.
 
     ``on_error(item, exc) -> result`` maps a failed item to a stand-in
-    result instead of raising, so callers can degrade one entry while
-    keeping the rest of the report. Items lost to a broken pool are
-    first retried serially in the parent (``crash_retries`` attempts,
-    jittered exponential ``backoff``); only a retry-proof failure reaches
-    ``on_error`` (as :class:`WorkerCrashed`).
+    result, so callers can degrade one entry while keeping the rest.
+    Items lost to a broken pool are first retried serially in this
+    process (``crash_retries`` attempts, jittered exponential
+    ``backoff``); only a retry-proof failure reaches ``on_error`` (as
+    :class:`WorkerCrashed`).
+
+    ``on_result(item, result)`` sees every result (stand-ins included)
+    in this process as soon as it arrives, in completion order.
+
+    ``stop() -> reason | None`` is called before each item is handed
+    out, with at most ``jobs`` items in flight; after the first reason
+    nothing more is handed out, and the items in flight finish. The
+    returned list then covers the items handed out — a prefix of
+    ``items``. Without ``stop`` every item is submitted at once.
     """
     global _PAYLOAD, _ACTIVE
     items = list(items)
     if jobs is None:
         jobs = default_jobs()
+    out: list = [None] * len(items)
+    handed = 0  # items[:handed] have been handed out
+    halted = False
+
+    def hand_out() -> Optional[int]:
+        """The next item's index; ``None`` once there is none or the
+        stop hook gave a reason."""
+        nonlocal handed, halted
+        if halted or handed == len(items) or (stop is not None and stop()):
+            halted = True
+            return None
+        handed += 1
+        return handed - 1
+
+    def deliver(i: int, result) -> None:
+        out[i] = result
+        if on_result is not None:
+            on_result(items[i], result)
+
     serial = jobs <= 1 or len(items) <= 1 or not fork_available()
     if not serial and _ACTIVE:
         # Re-entrant fan-out (e.g. a worker-side callee fanning out
@@ -178,58 +214,70 @@ def fanout(
         # would hand other workers the wrong closure. Degrade serially.
         PARALLEL_STATS["serial_fallbacks"] += 1
         serial = True
-    if serial:
-        return [_call_serial(fn, payload, it, on_error) for it in items]
-    PARALLEL_STATS["fanouts"] += 1
-    ctx = multiprocessing.get_context("fork")
-    _PAYLOAD = payload
-    _ACTIVE = True
-    out: list = [None] * len(items)
-    lost: list[int] = []  # indices whose future died with the pool
-    first_failure: Optional[BaseException] = None
-    try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(items)), mp_context=ctx
-        ) as pool:
-            futures = [
-                pool.submit(_invoke, fn, i, it) for i, it in enumerate(items)
-            ]
-            broken = False
-            for i, fut in enumerate(futures):
-                if broken:
-                    # The pool is gone; don't block on futures that can
-                    # never complete — cancel and queue for retry.
-                    if fut.cancel():
-                        PARALLEL_STATS["cancelled_futures"] += 1
-                        lost.append(i)
-                        continue
-                try:
-                    idx, result, delta = fut.result()
-                    out[idx] = result
-                    merge_worker_delta(delta)
-                except BrokenProcessPool:
-                    if not broken:
-                        broken = True
-                        PARALLEL_STATS["broken_pools"] += 1
-                    lost.append(i)
-                except Exception as e:
-                    # One worker's exception must not unwind the fan-out:
-                    # record it, keep draining the siblings' results.
-                    PARALLEL_STATS["worker_failures"] += 1
-                    if on_error is not None:
-                        out[i] = on_error(items[i], e)
-                    elif first_failure is None:
-                        first_failure = e
-    finally:
-        _PAYLOAD = None
-        _ACTIVE = False
-    for i in lost:
-        out[i] = _retry_serial(
-            fn, payload, items[i], on_error, crash_retries, backoff
-        )
-    if first_failure is not None:
-        raise first_failure
-    return out
+    if not serial:
+        PARALLEL_STATS["fanouts"] += 1
+        lost: list[int] = []  # indices whose future died with the pool
+        _PAYLOAD = payload
+        _ACTIVE = True
+        try:
+            with ProcessPoolExecutor(
+                max_workers=min(jobs, len(items)),
+                mp_context=multiprocessing.get_context("fork"),
+            ) as pool:
+                running: dict = {}  # future -> item index
+                while True:
+                    while (
+                        not lost
+                        and (stop is None or len(running) < jobs)
+                        and (i := hand_out()) is not None
+                    ):
+                        running[pool.submit(_invoke, fn, items[i])] = i
+                    if not running:
+                        break
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for fut in done:
+                        i = running.pop(fut)
+                        try:
+                            result, delta = fut.result()
+                        except BrokenProcessPool:
+                            # The pool is gone: don't wait on futures
+                            # that can never complete — cancel what has
+                            # not started; everything lost is retried
+                            # below.
+                            if not lost:
+                                PARALLEL_STATS["broken_pools"] += 1
+                                for other in list(running):
+                                    if other.cancel():
+                                        PARALLEL_STATS["cancelled_futures"] += 1
+                                        lost.append(running.pop(other))
+                            lost.append(i)
+                            continue
+                        except Exception as e:
+                            # One worker's exception must not unwind the
+                            # fan-out: degrade its item, keep the others.
+                            PARALLEL_STATS["worker_failures"] += 1
+                            result = on_error(items[i], e)
+                        else:
+                            merge_worker_delta(delta)
+                        deliver(i, result)
+        finally:
+            _PAYLOAD = None
+            _ACTIVE = False
+        for i in sorted(lost):
+            deliver(
+                i,
+                _retry_serial(
+                    fn, payload, items[i], on_error, crash_retries, backoff
+                ),
+            )
+    # The serial path, and whatever a broken pool left unhanded.
+    while (i := hand_out()) is not None:
+        try:
+            result = fn(payload, items[i])
+        except Exception as e:
+            result = on_error(items[i], e)
+        deliver(i, result)
+    return out[:handed]
 
 
 def jitter_seed(key) -> int:
@@ -279,11 +327,11 @@ def with_retries(
     seeded jitter (:func:`backoff_schedule`; ``backoff`` is the base of
     the exponential, ``seed=None`` derives one from the pid).
 
-    The proof store publishes through this from pool workers and the
-    parent alike, so a transient I/O error (EAGAIN, a full fd table, an
-    NFS hiccup) costs a retry, not a lost proof — and many workers
-    retrying after a shared failure fan out over jittered exponential
-    delays instead of thundering back in lockstep. The final failure
+    The proof store reads and publishes through this, so a transient
+    I/O error (EAGAIN, a full fd table, an NFS hiccup) costs a retry,
+    not a lost proof — and many processes sharing a store and retrying
+    after a shared failure fan out over jittered exponential delays
+    instead of thundering back in lockstep. The final failure
     re-raises — callers decide whether losing the side effect is fatal
     (for cache writes it never is)."""
     sleeps = backoff_schedule(
@@ -305,15 +353,6 @@ def with_retries(
     raise last
 
 
-def _call_serial(fn, payload, item, on_error):
-    if on_error is None:
-        return fn(payload, item)
-    try:
-        return fn(payload, item)
-    except Exception as e:
-        return on_error(item, e)
-
-
 def _retry_serial(fn, payload, item, on_error, retries: int, backoff: float):
     """Re-run an item lost to a broken pool, in the parent process.
     Sleeps follow the jittered exponential schedule, seeded per item —
@@ -333,10 +372,8 @@ def _retry_serial(fn, payload, item, on_error, retries: int, backoff: float):
             return fn(payload, item)
         except Exception as e:
             last = e
-    if on_error is not None:
-        if not isinstance(last, WorkerCrashed):
-            last = WorkerCrashed(
-                f"worker for {item!r} died and serial retry failed: {last}"
-            )
-        return on_error(item, last)
-    raise last
+    if not isinstance(last, WorkerCrashed):
+        last = WorkerCrashed(
+            f"worker for {item!r} died and serial retry failed: {last}"
+        )
+    return on_error(item, last)

@@ -23,9 +23,10 @@ overload into memory exhaustion and unbounded latency.
 
 Graceful drain (``drain``/``shutdown`` op, or SIGTERM via
 ``scripts/reprod.py``): stop admitting, let the in-flight request
-finish its current chunk, report what was never dispatched as
-``drained`` (those functions publish nothing, so a restarted daemon
-misses on them), answer every queued request with ``draining``, exit.
+finish the functions it has handed out, report what was never
+dispatched as ``drained`` (those functions publish nothing, so a
+restarted daemon misses on them), answer every queued request with
+``draining``, exit.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class VerifierDaemon:
 
     def begin_drain(self, reason: str = "drain") -> None:
         """Idempotent: flip to draining. The dispatcher notices, the
-        in-flight request stops at its next chunk boundary, queued
+        in-flight request hands out no further function, queued
         requests are refused, and the daemon shuts down."""
         if self.draining.is_set():
             return

@@ -13,8 +13,8 @@ Requests are objects with an ``op`` field:
   ``corpus`` optional;
 * ``status``   — daemon + per-session counters;
 * ``health``   — cheap liveness probe (answered even mid-dispatch);
-* ``drain``    — stop admitting, finish the in-flight chunk, report
-  the rest as drained, then shut down;
+* ``drain``    — stop admitting, finish the functions in flight,
+  report the rest as drained, then shut down;
 * ``shutdown`` — alias for drain (there is no abrupt stop: the whole
   point is never to strand a pool).
 

@@ -19,9 +19,9 @@ its direct callers, and a transitive caller, which only assumed its
 direct callee's unchanged contract, stays reused. The verification
 itself is :meth:`HybridVerifier.run` — the same lookup–verify–publish
 loop as the CLI — driven through its hooks: the daemon's stop signal
-and the request's absolute deadline (checked before each chunk of
-``jobs`` functions; the undispatched rest drains to
-``error``/``timeout`` entries, publishes nothing and stays dirty).
+and the request's absolute deadline (checked before each function is
+handed out, at most ``jobs`` in flight; the undispatched rest drains
+to ``error``/``timeout`` entries, publishes nothing and stays dirty).
 Each function's fingerprint is computed once per request and shared
 by the diff and the run's lookup; it is always taken against the base
 :class:`~repro.budget.BudgetSpec` — a deadline tightens the budget
@@ -172,6 +172,7 @@ class ServiceSession:
         if unknown:
             raise KeyError(f"unknown functions: {unknown}")
 
+        verifier.check_logic()
         fps = {n: verifier.fingerprint(n) for n in bodies}
         dirty = self.diff(fps)
         if dirty:

@@ -88,7 +88,6 @@ from repro.solver.terms import (
     Var,
     add,
     alpha_key,
-    eq,
     fresh_var,
     intlit,
     is_some,
@@ -648,17 +647,11 @@ class Solver:
             cache.popitem(last=False)
             self._tick("cache_evictions")
 
-    def is_sat(self, formulas: Iterable[Term]) -> bool:
-        return self.check_sat(formulas) != Status.UNSAT
-
     def entails(self, pc: Sequence[Term], goal: Term) -> bool:
         """``pc ⊨ goal`` — sound: True only when proven."""
         if goal == TRUE:
             return True
         return self.check_sat(list(pc) + [not_(goal)]) == Status.UNSAT
-
-    def equal_under(self, pc: Sequence[Term], a: Term, b: Term) -> bool:
-        return self.entails(pc, eq(a, b))
 
 
 _DEFAULT_SOLVER: Optional[Solver] = None

@@ -184,7 +184,3 @@ def seq_of(elem: Sort) -> SeqSort:
 
 def option_of(elem: Sort) -> OptionSort:
     return OptionSort(elem)
-
-
-def tuple_of(*elems: Sort) -> TupleSort:
-    return TupleSort(tuple(elems))

@@ -460,10 +460,6 @@ def seq_cons(head: Term, tail: Term) -> Term:
     return App("seq.cons", (head, tail), tail.sort)
 
 
-def seq_singleton(x: Term) -> Term:
-    return seq_cons(x, seq_empty(x.sort))
-
-
 def seq_append(a: Term, b: Term) -> Term:
     if isinstance(a, App) and a.op == "seq.empty":
         return b
@@ -552,10 +548,6 @@ def is_some(x: Term) -> Term:
     if isinstance(x, App) and x.op == "none":
         return FALSE
     return App("is_some", (x,), BOOL)
-
-
-def is_none(x: Term) -> Term:
-    return not_(is_some(x))
 
 
 # ---------------------------------------------------------------------------

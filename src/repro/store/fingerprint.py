@@ -46,7 +46,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import fields, is_dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.lang.mir import Body, Call, Program
 from repro.lang.pretty import pretty_body
@@ -166,21 +166,24 @@ def _callees(body: Body) -> list[str]:
     return sorted(names)
 
 
-def logic_digest(program: Program, ownables=None) -> str:
-    """Digest of the program-wide logic context: predicates, lemmas,
-    Ownable impls and installed specs. Coarse by design — a change to
-    any shared definition invalidates every entry (sound; the price is
-    one cold run).
+def logic_tables(program: Program) -> Iterator[tuple[str, str, object]]:
+    """Every ``(label, name, value)`` of the program-wide logic context
+    that :func:`logic_digest` hashes, in its order.
 
     Predicates named ``own:*`` / ``mutref_inv:*`` are *excluded*: the
     Ownable registry synthesises them lazily during verification, so
     hashing them would make the digest depend on which proofs already
     ran. They are pure functions of the registry's sources — the
     user-written predicate definitions (hashed here) and the custom
-    Ownable builders (hashed via the registry below) — so the sources
-    stand in for them."""
-    h = hashlib.sha256()
-    h.update(f"format={STORE_FORMAT}\n".encode())
+    Ownable builders (hashed via the registry in :func:`logic_digest`)
+    — so the sources stand in for them. The predicates a lemma defines
+    on first use (``synthesised_predicates``) are excluded for the same
+    reason; the lemma itself is hashed."""
+    derived = {
+        name
+        for lemma in program.lemmas.values()
+        for name in lemma.synthesised_predicates()
+    }
     for label, table in (
         ("pred", program.predicates),
         ("lemma", program.lemmas),
@@ -189,10 +192,21 @@ def logic_digest(program: Program, ownables=None) -> str:
     ):
         for name in sorted(table):
             if label == "pred" and (
-                name.startswith("own:") or name.startswith("mutref_inv:")
+                name in derived or name.startswith(("own:", "mutref_inv:"))
             ):
                 continue
-            h.update(f"{label} {name} = {canon(table[name])}\n".encode())
+            yield label, name, table[name]
+
+
+def logic_digest(program: Program, ownables=None) -> str:
+    """Digest of the program-wide logic context: predicates, lemmas,
+    Ownable impls and installed specs (:func:`logic_tables`). Coarse by
+    design — a change to any shared definition invalidates every entry
+    (sound; the price is one cold run)."""
+    h = hashlib.sha256()
+    h.update(f"format={STORE_FORMAT}\n".encode())
+    for label, name, value in logic_tables(program):
+        h.update(f"{label} {name} = {canon(value)}\n".encode())
     if ownables is not None:
         h.update(("registry " + _scrub(repr(type(ownables)))).encode())
         for attr in ("_custom_build", "_custom_repr"):

@@ -75,13 +75,8 @@ CACHEABLE_STATUSES = ("verified", "refuted")
 
 #: Aggregate counters (like PARALLEL_STATS): surfaced in
 #: ``HybridReport.render()``. All zero on a run that never touched a
-#: store.
-#: Registered with the metrics registry as group ``"store"`` but
-#: *excluded* from the fork-worker delta merge (``delta=False``): the
-#: parent already credits worker publishes through
-#: :meth:`ProofStore.note_worker_publish`, and worker-side lookup
-#: counters describe a private probe the parent repeats — merging
-#: either would double-count.
+#: store. Only the process that calls ``HybridVerifier.run`` ticks
+#: them: pool workers never touch the store.
 STORE_STATS = metrics.register_legacy(
     "store",
     {
@@ -96,13 +91,12 @@ STORE_STATS = metrics.register_legacy(
         "io_retries": 0,      # transient I/O errors absorbed by retry
         "io_errors": 0,       # I/O failures that exhausted the retries
     },
-    delta=False,
 )
 
 
 class ProofStore:
-    """One cache root; safe to share between a parent and its forked
-    pool workers (publishes are atomic and idempotent)."""
+    """One cache root; safe to share between processes (publishes are
+    atomic and idempotent)."""
 
     def __init__(self, root, verify_mode: str = "heal") -> None:
         if verify_mode not in ("heal", "strict"):
@@ -119,11 +113,6 @@ class ProofStore:
         #: Fingerprints this process quarantined; a later publish of one
         #: of these is a *heal*.
         self._quarantined: set[str] = set()
-        #: Fingerprints whose publish this process already counted in
-        #: ``STORE_STATS`` — guards :meth:`note_worker_publish` against
-        #: double-crediting an entry the parent itself wrote (e.g. via
-        #: the broken-pool serial retry).
-        self._published: set[str] = set()
 
     # -- configuration -------------------------------------------------------
 
@@ -164,20 +153,6 @@ class ProofStore:
     def has(self, fp: str) -> bool:
         """Whether ``fp`` is published (present, not yet validated)."""
         return self._entry_path(fp).exists()
-
-    def note_worker_publish(self, fp: str) -> None:
-        """Credit this run's counters with a publish performed by a
-        forked pool worker: the worker's ``STORE_STATS`` die with its
-        process, but the parent can observe the entry file appearing
-        between lookup (a miss) and reassembly. A no-op for entries
-        this process published (and counted) itself."""
-        if fp in self._published:
-            return
-        self._published.add(fp)
-        STORE_STATS["stores"] += 1
-        if fp in self._quarantined:
-            self._quarantined.discard(fp)
-            STORE_STATS["healed"] += 1
 
     # -- lookups -------------------------------------------------------------
 
@@ -326,7 +301,6 @@ class ProofStore:
             STORE_STATS["io_errors"] += 1
             return False
         STORE_STATS["stores"] += 1
-        self._published.add(fp)
         if fp in self._quarantined:
             self._quarantined.discard(fp)
             STORE_STATS["healed"] += 1

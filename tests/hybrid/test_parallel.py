@@ -92,12 +92,12 @@ class TestParallelEquivalence:
         seen = []
         real_fanout = pipeline.fanout
 
-        def spy(fn, payload, items, jobs, on_error=None):
+        def spy(fn, payload, items, jobs, on_error, **hooks):
             seen.extend(items)
-            return real_fanout(fn, payload, items, jobs, on_error=on_error)
+            return real_fanout(fn, payload, items, jobs, on_error, **hooks)
 
-        monkeypatch.setattr(pipeline, "fanout", spy)
         serial = _run(env, jobs=1)
+        monkeypatch.setattr(pipeline, "fanout", spy)
         parallel = _run(env, jobs=4)
         assert sorted(seen) == sorted(FUNCTIONS) and seen != FUNCTIONS
         assert _fingerprint(parallel) == _fingerprint(serial)
@@ -154,7 +154,7 @@ def test_pool_gets_longest_estimate_first(monkeypatch):
     contracts = {"fn2": {"requires": ["x > 0"]}}
     seen = []
 
-    def fake_fanout(fn, payload, items, jobs, on_error=None):
+    def fake_fanout(fn, payload, items, jobs, on_error, **hooks):
         seen.extend(items)
         return [
             [HybridEntry(n, "gillian-rust", True, None)] for n in items
@@ -182,7 +182,7 @@ def test_jobs_below_one_is_refused(monkeypatch, jobs):
     monkeypatch.setenv("REPRO_JOBS", "3")
     widths = []
 
-    def fake_fanout(fn, payload, items, jobs, on_error=None):
+    def fake_fanout(fn, payload, items, jobs, on_error, **hooks):
         widths.append(jobs)
         return [[HybridEntry(n, "gillian-rust", True, None)] for n in items]
 
@@ -254,3 +254,19 @@ class TestCrashIsolation:
         ]
         assert unaffected == expected
         assert report.status == "crashed"
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+def test_stop_hooked_run_opens_one_pool():
+    # The hook is asked before each function is handed out, all under
+    # one pool, at most ``jobs`` in flight.
+    program = Program()
+    names = ["fn0", "fn1", "fn2", "fn3"]
+    for n in names:
+        program.add_body(_fast_body(n))
+    hv = HybridVerifier(program, OwnableRegistry(program), {})
+    asked = []
+    report = hv.run(names, jobs=2, stop=lambda: asked.append(None))
+    assert report.ok and report.parallel_stats["fanouts"] == 1
+    assert len(asked) == len(names)
+    assert report.outcomes == {n: "verified" for n in names}

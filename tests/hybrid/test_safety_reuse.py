@@ -10,6 +10,8 @@ workers report back to the parent, so they hold at ``jobs=2`` too; and
 after every step the statuses must equal a fresh store-less run's.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.rustlib.linked_list as ll
@@ -20,6 +22,8 @@ from repro.hybrid.pipeline import HybridVerifier, entries_status
 from repro.lang.builder import BodyBuilder
 from repro.lang.mir import Program
 from repro.lang.types import U64, USIZE
+from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
+from repro.rustlib.specs import install_callee_specs
 from repro.store import ProofStore
 
 from tests.robustness.conftest import DIVERGING, FAST_FNS, _diverging_body, _fast_body
@@ -200,3 +204,23 @@ def test_a_refuted_safety_entry_is_reused(tmp_path):
     assert report.safety_reused == 1 and symex_calls(report, "bad_new") == 1
     assert report.by_function()["bad_new"][0] == cold.by_function()["bad_new"][0]
     assert statuses(report) == fresh_statuses(hv, ["bad_new"])
+
+
+def test_a_logic_edit_drops_every_safety_entry():
+    # An installed spec is part of the logic context every type-safety
+    # verdict may consult: replacing one re-runs both obligations.
+    program, ownables = ll.build_program()
+    install_callee_specs(program, ownables)
+    hv = HybridVerifier(
+        program, ownables, LINKED_LIST_CONTRACTS,
+        manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
+    )
+    name = "LinkedList::pop_front_node"
+    hv.run([name])
+    assert hv.run([name]).safety_reused == 1
+    other = "LinkedList::push_front_node"
+    spec = program.specs[other]
+    program.specs[other] = dataclasses.replace(spec, trusted=not spec.trusted)
+    report = hv.run([name])
+    assert report.safety_reused == 0 and symex_calls(report, name) == 2
+    assert report.ok and hv.run([name]).safety_reused == 1

@@ -90,19 +90,3 @@ class TestDeltaProtocol:
         pstats = parent.register_legacy("g", {"n": 1})
         parent.merge_delta(d)
         assert pstats["n"] == 5
-
-    def test_no_delta_group_excluded(self):
-        """The store group opts out: the parent credits worker
-        publishes through ``note_worker_publish`` — shipping the
-        worker-side counters too would double-count."""
-        m = Metrics()
-        stats = m.register_legacy("store-like", {"stores": 0}, delta=False)
-        base = m.delta_snapshot()
-        stats["stores"] += 3
-        d = m.delta_since(base)
-        assert "store-like" not in d["groups"]
-
-    def test_real_store_group_is_no_delta(self):
-        base = metrics.delta_snapshot()
-        assert "store" not in base["groups"]
-        assert "solver" in base["groups"]

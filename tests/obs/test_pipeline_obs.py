@@ -13,6 +13,9 @@ from repro.hybrid.pipeline import HybridVerifier
 from repro.obs import trace
 from repro.obs.metrics import metrics
 from repro.parallel import fork_available
+from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
+from repro.rustlib.linked_list import build_program
+from repro.rustlib.specs import install_callee_specs
 from repro.store import ProofStore
 
 from tests.robustness.conftest import FAST_FNS, fingerprint, small_env  # noqa: F401
@@ -146,6 +149,32 @@ class TestVerboseReport:
         assert "slowest solver queries" in verbose
         assert "tactic counts" in verbose
         assert FAST_FNS[0] in verbose.split("phase times")[1]
+
+    def test_tactic_counts_and_queries_are_per_run(self):
+        # Two fresh verifiers in one process: the second report counts
+        # its own run, not the process's running total.
+        program, ownables = build_program()
+        install_callee_specs(program, ownables)
+
+        def run():
+            return HybridVerifier(
+                program, ownables, LINKED_LIST_CONTRACTS,
+                manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
+            ).run(["LinkedList::push_front_node"])
+
+        first, second = run(), run()
+        assert first.tactic_stats["tactic.unfolds"] > 0
+        assert second.tactic_stats == first.tactic_stats
+
+        def tactics(report):
+            return report.render(verbose=True).split("tactic counts")[1]
+
+        assert "tactic.unfolds" in tactics(first)
+        assert tactics(second) == tactics(first)
+        assert first.top_queries
+        assert not {q["id"] for q in first.top_queries} & {
+            q["id"] for q in second.top_queries
+        }
 
     def test_trace_report_script_roundtrip(self, small_env, tmp_path):
         out = tmp_path / "trace.json"

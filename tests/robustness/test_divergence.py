@@ -8,6 +8,7 @@ import pytest
 
 from repro.budget import BudgetSpec
 from repro.hybrid.pipeline import HybridVerifier
+from repro.obs import clock
 from repro.parallel import fork_available
 
 from tests.robustness.conftest import DIVERGING, FAST_FNS
@@ -53,3 +54,25 @@ class TestDeadline:
         assert statuses[DIVERGING] == "timeout"
         assert all(statuses[f] == "verified" for f in FAST_FNS)
         assert elapsed < 2 * T
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_deadline_caps_each_function(self, small_env, jobs):
+        # A run's absolute deadline, well inside the base budget, stops
+        # a function it already handed out; a forked worker reads the
+        # same system-wide clock.
+        if jobs > 1 and not fork_available():
+            pytest.skip("needs fork start method")
+        program, ownables = small_env
+        hv = HybridVerifier(
+            program, ownables, {}, budget=BudgetSpec(deadline=20 * T)
+        )
+        started = time.perf_counter()
+        report = hv.run(
+            [DIVERGING, FAST_FNS[0]], jobs=jobs,
+            deadline=clock.monotonic() + T,
+        )
+        elapsed = time.perf_counter() - started
+        assert elapsed < 4 * T, f"took {elapsed:.2f}s against a {T}s deadline"
+        statuses = {e.function: e.status for e in report.entries}
+        assert statuses[DIVERGING] == "timeout"
+        assert report.outcomes[DIVERGING] == "verified"

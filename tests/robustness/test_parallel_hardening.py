@@ -36,9 +36,9 @@ def fail_on_three(payload, item):
     return item * 2
 
 
-def fail_on_odd(payload, item):
-    if item % 2:
-        raise ValueError(f"cannot process {item}")
+def slow_zero(payload, item):
+    if item == 0:
+        time.sleep(0.5)
     return item * 2
 
 
@@ -64,6 +64,14 @@ def die_hard_on_two(payload, item):
     return item * 2
 
 
+def degrade(item, exc):
+    return ("failed", item)
+
+
+def reraise(item, exc):
+    raise exc
+
+
 def write(root, rel, text):
     path = root / rel
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -79,7 +87,7 @@ def clean_faults():
 
 class TestSerialPath:
     def test_plain(self):
-        assert fanout(double, None, [1, 2, 3], jobs=1) == [2, 4, 6]
+        assert fanout(double, None, [1, 2, 3], 1, degrade) == [2, 4, 6]
 
     def test_on_error_maps_failures(self):
         out = fanout(
@@ -89,8 +97,63 @@ class TestSerialPath:
         assert out == [2, ("failed", 3, "ValueError"), 10]
 
     def test_without_on_error_raises(self):
-        with pytest.raises(ValueError):
+        # on_error is required: there is no re-raise mode.
+        with pytest.raises(TypeError, match="on_error"):
             fanout(fail_on_three, None, [1, 3, 5], jobs=1)
+
+
+def stop_after(n, log):
+    """A stop hook that lets ``n`` items out, noting before each call
+    how many results had arrived."""
+
+    def stop():
+        log.append(len(arrived))
+        return "enough" if len(log) > n else None
+
+    arrived = []
+    return stop, arrived
+
+
+class TestHooks:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stop_hands_out_a_prefix(self, jobs):
+        if jobs > 1 and not fork_available():
+            pytest.skip("needs fork start method")
+        log = []
+        stop, arrived = stop_after(2, log)
+        out = fanout(
+            double, None, list(range(6)), jobs, degrade,
+            on_result=lambda item, result: arrived.append(item),
+            stop=stop,
+        )
+        assert out == [0, 2]
+        assert sorted(arrived) == [0, 1]
+        # Asked before each hand-out, never again after the reason; at
+        # jobs=2 the third ask waits for a result (two in flight).
+        if jobs == 1:
+            assert log == [0, 1, 2]
+        else:
+            assert log[:2] == [0, 0] and log[2] >= 1
+
+    @needs_fork
+    def test_results_arrive_in_completion_order(self):
+        arrived = []
+        out = fanout(
+            slow_zero, None, [0, 1], 2, degrade,
+            on_result=lambda item, result: arrived.append((item, result)),
+        )
+        assert out == [0, 2]
+        assert arrived == [(1, 2), (0, 0)]
+
+    @needs_fork
+    def test_stand_ins_reach_on_result(self):
+        arrived = {}
+        out = fanout(
+            fail_on_three, None, [1, 2, 3], 2, degrade,
+            on_result=arrived.__setitem__,
+        )
+        assert out == [2, 4, ("failed", 3)]
+        assert arrived == {1: 2, 2: 4, 3: ("failed", 3)}
 
 
 @needs_fork
@@ -104,20 +167,16 @@ class TestPoolPath:
         assert out == [2, 4, ("failed", 3), 8, 10]
         assert PARALLEL_STATS["worker_failures"] == 1
 
-    def test_worker_exception_without_on_error_reraises_after_drain(self):
-        with pytest.raises(ValueError, match="cannot process 3"):
-            fanout(fail_on_three, None, [1, 2, 3, 4], jobs=2)
-
     def test_results_in_item_order(self):
         items = list(range(6))
-        assert fanout(slower_when_earlier, None, items, jobs=3) == [
+        assert fanout(slower_when_earlier, None, items, 3, degrade) == [
             i * 2 for i in items
         ]
 
     def test_matches_serial(self):
         items = list(range(7))
-        serial = fanout(double, None, items, jobs=1)
-        assert fanout(double, None, items, jobs=4) == serial
+        serial = fanout(double, None, items, 1, degrade)
+        assert fanout(double, None, items, 4, degrade) == serial
 
     def test_raising_item_maps_through_on_error(self):
         # on_error sees the worker's own exception, message intact.
@@ -129,20 +188,12 @@ class TestPoolPath:
         assert out == [2, 4, "degraded:3:cannot process 3"]
         assert PARALLEL_STATS["worker_failures"] == 1
 
-    def test_without_on_error_first_failure_reraises_after_drain(self):
-        # Both failures are drained; the one earliest in item order
-        # is the one re-raised.
-        metrics.reset("parallel")
-        with pytest.raises(ValueError, match="cannot process 1"):
-            fanout(fail_on_odd, None, [0, 1, 2, 3], jobs=2)
-        assert PARALLEL_STATS["worker_failures"] == 2
-
     def test_killed_worker_recovers_via_parent_retry(self):
         # The crash rule fires in workers only; the parent's serial
         # retry (where it never fires) recovers the lost item.
         metrics.reset("parallel")
         faultinject.install("parallel.worker@3:crash")
-        out = fanout(double, None, list(range(6)), jobs=2)
+        out = fanout(double, None, list(range(6)), 2, degrade)
         assert out == [i * 2 for i in range(6)]
         assert PARALLEL_STATS["broken_pools"] == 1
         assert PARALLEL_STATS["serial_retries"] >= 1
@@ -166,7 +217,7 @@ class TestPoolPath:
         re-run serially in the parent (where the guard in the worker fn
         keeps them alive) and the full result set comes back."""
         metrics.reset("parallel")
-        out = fanout(exit_on_three, None, [1, 2, 3, 4, 5], jobs=2)
+        out = fanout(exit_on_three, None, [1, 2, 3, 4, 5], 2, degrade)
         assert out == [2, 4, 6, 8, 10]
         assert PARALLEL_STATS["broken_pools"] == 1
         assert PARALLEL_STATS["serial_retries"] >= 1
@@ -176,7 +227,7 @@ class TestPoolPath:
         # breaks once, and the parent's serial retry finishes the batch.
         metrics.reset("parallel")
         faultinject.install("parallel.worker:crash::100")
-        out = fanout(double, None, [0, 1, 2, 3], jobs=2)
+        out = fanout(double, None, [0, 1, 2, 3], 2, degrade)
         assert out == [0, 2, 4, 6]
         assert PARALLEL_STATS["broken_pools"] == 1
         assert PARALLEL_STATS["serial_retries"] >= 1
@@ -200,7 +251,7 @@ class TestPoolPath:
         metrics.reset("parallel")
         parallel._ACTIVE = True
         try:
-            out = fanout(double, None, [1, 2, 3], jobs=4)
+            out = fanout(double, None, [1, 2, 3], 4, degrade)
         finally:
             parallel._ACTIVE = False
         assert out == [2, 4, 6]
@@ -209,7 +260,7 @@ class TestPoolPath:
 
     def test_payload_cleared_after_failure(self):
         with pytest.raises(ValueError):
-            fanout(fail_on_three, None, [1, 3], jobs=2)
+            fanout(fail_on_three, None, [1, 3], 2, reraise)
         assert parallel._PAYLOAD is None
         assert parallel._ACTIVE is False
 

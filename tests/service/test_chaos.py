@@ -117,7 +117,7 @@ class TestInjectedFailures:
         faultinject.install("service.dispatch:raise::1")
         with ServiceClient(d.config.socket) as c:
             r = c.submit("demo")
-            # The faulted chunk degrades; the daemon stays up.
+            # The faulted function degrades; the daemon stays up.
             assert not r["ok"]
             assert c.health()["ok"]
             r2 = c.submit("demo")
@@ -139,7 +139,7 @@ class TestWorkerFaults:
         )
         with d.client() as c:
             r = c.submit("demo", jobs=2)
-            # The wedged worker was killed, the chunk retried serially
+            # The wedged worker was killed, the request finished serially
             # in the daemon (where the worker-only fault cannot fire),
             # and the request still completed.
             assert r["ok"]

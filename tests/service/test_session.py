@@ -259,6 +259,20 @@ class TestPerRequestCost:
         assert calls.count("logic") == 1
         assert sorted(n for n in calls if n != "logic") == sorted(ALL * 2)
 
+    def test_one_logic_digest_across_linked_list_requests(
+        self, tmp_path, calls
+    ):
+        # front_mut's lemma defines a predicate on first use; neither
+        # that nor the session's per-request logic check re-derives the
+        # digest or moves a key.
+        session = ServiceSession(
+            "linked_list", store=ProofStore(tmp_path / "cache")
+        )
+        session.submit(functions=["LinkedList::front_mut"])
+        r = session.submit(functions=["LinkedList::front_mut"])
+        assert r["reverified"] == [] and r["reused"] == ["LinkedList::front_mut"]
+        assert calls.count("logic") == 1
+
     def test_cli_runs_share_the_logic_digest(self, tmp_path, calls):
         corpus = load_corpus("demo")
         hv = HybridVerifier(

@@ -227,7 +227,10 @@ class TestEveryRouteIsCanonical:
     )
     def test_forked_worker_result(self):
         expected = [_worker_term(None, k)[1] for k in range(4)]
-        got = parallel.fanout(_worker_term, None, range(4), jobs=2)
+        got = parallel.fanout(
+            _worker_term, None, range(4), 2,
+            on_error=lambda k, exc: pytest.fail(f"item {k}: {exc}"),
+        )
         for (pid, g), e in zip(got, expected):
             assert pid != os.getpid()
             assert g is e

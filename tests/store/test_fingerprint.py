@@ -65,6 +65,20 @@ class TestStability:
         assert "own:u64" in program.predicates
         assert logic_digest(program, ownables) == before
 
+    def test_logic_digest_ignores_lemma_synthesised_predicates(self):
+        # front_mut's freezing lemma defines ll_frozen on first use.
+        from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
+        from repro.rustlib.linked_list import build_program
+        from repro.hybrid.pipeline import HybridVerifier
+
+        program, ownables = build_program()
+        before = logic_digest(program, ownables)
+        HybridVerifier(program, ownables, LINKED_LIST_CONTRACTS).run(
+            ["LinkedList::front_mut"]
+        )
+        assert "ll_frozen" in program.predicates
+        assert logic_digest(program, ownables) == before
+
     def test_canon_scrubs_addresses_and_counters_in_reprs(self):
         class Opaque:
             pass

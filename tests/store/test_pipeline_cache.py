@@ -1,10 +1,17 @@
 """The store wired through HybridVerifier.run: cold → warm behaviour,
 env activation, parallel lookup, and the cacheability boundary."""
 
+import dataclasses
+import os
+
 import pytest
 
 from repro.budget import BudgetSpec
 from repro.hybrid.pipeline import HybridVerifier
+from repro.parallel import fork_available
+from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
+from repro.rustlib.linked_list import build_program
+from repro.rustlib.specs import install_callee_specs
 from repro.store import ProofStore
 
 from tests.robustness.conftest import DIVERGING, FAST_FNS, fingerprint
@@ -73,6 +80,48 @@ class TestColdWarm:
         report = make_verifier(env).run(FAST_FNS, jobs=1)
         assert report.store_stats == {}
         assert "-- store:" not in report.render()
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
+class TestParentPublishes:
+    def test_every_entry_is_written_by_the_caller(
+        self, env, tmp_path, monkeypatch
+    ):
+        # Pool workers only compute; the process that called run()
+        # writes every entry, so its counters see every publish.
+        writers = tmp_path / "writers"
+        real_write = ProofStore._write_entry
+
+        def spy(store, path, fp, function, blob):
+            with open(writers, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real_write(store, path, fp, function, blob)
+
+        monkeypatch.setattr(ProofStore, "_write_entry", spy)
+        report = make_verifier(env, tmp_path / "cache").run(FAST_FNS, jobs=2)
+        assert report.ok and report.parallel_stats["fanouts"] == 1
+        assert writers.read_text().split() == [str(os.getpid())] * len(FAST_FNS)
+        assert report.store_stats["stores"] == len(FAST_FNS)
+
+
+class TestLogicEdits:
+    def test_replaced_callee_spec_moves_the_callers_key(self, tmp_path):
+        program, ownables = build_program()
+        install_callee_specs(program, ownables)
+        hv = HybridVerifier(
+            program, ownables, LINKED_LIST_CONTRACTS,
+            manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
+            store=ProofStore(tmp_path),
+        )
+        name = "LinkedList::pop_front"
+        assert hv.run([name]).outcomes == {name: "verified"}
+        assert hv.run([name]).outcomes == {name: "cached"}
+        callee = "LinkedList::pop_front_node"
+        spec = program.specs[callee]
+        program.specs[callee] = dataclasses.replace(spec, trusted=not spec.trusted)
+        assert hv.run([name]).outcomes == {name: "verified"}
+        program.specs[callee] = spec
+        assert hv.run([name]).outcomes == {name: "cached"}
 
 
 class TestCacheability:
