@@ -48,7 +48,10 @@ Observability: every pipeline phase runs under a :func:`repro.obs.span`
 (``verify`` → ``encode`` / ``vcgen`` / ``symex`` / ``solve`` /
 ``store.*``), so any run can print a per-function phase-time breakdown
 (``report.render(verbose=True)``) and ``REPRO_TRACE=out.json`` exports
-the whole run — including forked workers — as one Chrome trace.
+the whole run — including forked workers — as one Chrome trace. The
+report's counters, phase times and slowest queries all come from one
+observation window (:class:`repro.obs.trace.window`) around the run,
+from the store lookup to the end of the cross-check.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from repro.lang.mir import Body, Program
 from repro.lang.pretty import pretty_body
 from repro.pearlite.ast import PearliteSpec
 from repro.pearlite.encode import PearliteEncoder
-from repro.solver.core import GLOBAL_STATS, Solver
+from repro.solver.core import Solver
 
 
 #: Per-entry verdicts, in report-aggregation precedence order (a report
@@ -124,21 +127,21 @@ class HybridEntry:
 class HybridReport:
     entries: list[HybridEntry] = field(default_factory=list)
     elapsed: float = 0.0
-    #: Budget/degradation counters of the driving solver (serial path;
-    #: forked workers keep their own copies), captured at run() end.
+    # The counters and profiles below are projections of run()'s one
+    # observation window (:class:`repro.obs.trace.window`): this run's
+    # work only, forked workers' included.
+    #: Solver work and degradation counters (the ``solver`` group).
     solver_stats: dict = field(default_factory=dict)
-    #: Pool fault/retry counters for *this run* (delta of
-    #: ``repro.parallel.PARALLEL_STATS`` across run()).
+    #: Pool fault/retry counters (the ``parallel`` group).
     parallel_stats: dict = field(default_factory=dict)
-    #: Proof-store hit/miss/quarantine counters for *this run* (delta of
-    #: ``repro.store.STORE_STATS``); empty when no store was attached.
+    #: Proof-store hit/miss/quarantine counters (the ``store`` group);
+    #: empty when no store was attached.
     store_stats: dict = field(default_factory=dict)
-    #: Per-function phase times for *this run* — the
-    #: :func:`repro.obs.trace.phases_since` shape
-    #: ``{function: {phase: {calls,total,self}}}``; includes forked
-    #: workers' phases (merged through the pool deltas).
+    #: Per-function phase times, in the
+    #: :func:`repro.obs.trace.phase_table` shape
+    #: ``{function: {phase: {calls,total,self}}}``.
     phase_stats: dict = field(default_factory=dict)
-    #: Slowest solver queries recorded in *this run*
+    #: Slowest solver queries
     #: (``[{seconds, function, query}, …]``, slowest first).
     top_queries: list = field(default_factory=list)
     #: How each function's answer came about in this run: ``cached``
@@ -158,8 +161,7 @@ class HybridReport:
     #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
     #: when the adversary layer did not run.
     adversary: Optional[object] = None
-    #: The ``tactic.*`` / ``gillian.*`` counters of *this run* (delta
-    #: of the metrics registry across run(), forked workers included).
+    #: The ``tactic.*`` / ``gillian.*`` registry counters of this run.
     tactic_stats: dict = field(default_factory=dict, init=False)
 
     @property
@@ -554,106 +556,98 @@ class HybridVerifier:
         elif jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.check_logic()
-        parallel_before = dict(PARALLEL_STATS)
-        store_before = dict(STORE_STATS)
-        solver_before = dict(GLOBAL_STATS)
-        counters_before = metrics.snapshot()["counters"]
-        phases_before = obs.phases_snapshot()
-        queries_before = obs_trace.query_ids()
-        cached = self._lookup_cached(names, fingerprints or {})
-        pending = [n for n in names if n not in cached]
-        worker, halt = _verify_worker, None
-        if stop is not None or deadline is not None:
-            worker = _dispatch_worker
+        with obs.window() as seen:
+            cached = self._lookup_cached(names, fingerprints or {})
+            pending = [n for n in names if n not in cached]
+            worker, halt = _verify_worker, None
+            if stop is not None or deadline is not None:
+                worker = _dispatch_worker
 
-            def halt() -> Optional[str]:
-                reason = stop() if stop is not None else None
-                if reason is None and deadline is not None and (
-                    clock.monotonic() >= deadline
-                ):
-                    reason = "deadline"
-                if reason is not None:
-                    report.drain_reason = reason
-                return reason
+                def halt() -> Optional[str]:
+                    reason = stop() if stop is not None else None
+                    if reason is None and deadline is not None and (
+                        clock.monotonic() >= deadline
+                    ):
+                        reason = "deadline"
+                    if reason is not None:
+                        report.drain_reason = reason
+                    return reason
 
-        elif jobs > 1:
-            # Longest estimate first, so the slow functions don't start
-            # last and leave one worker finishing alone; the stable sort
-            # keeps submission order among ties.
-            pending.sort(
-                key=lambda n: _estimate_cost(
-                    self.program.bodies.get(n), self.contracts.get(n)
-                ),
-                reverse=True,
+            elif jobs > 1:
+                # Longest estimate first, so the slow functions don't
+                # start last and leave one worker finishing alone; the
+                # stable sort keeps submission order among ties.
+                pending.sort(
+                    key=lambda n: _estimate_cost(
+                        self.program.bodies.get(n), self.contracts.get(n)
+                    ),
+                    reverse=True,
+                )
+            # Set before the fan-out, so forked workers inherit both;
+            # the safety entries are offered under the base budget.
+            self._reuse = reuse = self._reusable_safety(pending)
+            self._deadline = deadline
+            try:
+                results = fanout(
+                    worker,
+                    self,
+                    pending,
+                    jobs,
+                    on_error=lambda name, exc: [self._failure_entry(name, exc)],
+                    on_result=self._publish,
+                    stop=halt,
+                )
+            finally:
+                self._reuse, self._deadline = {}, None
+            fresh = dict(zip(pending, results))
+            # A worker's copy of an offered entry compares equal to it.
+            report.safety_reused = sum(
+                1 for n, e in reuse.items() if n in fresh and fresh[n][0] == e
             )
-        # Set before the fan-out, so forked workers inherit both; the
-        # safety entries are offered under the base budget.
-        self._reuse = reuse = self._reusable_safety(pending)
-        self._deadline = deadline
-        try:
-            results = fanout(
-                worker,
-                self,
-                pending,
-                jobs,
-                on_error=lambda name, exc: [self._failure_entry(name, exc)],
-                on_result=self._publish,
-                stop=halt,
-            )
-        finally:
-            self._reuse, self._deadline = {}, None
-        fresh = dict(zip(pending, results))
-        # A worker's copy of an offered entry compares equal to it.
-        report.safety_reused = sum(
-            1 for n, e in reuse.items() if n in fresh and fresh[n][0] == e
-        )
-        reason = report.drain_reason
-        for name in names:
-            if name in cached:
-                how, entries = "cached", cached[name]
-            elif name in fresh:
-                how, entries = "verified", fresh[name]
-            else:
-                how, entries = "drained", [self._degraded_entry(
-                    name,
-                    f"drained before verification ({reason})",
-                    "timeout" if reason == "deadline" else "error",
-                )]
-            report.outcomes[name] = how
-            report.entries.extend(entries)
-            self._record_safety(name, entries)
-        if verify_verdicts or (
-            verify_verdicts is None and _adversary_enabled()
-        ):
-            report.adversary = self._cross_check(report)
+            reason = report.drain_reason
+            for name in names:
+                if name in cached:
+                    how, entries = "cached", cached[name]
+                elif name in fresh:
+                    how, entries = "verified", fresh[name]
+                else:
+                    how, entries = "drained", [self._degraded_entry(
+                        name,
+                        f"drained before verification ({reason})",
+                        "timeout" if reason == "deadline" else "error",
+                    )]
+                report.outcomes[name] = how
+                report.entries.extend(entries)
+                self._record_safety(name, entries)
+            if verify_verdicts or (
+                verify_verdicts is None and _adversary_enabled()
+            ):
+                report.adversary = self._cross_check(report)
         report.elapsed = clock.monotonic() - started
-        # The solver delta is over GLOBAL_STATS, not the driving
-        # instance's stats: forked workers' ticks arrive through the
-        # pool's observability deltas and land in GLOBAL_STATS only.
+        # Every count below is this run's, forked workers' included:
+        # their window deltas were merged into this window.
+        delta = seen.delta
+        counted = delta["groups"]
+        solver = counted.get("solver", {})
         report.solver_stats = {
-            k: GLOBAL_STATS[k] - solver_before.get(k, 0)
+            k: solver.get(k, 0)
             for k in (
                 "checks", "alpha_hits", "unknowns", "budget_stops",
                 "prefix_hits", "prefix_misses", "prefix_extends",
             )
         }
-        report.parallel_stats = {
-            k: PARALLEL_STATS[k] - parallel_before.get(k, 0)
-            for k in PARALLEL_STATS
-        }
+        pool = counted.get("parallel", {})
+        report.parallel_stats = {k: pool.get(k, 0) for k in PARALLEL_STATS}
         if self.store is not None:
-            report.store_stats = {
-                k: STORE_STATS[k] - store_before.get(k, 0)
-                for k in STORE_STATS
-            }
+            store = counted.get("store", {})
+            report.store_stats = {k: store.get(k, 0) for k in STORE_STATS}
         report.tactic_stats = {
-            k: v - counters_before.get(k, 0)
-            for k, v in metrics.snapshot()["counters"].items()
+            k: v
+            for k, v in delta["counters"].items()
             if k.startswith(("tactic.", "gillian."))
-            and v != counters_before.get(k, 0)
         }
-        report.phase_stats = obs.phases_since(phases_before)
-        report.top_queries = obs.top_queries(exclude_ids=queries_before)
+        report.phase_stats = obs.phase_table(delta["phases"])
+        report.top_queries = obs.top_queries(delta["queries"])
         obs_trace.flush()
         return report
 

@@ -9,22 +9,26 @@ Zero-dependency observability for the hybrid pipeline, in three parts
   absorbs the legacy ``Solver.stats`` / ``PARALLEL_STATS`` /
   ``STORE_STATS`` dicts and owns the one reset path;
 * :mod:`repro.obs.trace` — contextvar spans, the per-function phase
-  table, top-K solver queries, and Chrome trace-event JSON export.
+  table, top-K solver queries, observation windows, and Chrome
+  trace-event JSON export.
 
 Environment knobs (read once at import):
 
 * ``REPRO_OBS=0`` — kill switch: every span helper becomes a no-op
   and phase/query aggregation stops (the baseline for the CI overhead
-  gate; plain counters still tick — they are a handful of dict adds);
+  gate). Plain counters still tick, a handful of dict adds, and
+  still reach the report at any ``jobs``;
 * ``REPRO_TRACE=out.json`` — record trace events and write the Chrome
   trace (Perfetto-loadable) to ``out.json`` at process exit and after
   every ``HybridVerifier.run``.
 
-Counters are read per run, from the ``HybridReport``: each field is
-the delta of its group across ``HybridVerifier.run``. Forked pool
-workers ship what they counted back to the parent with each result
-(:func:`worker_delta` / :func:`merge_worker_delta`); they never touch
-the proof store, so its counters tick in the parent alone.
+One mechanism answers "what happened since point X": an observation
+:class:`~repro.obs.trace.window`. ``HybridVerifier.run`` reads every
+per-run report field from one window, a daemon request lists its
+phases from one, and each pool item runs inside one in its worker,
+whose delta the parent folds in with :func:`~repro.obs.trace.merge`.
+Workers never touch the proof store, so its counters tick in the
+parent alone.
 """
 
 from __future__ import annotations
@@ -41,16 +45,14 @@ from repro.obs.trace import (  # noqa: F401  (re-exports)
     detail_span,
     enabled,
     instant_event,
-    merge_worker_delta,
-    phases_since,
-    phases_snapshot,
+    merge,
+    phase_table,
     record_phase,
     record_query,
     span,
     top_queries,
     validate_trace,
-    worker_begin,
-    worker_delta,
+    window,
 )
 
 __all__ = [
@@ -65,12 +67,10 @@ __all__ = [
     "current_function",
     "add_child_time",
     "enabled",
-    "phases_snapshot",
-    "phases_since",
+    "phase_table",
     "top_queries",
-    "worker_begin",
-    "worker_delta",
-    "merge_worker_delta",
+    "window",
+    "merge",
     "validate_trace",
 ]
 

@@ -1,25 +1,20 @@
 """One process-wide metrics registry for the whole pipeline.
 
-Before this module existed the stack kept four disjoint ad-hoc counter
-dicts (``Solver.stats`` / ``solver.core.GLOBAL_STATS``,
-``parallel.PARALLEL_STATS``, ``store.STORE_STATS``), each with its own
-reset convention. The registry absorbs them:
-
-* the legacy dicts stay importable (tests keep working unchanged) but
-  are *registered* here as named groups, so :meth:`Metrics.reset`
+* The solver, pool and store count into legacy module-level dicts
+  (``solver.core.GLOBAL_STATS``, ``parallel.PARALLEL_STATS``,
+  ``store.STORE_STATS``). They stay importable but are *registered*
+  here as named groups, so :meth:`Metrics.reset`
   (``metrics.reset("solver")`` etc.) is the one reset path;
-* new first-class counters and gauges live directly in the registry
+* first-class counters and gauges live directly in the registry
   under dotted names (``tactic.unfolds``, ``gillian.consumes``,
   ``service.queue_depth``, and the adversary layer's ``adversary.*``
   family — per-status counts, replay/mutant/diff work counters,
   ``adversary.pass_failures``…);
 * :meth:`Metrics.snapshot` renders everything as one plain-data dict;
-* :meth:`Metrics.delta_snapshot` / :meth:`Metrics.merge_delta` are the
-  fork-worker protocol: a pool worker snapshots before an item, diffs
-  after, and the parent merges the delta so ``jobs=N`` counters are as
-  complete as a serial run's (see :mod:`repro.parallel`). Every group
-  travels the same way; the ``store`` group's delta is always empty,
-  because only the parent touches the store.
+  :meth:`Metrics.delta_since` diffs the counters and groups against
+  one, and :meth:`Metrics.merge_delta` adds such a diff from another
+  process. An observation window (:class:`repro.obs.trace.window`)
+  is built on the pair.
 
 Everything is plain dict arithmetic — no locks (one verification runs
 on one thread; forked workers have their own copy-on-write registry
@@ -97,19 +92,12 @@ class Metrics:
             "groups": {g: dict(d) for g, d in self._legacy.items()},
         }
 
-    # -- fork-worker delta protocol -----------------------------------------
-
-    def delta_snapshot(self) -> dict:
-        """A baseline for :meth:`delta_since` (taken in a pool worker
-        before it starts an item)."""
-        return {
-            "counters": dict(self._counters),
-            "groups": {g: dict(d) for g, d in self._legacy.items()},
-        }
+    # -- deltas --------------------------------------------------------------
 
     def delta_since(self, baseline: dict) -> dict:
-        """What this process counted since ``baseline`` — plain data,
-        picklable through a pool future."""
+        """What this process counted since ``baseline`` (a
+        :meth:`snapshot`): the counters and groups that moved, as plain
+        data, picklable through a pool future."""
         base_c = baseline.get("counters", {})
         counters = {
             k: v - base_c.get(k, 0)

@@ -46,7 +46,7 @@ def _fmt_s(seconds: float) -> str:
 
 def render_phase_table(phases: dict) -> str:
     """``phases``: ``{function: {span_name: {calls,total,self}}}`` (the
-    :func:`repro.obs.trace.phases_since` shape). Returns a text table;
+    :func:`repro.obs.trace.phase_table` shape). Returns a text table;
     functions sorted by total time, slowest first."""
     headers = ["function"] + [h for h, _, _ in PHASE_COLUMNS] + ["total", "queries"]
     rows: list[list[str]] = []
@@ -79,13 +79,15 @@ def render_phase_table(phases: dict) -> str:
 
 def render_top_queries(queries: list[dict], limit: int = 10) -> str:
     """``queries``: the :func:`repro.obs.trace.top_queries` shape —
-    ``[{"seconds", "function", "query"}, …]``, slowest first."""
+    ``[{"seconds", "function", "query"}, …]``, slowest first. Each
+    query is cut to 160 characters."""
     if not queries:
         return "  (no solver queries recorded)"
     lines = []
     for i, q in enumerate(queries[:limit], 1):
         fn = q.get("function") or "<toplevel>"
-        lines.append(f"  {i:2d}. {q['seconds']:.4f}s  {fn}: {q['query']}")
+        query = q["query"] if len(q["query"]) <= 160 else q["query"][:157] + "..."
+        lines.append(f"  {i:2d}. {q['seconds']:.4f}s  {fn}: {query}")
     return "\n".join(lines)
 
 

@@ -29,10 +29,13 @@ Event tracing is enabled by ``REPRO_TRACE=out.json`` (export happens
 at process exit and at the end of every ``HybridVerifier.run``) or
 programmatically via :func:`enable`. The export is Chrome trace-event
 JSON — loadable in Perfetto / ``chrome://tracing``. Forked pool
-workers inherit the enabled state; their events and aggregates travel
-back to the parent through the future results (see
-:mod:`repro.parallel`) with their own ``pid``, so a ``jobs=N`` trace
-shows every worker's timeline.
+workers inherit the enabled state.
+
+An observation :class:`window` answers "what happened since point X"
+for a run, a daemon request and a pool item alike. A pool worker runs
+each item inside one and ships the delta back with the result; the
+parent folds it in with :func:`merge`, so a ``jobs=N`` trace shows
+every worker's timeline under its own ``pid``.
 
 ``REPRO_OBS=0`` turns the whole subsystem off (even the coarse
 aggregation); it exists so the overhead gate in CI can measure the
@@ -77,16 +80,17 @@ class _TraceState:
 
 _TRACE = _TraceState()
 
+#: The innermost open window's tables (the process's own outside any
+#: window; see :class:`window`), rebound by every window open and close.
 #: (function, span-name) -> [calls, total_seconds, self_seconds]
 _PHASES: dict[tuple[str, str], list] = {}
 
 #: Top-K slowest solver queries, keyed by *shape* — the description
 #: with SSA counters scrubbed — so K near-identical instances of one
 #: hot query occupy one slot, not all of them.  Values are
-#: (dur, (pid, seq), function, description); only the slowest instance
-#: of each shape is retained.
+#: (dur, function, description); only the slowest instance of each
+#: shape is retained.
 _QUERIES: dict[str, tuple] = {}
-_QUERY_SEQ = 0
 #: Cached minimum duration in a full table (the lazy-describe guard).
 _QUERIES_MIN = 0.0
 
@@ -105,10 +109,9 @@ _CURRENT: contextvars.ContextVar[Optional["_Span"]] = contextvars.ContextVar(
 
 
 def _clear_aggregates() -> None:
-    global _QUERY_SEQ, _QUERIES_MIN
+    global _QUERIES_MIN
     _PHASES.clear()
     _QUERIES.clear()
-    _QUERY_SEQ = 0
     _QUERIES_MIN = 0.0
 
 
@@ -277,47 +280,19 @@ def record_phase(function: Optional[str], name: str, dur: float) -> None:
     add_child_time(dur)
 
 
-def phases_snapshot() -> dict:
-    """A baseline for :func:`phases_since` (plain, picklable)."""
-    return {k: tuple(v) for k, v in _PHASES.items()}
-
-
-def phases_since(baseline: dict) -> dict:
-    """Per-function nested phase stats accumulated since ``baseline``:
-    ``{function: {phase: {"calls", "total", "self"}}}``."""
+def phase_table(phases: Optional[dict] = None) -> dict:
+    """A window delta's ``phases`` (default: the innermost open
+    window's table) in the report's nested shape ``{function:
+    {phase: {"calls", "total", "self"}}}``."""
     out: dict[str, dict] = {}
-    for (fn, name), (calls, total, self_) in _PHASES.items():
-        b = baseline.get((fn, name), (0, 0.0, 0.0))
-        dc, dt, ds = calls - b[0], total - b[1], self_ - b[2]
-        if dc == 0 and dt == 0.0:
-            continue
+    for (fn, name), (calls, total, self_) in (
+        _PHASES if phases is None else phases
+    ).items():
         out.setdefault(fn, {})[name] = {
-            "calls": dc,
-            "total": dt,
-            "self": ds,
+            "calls": calls,
+            "total": total,
+            "self": self_,
         }
-    return out
-
-
-def merge_phases(delta: dict) -> None:
-    """Fold a worker's phase delta (``{(fn, name): (c, t, s)}`` — the
-    tuple-keyed *internal* shape) into this process's table."""
-    for key, (calls, total, self_) in delta.items():
-        rec = _PHASES.get(key)
-        if rec is None:
-            _PHASES[key] = [calls, total, self_]
-        else:
-            rec[0] += calls
-            rec[1] += total
-            rec[2] += self_
-
-
-def _phases_delta_raw(baseline: dict) -> dict:
-    out = {}
-    for key, (calls, total, self_) in _PHASES.items():
-        b = baseline.get(key, (0, 0.0, 0.0))
-        if calls != b[0] or total != b[1]:
-            out[key] = (calls - b[0], total - b[1], self_ - b[2])
     return out
 
 
@@ -326,12 +301,11 @@ def _phases_delta_raw(baseline: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _insert_query(rec: tuple) -> None:
-    """Insert one (dur, qid, fn, desc) record, dedup by shape: only
-    the slowest instance of a shape is kept, and the table holds at
-    most :data:`TOP_K_QUERIES` distinct shapes."""
+def _insert_query(shape: str, rec: tuple) -> None:
+    """Insert one (dur, fn, desc) record under ``shape``: only the
+    slowest instance of a shape is kept, and the table holds at most
+    :data:`TOP_K_QUERIES` distinct shapes."""
     global _QUERIES_MIN
-    shape = query_shape(rec[3])
     cur = _QUERIES.get(shape)
     if cur is not None:
         if rec[0] > cur[0]:
@@ -349,82 +323,90 @@ def record_query(dur: float, describe: Callable[[], str]) -> None:
     """Consider one solver query for the top-K table. ``describe`` is
     only called when the query is slow enough to possibly enter the
     table, so the common (fast) query costs one comparison."""
-    global _QUERY_SEQ
     if OFF:
         return
     if len(_QUERIES) >= TOP_K_QUERIES and dur <= _QUERIES_MIN:
         return
-    _QUERY_SEQ += 1
-    _insert_query(
-        (dur, (os.getpid(), _QUERY_SEQ), current_function() or TOPLEVEL,
-         describe())
-    )
+    desc = describe()
+    _insert_query(query_shape(desc), (dur, current_function() or TOPLEVEL, desc))
 
 
-def top_queries(exclude_ids: Optional[set] = None) -> list[dict]:
-    """The slowest distinct query shapes on record, slowest first, as
-    plain dicts."""
+def top_queries(queries: Optional[dict] = None) -> list[dict]:
+    """A window delta's ``queries`` (default: the innermost open
+    window's table) as plain dicts, slowest first."""
     rows = [
-        {"seconds": dur, "id": qid, "function": fn, "query": desc}
-        for dur, qid, fn, desc in _QUERIES.values()
-        if not exclude_ids or qid not in exclude_ids
+        {"seconds": dur, "function": fn, "query": desc}
+        for dur, fn, desc in (_QUERIES if queries is None else queries).values()
     ]
     rows.sort(key=lambda r: r["seconds"], reverse=True)
     return rows
 
 
-def query_ids() -> set:
-    return {rec[1] for rec in _QUERIES.values()}
-
-
-def merge_queries(records: list[tuple]) -> None:
-    """Fold a worker's query records into the table (dedup by id,
-    then by shape like any local record)."""
-    seen = query_ids()
-    for rec in records:
-        dur, qid = rec[0], tuple(rec[1])
-        if qid in seen:
-            continue
-        _insert_query((dur, qid, rec[2], rec[3]))
-
-
 # ---------------------------------------------------------------------------
-# Fork-worker delta protocol
+# Observation windows
 # ---------------------------------------------------------------------------
 
 
-def worker_begin() -> dict:
-    """Snapshot taken in a pool worker before it runs one item."""
-    return {
-        "events_idx": len(_TRACE.events),
-        "metrics": metrics.delta_snapshot(),
-        "phases": phases_snapshot(),
-        "queries": query_ids(),
-    }
+def _fold(phases: dict, queries: dict) -> None:
+    """Add a window's phase and query tables to the current ones."""
+    for key, (calls, total, self_) in phases.items():
+        rec = _PHASES.get(key)
+        if rec is None:
+            _PHASES[key] = [calls, total, self_]
+        else:
+            rec[0] += calls
+            rec[1] += total
+            rec[2] += self_
+    for shape, rec in queries.items():
+        _insert_query(shape, rec)
 
 
-def worker_delta(mark: dict) -> Optional[dict]:
-    """Everything this worker observed since ``mark`` — plain data,
-    shipped back through the pool future."""
-    if OFF:
-        return None
-    return {
-        "events": _TRACE.events[mark["events_idx"]:] if _TRACE.enabled else [],
-        "metrics": metrics.delta_since(mark["metrics"]),
-        "phases": _phases_delta_raw(mark["phases"]),
-        "queries": [q for q in _QUERIES.values() if q[1] not in mark["queries"]],
-    }
+class window:
+    """What this process observed inside ``with window() as w:``.
+
+    On close, ``w.delta`` is plain, picklable data: the ``counters``
+    and legacy ``groups`` that moved (diffed against a
+    :meth:`~repro.obs.metrics.Metrics.snapshot`), the ``phases`` and
+    ``queries`` recorded, and the trace ``events`` emitted. Phases and
+    queries are not diffed: opening a window swaps in empty tables,
+    and closing it restores the enclosing window's tables and folds
+    this one's into them, so windows nest and each top-K is the
+    window's own. With ``REPRO_OBS=0`` the delta still carries
+    counters and groups; phases, queries and events stay empty.
+
+    One thread observes at a time (the daemon has one dispatcher)."""
+
+    __slots__ = ("delta", "_base", "_events", "_outer")
+
+    def __enter__(self) -> "window":
+        global _PHASES, _QUERIES, _QUERIES_MIN
+        self._base = metrics.snapshot()
+        self._events = len(_TRACE.events)
+        self._outer = (_PHASES, _QUERIES, _QUERIES_MIN)
+        _PHASES, _QUERIES, _QUERIES_MIN = {}, {}, 0.0
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        global _PHASES, _QUERIES, _QUERIES_MIN
+        phases, queries = _PHASES, _QUERIES
+        _PHASES, _QUERIES, _QUERIES_MIN = self._outer
+        _fold(phases, queries)
+        self.delta = {
+            **metrics.delta_since(self._base),
+            "phases": phases,
+            "queries": queries,
+            "events": _TRACE.events[self._events:] if enabled() else [],
+        }
+        return False
 
 
-def merge_worker_delta(delta: Optional[dict]) -> None:
-    """Parent side: fold one worker item's delta into this process."""
-    if not delta or OFF:
-        return
-    if _TRACE.enabled and delta.get("events"):
+def merge(delta: dict) -> None:
+    """Fold a window's delta from another process (a pool worker's)
+    into this one, as if its work had run here."""
+    metrics.merge_delta(delta)
+    if _TRACE.enabled:
         _TRACE.events.extend(delta["events"])
-    metrics.merge_delta(delta.get("metrics", {}))
-    merge_phases(delta.get("phases", {}))
-    merge_queries(delta.get("queries", []))
+    _fold(delta["phases"], delta["queries"])
 
 
 # ---------------------------------------------------------------------------

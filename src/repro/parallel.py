@@ -23,10 +23,10 @@ Fault tolerance (the degradation ladder, outermost rung first):
    mapped through ``on_error`` — the other futures keep their results;
 2. a worker that *dies* (``os._exit``, segfault, OOM kill) breaks the
    pool: every undelivered future is cancelled, and the affected items
-   are retried **serially in the parent** (bounded attempts with
-   backoff) — transient crashes recover, deterministic ones surface
-   as :class:`~repro.errors.WorkerCrashed` through ``on_error``; items
-   a windowed fan-out had not yet handed out run serially after them;
+   run once more, **serially in the parent**, ahead of any items a
+   windowed fan-out had not yet handed out — a crash confined to the
+   worker recovers, one that recurs in the parent surfaces as
+   :class:`~repro.errors.WorkerCrashed` through ``on_error``;
 3. a re-entrant ``fanout`` call while a pool is live (fork-inherited
    ``_PAYLOAD`` would be clobbered) is detected and falls back to the
    serial path.
@@ -36,10 +36,17 @@ queued item on demand; callers that want longest-first dispatch order
 their ``items`` before calling. With a ``stop`` hook the fan-out is
 windowed instead: at most ``jobs`` items in flight, the hook asked
 before each hand-out.
+
+Each worker runs its item inside an observation window
+(:class:`repro.obs.trace.window`) and ships the window's delta back
+with the result; the parent folds it in (:func:`repro.obs.merge`), so
+the counters, phases, slow queries and trace events of a ``jobs=N``
+run are as complete as a serial run's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -51,9 +58,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from repro import faultinject
+from repro import faultinject, obs
 from repro.errors import WorkerCrashed
-from repro.obs import merge_worker_delta, worker_begin, worker_delta
 from repro.obs.metrics import metrics
 
 T = TypeVar("T")
@@ -137,16 +143,14 @@ def fork_available() -> bool:
 
 
 def _invoke(fn: Callable, item) -> tuple:
-    """Worker-side wrapper: runs one item and ships the observability
-    delta (counters, trace events, phase times, slow queries) recorded
-    while running it back with the result, so the parent's merged view
-    of a ``jobs=N`` run is as complete as a serial run's. A worker that
-    raises or dies loses its delta — acceptable: the parent's serial
-    retry re-counts the work it redoes."""
+    """Worker-side wrapper: runs one item inside an observation window
+    and ships the window's delta back with the result. A worker that
+    raises or dies loses its delta; the parent's serial run of an item
+    lost to a dead worker counts in the parent."""
     faultinject.fire("parallel.worker", str(item))
-    mark = worker_begin()
-    result = fn(_PAYLOAD, item)
-    return result, worker_delta(mark)
+    with obs.window() as seen:
+        result = fn(_PAYLOAD, item)
+    return result, seen.delta
 
 
 def fanout(
@@ -158,8 +162,6 @@ def fanout(
     *,
     on_result: Optional[Callable[[T, R], None]] = None,
     stop: Optional[Callable[[], Optional[str]]] = None,
-    crash_retries: int = 2,
-    backoff: float = 0.05,
 ) -> list:
     """Run ``fn(payload, item)`` for every item handed out; results in
     item order.
@@ -170,9 +172,8 @@ def fanout(
 
     ``on_error(item, exc) -> result`` maps a failed item to a stand-in
     result, so callers can degrade one entry while keeping the rest.
-    Items lost to a broken pool are first retried serially in this
-    process (``crash_retries`` attempts, jittered exponential
-    ``backoff``); only a retry-proof failure reaches ``on_error`` (as
+    Items lost to a broken pool run once more, serially in this
+    process; only a failure there reaches ``on_error`` (as
     :class:`WorkerCrashed`).
 
     ``on_result(item, result)`` sees every result (stand-ins included)
@@ -190,6 +191,7 @@ def fanout(
         jobs = default_jobs()
     out: list = [None] * len(items)
     handed = 0  # items[:handed] have been handed out
+    lost: list[int] = []  # indices whose future died with the pool
     halted = False
 
     def hand_out() -> Optional[int]:
@@ -216,7 +218,6 @@ def fanout(
         serial = True
     if not serial:
         PARALLEL_STATS["fanouts"] += 1
-        lost: list[int] = []  # indices whose future died with the pool
         _PAYLOAD = payload
         _ACTIVE = True
         try:
@@ -242,8 +243,8 @@ def fanout(
                         except BrokenProcessPool:
                             # The pool is gone: don't wait on futures
                             # that can never complete — cancel what has
-                            # not started; everything lost is retried
-                            # below.
+                            # not started; everything lost runs in the
+                            # serial tail below.
                             if not lost:
                                 PARALLEL_STATS["broken_pools"] += 1
                                 for other in list(running):
@@ -258,23 +259,25 @@ def fanout(
                             PARALLEL_STATS["worker_failures"] += 1
                             result = on_error(items[i], e)
                         else:
-                            merge_worker_delta(delta)
+                            obs.merge(delta)
                         deliver(i, result)
         finally:
             _PAYLOAD = None
             _ACTIVE = False
-        for i in sorted(lost):
-            deliver(
-                i,
-                _retry_serial(
-                    fn, payload, items[i], on_error, crash_retries, backoff
-                ),
-            )
-    # The serial path, and whatever a broken pool left unhanded.
-    while (i := hand_out()) is not None:
+    # The serial path: first what a broken pool lost, then whatever it
+    # never handed out.
+    crashed = set(lost)
+    for i in itertools.chain(sorted(lost), iter(hand_out, None)):
+        if i in crashed:
+            PARALLEL_STATS["serial_retries"] += 1
         try:
             result = fn(payload, items[i])
         except Exception as e:
+            if i in crashed and not isinstance(e, WorkerCrashed):
+                e = WorkerCrashed(
+                    f"worker for {items[i]!r} died and its serial run "
+                    f"failed: {e}"
+                )
             result = on_error(items[i], e)
         deliver(i, result)
     return out[:handed]
@@ -282,9 +285,9 @@ def fanout(
 
 def jitter_seed(key) -> int:
     """Deterministic per-key jitter seed (CRC over the repr, xor'd with
-    the pid): two workers retrying the *same* item in *different*
-    processes draw different jitter — the de-synchronisation that
-    prevents a thundering herd — while any single (process, item) pair
+    the pid): two processes retrying the *same* operation draw
+    different jitter — the de-synchronisation that
+    prevents a thundering herd — while any single (process, key) pair
     replays the exact same schedule, keeping tests pinnable."""
     return zlib.crc32(repr(key).encode()) ^ os.getpid()
 
@@ -302,7 +305,7 @@ def backoff_schedule(
     Retry ``k`` (1-based) sleeps ``min(cap, base * factor**(k-1))``
     stretched by a seeded jitter factor in ``[1, 1+jitter)`` — i.e.
     exponential backoff with deterministic multiplicative jitter.
-    Exponential, so a burst of workers that all lost the same pool
+    Exponential, so a burst of processes that all failed at once
     spread out instead of re-hitting the store in lockstep; seeded, so
     a given ``seed`` always yields the same schedule (the unit tests
     pin the exact values). Returns ``attempts - 1`` sleeps (the first
@@ -351,29 +354,3 @@ def with_retries(
                 on_retry(e)
     assert last is not None
     raise last
-
-
-def _retry_serial(fn, payload, item, on_error, retries: int, backoff: float):
-    """Re-run an item lost to a broken pool, in the parent process.
-    Sleeps follow the jittered exponential schedule, seeded per item —
-    many parents retrying different items after a shared pool crash
-    don't re-hit the store at the same instants."""
-    last: BaseException = WorkerCrashed(
-        f"worker processing {item!r} died before returning a result"
-    )
-    sleeps = backoff_schedule(
-        max(1, retries), base=backoff, seed=jitter_seed(item)
-    )
-    for attempt in range(max(1, retries)):
-        if attempt:
-            time.sleep(sleeps[attempt - 1])
-        PARALLEL_STATS["serial_retries"] += 1
-        try:
-            return fn(payload, item)
-        except Exception as e:
-            last = e
-    if not isinstance(last, WorkerCrashed):
-        last = WorkerCrashed(
-            f"worker for {item!r} died and serial retry failed: {last}"
-        )
-    return on_error(item, last)

@@ -7,7 +7,8 @@ requests, and a name → fingerprint map records what the session has
 already established. A resubmission with nothing changed re-verifies
 **zero** functions and never re-enters program setup — the
 ``service.parse`` / ``service.logic`` spans are absent from the
-request's phase delta, which is how the tests pin it.
+phases of the request's observation window, which is how the tests
+pin it.
 
 The session does three things: keep the program and contract state,
 diff its fingerprints against the committed ones and commit what
@@ -79,7 +80,7 @@ class ServiceSession:
     def _ensure_program(self, params: Optional[dict]) -> None:
         """(Re)load the corpus iff needed. The ``service.parse`` and
         ``service.logic`` spans wrap *only* the actual work: their
-        absence from a request's phase delta is the observable proof
+        absence from a request's window is the observable proof
         that a warm resubmission skipped program setup."""
         params = params or {}
         if self.corpus is not None and params == self._params:
@@ -160,50 +161,50 @@ class ServiceSession:
 
     def _submit(self, functions, params, contracts, deadline, jobs, stop_check):
         started = clock.monotonic()
-        phases_before = obs.phases_snapshot()
-        self.requests += 1
-        metrics.inc("service.requests")
-        self._ensure_program(params)
-        self._ensure_contracts(contracts)
-        verifier = self.verifier
-        bodies = verifier.program.bodies
-        names = list(dict.fromkeys(functions)) if functions else list(bodies)
-        unknown = [n for n in names if n not in bodies]
-        if unknown:
-            raise KeyError(f"unknown functions: {unknown}")
+        with obs.window() as seen:
+            self.requests += 1
+            metrics.inc("service.requests")
+            self._ensure_program(params)
+            self._ensure_contracts(contracts)
+            verifier = self.verifier
+            bodies = verifier.program.bodies
+            names = list(dict.fromkeys(functions)) if functions else list(bodies)
+            unknown = [n for n in names if n not in bodies]
+            if unknown:
+                raise KeyError(f"unknown functions: {unknown}")
 
-        verifier.check_logic()
-        fps = {n: verifier.fingerprint(n) for n in bodies}
-        dirty = self.diff(fps)
-        if dirty:
-            metrics.inc("service.invalidations", len(dirty))
-        for n in dirty:
-            self._results.pop(n, None)
+            verifier.check_logic()
+            fps = {n: verifier.fingerprint(n) for n in bodies}
+            dirty = self.diff(fps)
+            if dirty:
+                metrics.inc("service.invalidations", len(dirty))
+            for n in dirty:
+                self._results.pop(n, None)
 
-        todo = [n for n in names if n in dirty]
-        outcomes: dict[str, str] = {}
-        if todo:
-            report = verifier.run(
-                todo,
-                jobs=jobs,
-                verify_verdicts=False,  # the response has no place for it
-                stop=stop_check,
-                deadline=started + deadline if deadline is not None else None,
-                fingerprints=fps,
-            )
-            outcomes = report.outcomes
-            if report.drain_reason:
-                metrics.inc("service.drains")
-            # Commit only deterministic verdicts: a timeout/crash/error
-            # is a fact about today's machine, not about the function.
-            for n, entries in report.by_function().items():
-                self._results[n] = entries
-                if all(e.status in CACHEABLE_STATUSES for e in entries):
-                    self.committed[n] = fps[n]
+            todo = [n for n in names if n in dirty]
+            outcomes: dict[str, str] = {}
+            if todo:
+                report = verifier.run(
+                    todo,
+                    jobs=jobs,
+                    verify_verdicts=False,  # the response has no place for it
+                    stop=stop_check,
+                    deadline=started + deadline if deadline is not None else None,
+                    fingerprints=fps,
+                )
+                outcomes = report.outcomes
+                if report.drain_reason:
+                    metrics.inc("service.drains")
+                # Commit only deterministic verdicts: a timeout/crash/
+                # error is a fact about today's machine, not about the
+                # function.
+                for n, entries in report.by_function().items():
+                    self._results[n] = entries
+                    if all(e.status in CACHEABLE_STATUSES for e in entries):
+                        self.committed[n] = fps[n]
 
         statuses = {n: entries_status(self._results[n]) for n in names}
         aggregate = entries_status(e for n in names for e in self._results[n])
-        phase_delta = obs.phases_since(phases_before)
         return {
             "ok": aggregate == "verified",
             "status": aggregate,
@@ -213,9 +214,7 @@ class ServiceSession:
             "cached": sorted(n for n in todo if outcomes[n] == "cached"),
             "reused": sorted(n for n in names if n not in dirty),
             "drained": [n for n in todo if outcomes[n] == "drained"],
-            "phases": sorted(
-                {ph for fn in phase_delta.values() for ph in fn}
-            ),
+            "phases": sorted({phase for _, phase in seen.delta["phases"]}),
             "elapsed": round(clock.monotonic() - started, 6),
         }
 

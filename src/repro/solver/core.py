@@ -466,16 +466,20 @@ GLOBAL_STATS = metrics.register_legacy(
 )
 
 
-def _describe_query(fs: Sequence[Term]) -> str:
+def _describe_query(fs: Sequence[Term], limit: Optional[int] = 160) -> str:
     """A short human-readable rendering of a query, for the top-K
     slowest-queries table (computed lazily — only when a query is slow
-    enough to enter the table, or when tracing is on)."""
+    enough to enter the table, or when tracing is on). ``limit=None``
+    keeps the whole text: the table keys on its shape, and a cut made
+    before the SSA counters are scrubbed falls elsewhere each run."""
     if not fs:
         return "<empty>"
     body = " & ".join(str(f) for f in fs[:4])
     if len(fs) > 4:
         body += f" & ... ({len(fs)} conjuncts)"
-    return body if len(body) <= 160 else body[:157] + "..."
+    if limit is None or len(body) <= limit:
+        return body
+    return body[: limit - 3] + "..."
 
 
 #: LRU capacity of the exact result cache and of the alpha memo,
@@ -633,7 +637,7 @@ class Solver:
             if tracing:
                 obs_trace.emit("E", "solve")
             obs_trace.record_phase(obs_trace.current_function(), "solve", dur)
-            obs_trace.record_query(dur, lambda: _describe_query(fs))
+            obs_trace.record_query(dur, lambda: _describe_query(fs, None))
         self._remember(key, result)
         memo[akey] = result
         if len(memo) > self.cache_capacity:

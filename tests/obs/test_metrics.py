@@ -68,7 +68,7 @@ class TestDeltaProtocol:
     def test_counter_delta_roundtrip(self):
         m = Metrics()
         m.inc("x", 5)
-        base = m.delta_snapshot()
+        base = m.snapshot()
         m.inc("x", 2)
         m.inc("y")
         d = m.delta_since(base)
@@ -82,7 +82,7 @@ class TestDeltaProtocol:
     def test_legacy_group_delta(self):
         m = Metrics()
         stats = m.register_legacy("g", {"n": 10})
-        base = m.delta_snapshot()
+        base = m.snapshot()
         stats["n"] += 4
         d = m.delta_since(base)
         assert d["groups"] == {"g": {"n": 4}}

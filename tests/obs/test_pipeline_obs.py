@@ -89,11 +89,23 @@ class TestTraceExport:
         assert report.solver_stats["checks"] > 0
 
     def test_off_switch_disables_aggregation(self, small_env, monkeypatch):
+        # Obs off drops phases and queries, never counters: a jobs=2
+        # run reports the workers' counts like a jobs=1 run.
         monkeypatch.setattr(trace, "OFF", True)
-        report = make_verifier(small_env).run(FAST_FNS, jobs=1)
-        assert report.ok
-        assert report.phase_stats == {}
-        assert report.top_queries == []
+        reports = {
+            jobs: make_verifier(small_env).run(FAST_FNS, jobs=jobs)
+            for jobs in ((1, 2) if fork_available() else (1,))
+        }
+        for report in reports.values():
+            assert report.ok
+            assert report.phase_stats == {}
+            assert report.top_queries == []
+        serial = reports[1]
+        assert serial.solver_stats["checks"] > 0
+        assert serial.tactic_stats["gillian.consumes"] > 0
+        if 2 in reports:
+            assert reports[2].solver_stats == serial.solver_stats
+            assert reports[2].tactic_stats == serial.tactic_stats
 
 
 @needs_fork
@@ -150,9 +162,12 @@ class TestVerboseReport:
         assert "tactic counts" in verbose
         assert FAST_FNS[0] in verbose.split("phase times")[1]
 
-    def test_tactic_counts_and_queries_are_per_run(self):
-        # Two fresh verifiers in one process: the second report counts
-        # its own run, not the process's running total.
+    def test_tactic_counts_and_queries_are_per_run(self, monkeypatch):
+        # Three fresh verifiers in one process: each report counts its
+        # own run, not the process's running total. The query table has
+        # room for every shape, so which shapes make the cut does not
+        # hang on timing noise.
+        monkeypatch.setattr(trace, "TOP_K_QUERIES", 64)
         program, ownables = build_program()
         install_callee_specs(program, ownables)
 
@@ -162,19 +177,24 @@ class TestVerboseReport:
                 manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
             ).run(["LinkedList::push_front_node"])
 
-        first, second = run(), run()
+        reports = [run(), run(), run()]
+        first = reports[0]
         assert first.tactic_stats["tactic.unfolds"] > 0
-        assert second.tactic_stats == first.tactic_stats
 
         def tactics(report):
             return report.render(verbose=True).split("tactic counts")[1]
 
         assert "tactic.unfolds" in tactics(first)
-        assert tactics(second) == tactics(first)
+
+        def shapes(report):
+            return sorted(trace.query_shape(q["query"]) for q in report.top_queries)
+
         assert first.top_queries
-        assert not {q["id"] for q in first.top_queries} & {
-            q["id"] for q in second.top_queries
-        }
+        for later in reports[1:]:
+            assert later.tactic_stats == first.tactic_stats
+            assert tactics(later) == tactics(first)
+            assert len(later.top_queries) == len(first.top_queries)
+            assert shapes(later) == shapes(first)
 
     def test_trace_report_script_roundtrip(self, small_env, tmp_path):
         out = tmp_path / "trace.json"

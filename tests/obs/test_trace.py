@@ -1,12 +1,14 @@
-"""Spans, phase aggregation, top-K queries, Chrome trace export and
-the schema validator."""
+"""Spans, phase aggregation, top-K queries, observation windows,
+Chrome trace export and the schema validator."""
 
 import json
+import pickle
 
 import pytest
 
 from repro.obs import trace
 from repro.obs.metrics import metrics
+from repro.parallel import PARALLEL_STATS
 
 
 @pytest.fixture(autouse=True)
@@ -26,7 +28,7 @@ class TestSpanModes:
         assert trace.span("x") is trace._NULL
         assert trace.detail_span("x") is trace._NULL
         trace.record_phase("f", "solve", 1.0)
-        assert trace.phases_snapshot() == {}
+        assert trace.phase_table() == {}
 
     def test_detail_span_null_unless_tracing(self):
         assert trace.detail_span("engine.block") is trace._NULL
@@ -36,7 +38,7 @@ class TestSpanModes:
     def test_coarse_span_aggregates_without_tracing(self):
         with trace.span("symex", function="f"):
             pass
-        phases = trace.phases_since({})
+        phases = trace.phase_table()
         assert phases["f"]["symex"]["calls"] == 1
         # No event collection happened.
         assert trace.export()["traceEvents"] == []
@@ -48,14 +50,14 @@ class TestAttribution:
             assert trace.current_function() == "outer_fn"
             with trace.span("symex"):
                 trace.record_phase(trace.current_function(), "solve", 0.25)
-        phases = trace.phases_since({})
+        phases = trace.phase_table()
         assert "solve" in phases["outer_fn"]
         assert phases["outer_fn"]["solve"]["total"] == pytest.approx(0.25)
 
     def test_self_time_excludes_children(self):
         with trace.span("symex", function="f"):
             trace.record_phase("f", "solve", 0.25)
-        p = trace.phases_since({})["f"]
+        p = trace.phase_table()["f"]
         # symex self = symex total - the 0.25s credited to solve.
         assert p["symex"]["total"] - p["symex"]["self"] == pytest.approx(0.25)
 
@@ -156,47 +158,31 @@ class TestWorkerDelta:
         trace.enable()
         with trace.span("verify", function="pre-existing"):
             pass
-        mark = trace.worker_begin()
-        with trace.span("verify", function="worker-fn"):
-            trace.record_phase("worker-fn", "solve", 0.5)
-        trace.record_query(0.5, lambda: "worker query")
-        delta = trace.worker_delta(mark)
+        with trace.window() as worker:
+            with trace.span("verify", function="worker-fn"):
+                trace.record_phase("worker-fn", "solve", 0.5)
+            trace.record_query(0.5, lambda: "worker query")
+        # The delta is plain data: it crosses the pool's pipe.
+        delta = pickle.loads(pickle.dumps(worker.delta))
 
         # Simulate the parent: fresh aggregates, then merge.
         trace._clear_aggregates()
         events_before = len(trace._TRACE.events)
-        trace.merge_worker_delta(delta)
+        trace.merge(delta)
         assert len(trace._TRACE.events) > events_before
-        phases = trace.phases_since({})
+        phases = trace.phase_table()
         assert phases["worker-fn"]["solve"]["total"] == pytest.approx(0.5)
         assert "pre-existing" not in phases
         assert any(q["query"] == "worker query" for q in trace.top_queries())
 
-    def test_merge_deduplicates_queries_by_id(self):
-        trace.record_query(0.5, lambda: "q")
-        mark_queries = set()
-        delta = {
-            "events": [],
-            "metrics": {},
-            "phases": {},
-            "queries": [
-                q for q in trace._QUERIES.values() if q[1] not in mark_queries
-            ],
-        }
-        trace.merge_worker_delta(delta)
-        assert len([q for q in trace.top_queries() if q["query"] == "q"]) == 1
-
     def test_merge_deduplicates_queries_by_shape(self):
-        # Same query shape from two workers (distinct SSA counters):
+        # Same query shape from two processes (distinct SSA counters):
         # the slower observation wins, the top-K holds one entry.
+        with trace.window() as worker:
+            trace.record_query(0.9, lambda: "sv_q_f#99 = none")
+        trace._clear_aggregates()
         trace.record_query(0.5, lambda: "sv_q_f#12 = none")
-        delta = {
-            "events": [],
-            "metrics": {},
-            "phases": {},
-            "queries": [[0.9, "qid-other", None, "sv_q_f#99 = none"]],
-        }
-        trace.merge_worker_delta(delta)
+        trace.merge(worker.delta)
         matching = [
             q for q in trace.top_queries() if q["query"].startswith("sv_q_f#")
         ]
@@ -204,10 +190,71 @@ class TestWorkerDelta:
         assert matching[0]["seconds"] == pytest.approx(0.9)
 
     def test_metrics_travel_with_the_delta(self):
-        mark = trace.worker_begin()
-        metrics.inc("test.delta_counter", 3)
-        delta = trace.worker_delta(mark)
+        with trace.window() as worker:
+            metrics.inc("test.delta_counter", 3)
         metrics.reset()
-        trace.merge_worker_delta(delta)
+        trace.merge(worker.delta)
         assert metrics.counter("test.delta_counter") == 3
         metrics.reset()
+
+    def test_off_delta_still_carries_counters(self, monkeypatch):
+        monkeypatch.setattr(trace, "OFF", True)
+        trace.enable()
+        with trace.window() as worker:
+            with trace.span("verify", function="f"):
+                trace.record_query(0.5, lambda: "q")
+            metrics.inc("test.off_counter", 2)
+            PARALLEL_STATS["serial_fallbacks"] += 1
+        delta = worker.delta
+        assert delta["counters"] == {"test.off_counter": 2}
+        assert delta["groups"] == {"parallel": {"serial_fallbacks": 1}}
+        assert delta["phases"] == {} and delta["queries"] == {}
+        assert delta["events"] == []
+        metrics.reset()
+
+
+class TestNestedWindows:
+    def test_inner_records_reach_the_enclosing_window(self):
+        with trace.span("verify", function="before"):
+            pass
+        trace.record_query(5.0, lambda: "before the windows")
+        with trace.window() as outer:
+            with trace.span("verify", function="outer-fn"):
+                pass
+            with trace.window() as inner:
+                with trace.span("verify", function="inner-fn"):
+                    trace.record_phase("inner-fn", "solve", 0.25)
+                trace.record_query(0.5, lambda: "inner query")
+            assert set(trace.phase_table()) == {"outer-fn", "inner-fn"}
+        assert set(trace.phase_table(inner.delta["phases"])) == {"inner-fn"}
+        outer_phases = trace.phase_table(outer.delta["phases"])
+        assert set(outer_phases) == {"outer-fn", "inner-fn"}
+        assert outer_phases["inner-fn"]["solve"]["total"] == pytest.approx(0.25)
+        assert [q["query"] for q in trace.top_queries(outer.delta["queries"])] == [
+            "inner query"
+        ]
+        # The process's own tables hold everything, earlier work too.
+        assert {"before", "outer-fn", "inner-fn"} <= set(trace.phase_table())
+        assert [q["query"] for q in trace.top_queries()] == [
+            "before the windows", "inner query"
+        ]
+
+    def test_each_window_keeps_its_own_top_k(self):
+        # A slow query recorded earlier cannot crowd a window's faster
+        # queries of the same shape out of the window's table.
+        trace.record_query(9.0, lambda: "q#1")
+        with trace.window() as w:
+            trace.record_query(0.1, lambda: "q#2")
+        assert [q["query"] for q in trace.top_queries(w.delta["queries"])] == [
+            "q#2"
+        ]
+        assert [q["query"] for q in trace.top_queries()] == ["q#1"]
+
+    def test_window_restores_tables_on_exception(self):
+        outer_phases = trace._PHASES
+        with pytest.raises(RuntimeError):
+            with trace.window():
+                with trace.span("verify", function="f"):
+                    raise RuntimeError("boom")
+        assert trace._PHASES is outer_phases
+        assert "f" in trace.phase_table()
