@@ -13,7 +13,10 @@ socket and asserts the service's acceptance criteria:
    edit that ``mid`` can no longer meet turns the response
    ``refuted``; and after every edit the daemon's per-function
    statuses equal those of a fresh store-less ``HybridVerifier.run``
-   under the same contracts;
+   under the same contracts. An ``ensures``-only edit of a
+   ``linked_list`` function re-checks only the postcondition (its
+   response has no ``pre`` phase): a tautology comes back
+   ``verified``, a false clause ``refuted``, each as a fresh run;
 3. **worker crashes degrade, never kill the daemon** — with
    ``parallel.worker@leaf:crash`` injected at ``jobs=2``, the request
    completes (parent-side serial retry) and ``health`` still answers;
@@ -130,9 +133,40 @@ def check_incremental(root: pathlib.Path) -> None:
                 before = fps
                 print(f"  {tag} leaf contract: re-verified {moved}, "
                       f"status {edit['status']}, same as a fresh run")
+            check_postcondition_edits(c)
     finally:
         d.stop()
         d.kill()
+
+
+def check_postcondition_edits(c: ServiceClient) -> None:
+    """``ensures``-only edits of one linked_list function: the daemon
+    reuses the exit states its last run left and consumes only the new
+    postcondition, so no precondition is produced."""
+    from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
+
+    fn = "LinkedList::pop_front_node"
+    base = LINKED_LIST_CONTRACTS[fn]
+    prime = c.submit("linked_list", id="ll-prime", functions=[fn])
+    if not prime["ok"]:
+        fail(f"{fn} did not verify: {prime}")
+    for tag, clause, want_status in (
+        ("ensures tautology", "1 == 1", "verified"),
+        ("ensures false", "false", "refuted"),
+    ):
+        contracts = {fn: {**base, "ensures": [*base["ensures"], clause]}}
+        edit = c.submit("linked_list", id=tag, functions=[fn], contracts=contracts)
+        _, fresh = cli_view("linked_list", contracts, [fn])
+        if edit["reverified"] != [fn] or edit["status"] != want_status:
+            fail(f"{tag} edit of {fn}: {edit}, wanted {want_status}")
+        if "pre" in edit["phases"]:
+            fail(f"{tag} edit of {fn} produced a precondition again: "
+                 f"{sorted(edit['phases'])}")
+        if edit["functions"] != fresh:
+            fail(f"{tag} edit is stale: daemon {edit['functions']} "
+                 f"!= fresh run {fresh}")
+        print(f"  {tag} on {fn}: status {edit['status']}, no pre phase, "
+              "same as a fresh run")
 
 
 def check_crash_degrades(root: pathlib.Path) -> None:
@@ -197,9 +231,12 @@ def check_sigterm_resume(root: pathlib.Path) -> None:
         d2.kill()
 
 
-def cli_view(corpus_name: str, overrides: dict) -> tuple[dict, dict]:
+def cli_view(
+    corpus_name: str, overrides: dict, functions: list = None
+) -> tuple[dict, dict]:
     """Fingerprints and per-function statuses of a fresh store-less
-    run of the corpus under its contracts merged with ``overrides``."""
+    run of the corpus (or of ``functions``) under its contracts merged
+    with ``overrides``."""
     corpus = load_corpus(corpus_name)
     verifier = HybridVerifier(
         corpus.program,
@@ -208,7 +245,7 @@ def cli_view(corpus_name: str, overrides: dict) -> tuple[dict, dict]:
         manual_pure_pre=corpus.manual_pure_pre,
         auto_extract=corpus.auto_extract,
     )
-    report = verifier.run()
+    report = verifier.run(functions)
     statuses = {n: entries_status(es) for n, es in report.by_function().items()}
     return {n: verifier.fingerprint(n) for n in statuses}, statuses
 

@@ -163,9 +163,27 @@ class CreusotVerifier:
     ) -> None:
         self.program = program
         self.ownables = ownables
-        self.contracts = {k: _normalise_contract(v) for k, v in contracts.items()}
+        #: name -> Pearlite contract as given (raw or parsed). Entries
+        #: may be replaced and the table swapped; :meth:`contract`
+        #: parses what it reads.
+        self.contracts = contracts
         self.solver = solver or Solver()
         self.encoder = PearliteEncoder(ownables)
+        #: name -> (raw contract, its normalised form), filled on first
+        #: use and renewed when the raw contract changes.
+        self._parsed: dict[str, tuple[object, PearliteSpec]] = {}
+
+    def contract(self, name: str) -> Optional[PearliteSpec]:
+        """``name``'s contract, normalised (parsed) on first use and
+        reused while the raw contract stays equal; ``None`` when the
+        table has no entry for ``name``."""
+        if name not in self.contracts:
+            return None
+        raw = self.contracts[name]
+        known = self._parsed.get(name)
+        if known is None or known[0] != raw:
+            known = self._parsed[name] = (raw, _normalise_contract(raw))
+        return known[1]
 
     # -- public API ----------------------------------------------------------
 
@@ -185,7 +203,7 @@ class CreusotVerifier:
             result.elapsed = clock.now() - started
             return result
         with span("vcgen", function=body.name):
-            contract = self.contracts.get(body.name, PearliteSpec())
+            contract = self.contract(body.name) or PearliteSpec()
             env: dict[str, Term] = {}
             pc: list[Term] = []
             for pname, pty in body.params:
@@ -522,7 +540,7 @@ class CreusotVerifier:
             env = dict(cfg.env)
             env[term.dest.local] = tuple_mk()
             return _Cfg(env, cfg.pc, cfg.cut_heads)
-        contract = self.contracts.get(term.func)
+        contract = self.contract(term.func)
         callee = self.program.bodies.get(term.func)
         if contract is None or callee is None:
             result.ok = False

@@ -14,9 +14,17 @@ Mirroring the split between safe and unsafe Rust:
 The pipeline therefore *discharges* the axioms the safe half relies
 on: every unsafe contract assumed by Creusot is proven by Gillian-Rust
 against the real implementation — end-to-end verification, with each
-tool doing what it is specialised for. The type-safety obligation
-depends on no contract, so a verifier that runs again after a
-contract edit reuses it and re-runs only the functional one.
+tool doing what it is specialised for.
+
+A verifier that runs again after a contract edit reuses what the edit
+cannot have moved. The type-safety obligation depends on no contract,
+so it is reused whole. The functional obligation reads its
+postcondition only in its last stage (:mod:`repro.gillian.verifier`):
+when the encoded precondition side is unchanged — an ``ensures``-only
+edit — the function's exit states from the last run stand in for
+symbolic execution, and only the postcondition is consumed again.
+Both records live in this process alone; pool workers may read the
+ones they inherit, but what they make is not shipped back.
 
 Functions are verified independently, so :meth:`HybridVerifier.run`
 can fan the per-function Creusot/Gillian-Rust jobs out over a
@@ -56,6 +64,7 @@ from the store lookup to the end of the cross-check.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
@@ -74,10 +83,10 @@ from repro.store import (
     function_fingerprint,
     logic_digest,
 )
-from repro.store.fingerprint import logic_tables
+from repro.store.fingerprint import callees, canon, logic_tables
 
 from repro.creusot.vcgen import CreusotResult, CreusotVerifier
-from repro.gillian.verifier import VerificationResult, verify_function
+from repro.gillian.verifier import ExitRecord, VerificationResult, verify_function
 from repro.gilsonite.ownable import OwnableRegistry
 from repro.gilsonite.specs import Spec, show_safety_spec
 from repro.lang.mir import Body, Program
@@ -156,6 +165,10 @@ class HybridReport:
     #: this verifier produced: their body, logic and budget had not
     #: changed, only (perhaps) contracts.
     safety_reused: int = 0
+    #: Functional obligations that consumed their postcondition against
+    #: the exit states an earlier run of this verifier left: nothing
+    #: but (perhaps) the postcondition had changed.
+    post_reused: int = 0
     #: Adversarial cross-check results (``--verify-verdicts`` /
     #: ``REPRO_ADVERSARY=1``): an
     #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
@@ -243,6 +256,11 @@ class HybridReport:
                     f"-- type safety: {self.safety_reused} reused "
                     "from an earlier run --"
                 )
+            if self.post_reused:
+                lines.append(
+                    f"-- functional: {self.post_reused} re-checked only the "
+                    "postcondition, on exit states from an earlier run --"
+                )
             searched = ("alpha_hits", "prefix_hits", "prefix_misses")
             if any(ss.get(k) for k in searched):
                 lines.append(
@@ -288,9 +306,10 @@ class HybridVerifier:
     ) -> None:
         self.program = program
         self.ownables = ownables
-        self.contracts = contracts
         self.solver = solver or Solver()
         self.encoder = PearliteEncoder(ownables)
+        #: Holds the contract table (see :attr:`contracts`) and parses
+        #: each contract on first use, for both halves.
         self.creusot = CreusotVerifier(program, ownables, contracts, self.solver)
         self.manual_pure_pre = manual_pure_pre or {}
         self.auto_extract = auto_extract
@@ -318,15 +337,28 @@ class HybridVerifier:
         self._deadline: Optional[float] = None
         #: name -> (body, its pretty text): each body printed once.
         self._texts: dict[str, tuple[Body, str]] = {}
-        #: name -> (key, entry): the last deterministic type-safety
-        #: entry of each unsafe function, recorded by run() in the
-        #: parent (see :meth:`_safety_key`).
-        self._safety: dict[str, tuple[tuple, HybridEntry]] = {}
-        #: name -> the type-safety entry the current run() reuses
-        #: instead of verifying again; set before any fan-out, so
-        #: forked workers inherit it.
-        self._reuse: dict[str, HybridEntry] = {}
+        #: (name, obligation) -> (key, record): what each unsafe
+        #: function's last run left for the next (see :meth:`_reuse_key`).
+        #: ``"safety"`` holds the deterministic type-safety entry,
+        #: recorded by run() from every result; ``"post"`` the
+        #: :class:`~repro.gillian.verifier.ExitRecord` of the functional
+        #: obligation, recorded by verify_one in this process only.
+        self._kept: dict[tuple[str, str], tuple[tuple, object]] = {}
+        #: The process that owns the verifier: forked workers record
+        #: nothing, since their records could not come back.
+        self._owner = os.getpid()
         self.check_logic()
+
+    @property
+    def contracts(self) -> dict[str, Union[PearliteSpec, dict]]:
+        """name -> Pearlite contract (raw or parsed). Entries may be
+        replaced, and the table may be swapped, between runs; both
+        halves read this one table."""
+        return self.creusot.contracts
+
+    @contracts.setter
+    def contracts(self, table: dict[str, Union[PearliteSpec, dict]]) -> None:
+        self.creusot.contracts = table
 
     def logic(self) -> str:
         """The program-wide logic digest every fingerprint folds in."""
@@ -335,7 +367,7 @@ class HybridVerifier:
         return self._logic
 
     def check_logic(self) -> None:
-        """Forget the logic digest and the type-safety records if a
+        """Forget the logic digest and every reuse record if a
         logic table entry was added, removed or replaced since the last
         check. It compares identities, not contents (microseconds, not
         the digest's milliseconds); run() calls it once, and the
@@ -343,7 +375,7 @@ class HybridVerifier:
         entries = list(logic_tables(self.program))
         ids = tuple((label, name, id(value)) for label, name, value in entries)
         if ids != self._logic_ids:
-            self._logic, self._safety = None, {}
+            self._logic, self._kept = None, {}
             self._logic_ids, self._logic_pins = ids, entries
 
     def _body_text(self, name: str) -> str:
@@ -368,26 +400,59 @@ class HybridVerifier:
             body_text=self._body_text(name),
         )
 
-    def _safety_key(self, name: str) -> Optional[tuple]:
-        """What ``name``'s type-safety verdict depends on and may
-        change within this verifier, read under the base budget.
+    def _reuse_key(self, name: str, spec: Optional[Spec] = None) -> Optional[tuple]:
+        """What a record of ``name`` depends on and may change within
+        this verifier, read under the base budget: for type safety
+        (``spec=None``) the verdict, for the functional ``spec`` the
+        exit states of stage A.
 
         The ``#[show_safety]`` spec is built from the signature, so the
         verdict depends on the body, the logic context and the budget,
         and on no contract. A moved logic table drops every record
         (:meth:`check_logic`), which leaves the body's text and the
-        base budget. ``None`` — nothing is reused — when the
-        budget counts steps, solver queries or branches: the two
-        obligations share one running budget, so the functional verdict
-        would then depend on what type safety spent."""
-        spec = self.budget
-        if spec is not None and (
-            spec.max_steps is not None
-            or spec.max_solver_queries is not None
-            or spec.max_branches is not None
+        base budget. Stage A reads these too, and the precondition side
+        of ``spec``: its ``pre``, binders and ``kind``, compared by
+        value (terms are hash-consed). The direct callees' contracts
+        join the key as well, as they do the fingerprint, though the
+        Gillian half calls through installed specs (logic).
+
+        ``None`` — nothing is reused — when the budget counts steps,
+        solver queries or branches: the obligations share one running
+        budget, so a verdict would then depend on what was spent
+        before it."""
+        budget = self.budget
+        if budget is not None and (
+            budget.max_steps is not None
+            or budget.max_solver_queries is not None
+            or budget.max_branches is not None
         ):
             return None
-        return (self._body_text(name), spec)
+        key = (self._body_text(name), budget)
+        if spec is None:
+            return key
+        contracts = self.contracts
+        return key + (
+            spec.pre, spec.param_vars, spec.forall, spec.lifetime_var, spec.kind,
+            tuple(
+                (c, canon(contracts.get(c)))
+                for c in callees(self.program.bodies[name])
+            ),
+        )
+
+    def _recall(
+        self, name: str, obligation: str, spec: Optional[Spec] = None
+    ) -> tuple[Optional[tuple], object]:
+        """``(key, record)``: ``name``'s current key for ``obligation``,
+        and its record if that key has not moved (else ``None``). The
+        key is computed only where it can be used: for a function with
+        a record, or in the owning process, which records."""
+        known = self._kept.get((name, obligation))
+        if known is None and os.getpid() != self._owner:
+            return None, None
+        key = self._reuse_key(name, spec)
+        if known is not None and key is not None and known[0] == key:
+            return key, known[1]
+        return key, None
 
     def verify_one(self, name: str) -> list[HybridEntry]:
         """Verify one function, degrading every failure mode into
@@ -445,7 +510,8 @@ class HybridVerifier:
                     )
                 ]
             # Type safety first (show_safety), then the Pearlite contract.
-            safety = self._reuse.get(name)
+            _, safety = self._recall(name, "safety")
+            reused = ["hybrid.safety_reused"] if safety is not None else []
             if safety is None:
                 rs = verify_function(
                     self.program, body, show_safety_spec(self.ownables, body),
@@ -467,8 +533,8 @@ class HybridVerifier:
                         for p in self.manual_pure_pre.get(name, [])
                     ]
                     spec = self.encoder.encode_contract(
-                        body, contract, auto_extract=self.auto_extract,
-                        manual_pure_pre=manual,
+                        body, self.creusot.contract(name),
+                        auto_extract=self.auto_extract, manual_pure_pre=manual,
                     )
                 except BudgetExhausted:
                     raise
@@ -476,9 +542,20 @@ class HybridVerifier:
                     raise EncodingError(
                         f"cannot encode contract of {name}: {e}"
                     ) from e
+                key, record = self._recall(name, "post", spec)
+                if record is not None:
+                    reused.append("hybrid.post_reused")
+                else:
+                    record = ExitRecord()
                 rf = verify_function(
-                    self.program, body, spec, self.solver, budget=budget
+                    self.program, body, spec, self.solver, budget=budget,
+                    record=record,
                 )
+                if (
+                    key is not None and record.states is not None
+                    and os.getpid() == self._owner
+                ):
+                    self._kept[(name, "post")] = (key, record)
                 entries.append(
                     HybridEntry(
                         name, "gillian-rust", rf.ok, rf,
@@ -486,6 +563,8 @@ class HybridVerifier:
                         status=rf.status,
                     )
                 )
+            for counter in reused:
+                metrics.inc(counter)
             return entries
         finally:
             self.solver.budget, self.solver.scope = prev_budget, prev_scope
@@ -539,7 +618,11 @@ class HybridVerifier:
         type-safety entry across runs. A function verified again with
         the same body under the same base budget — after a contract
         edit, its own or a callee's — reuses that entry and runs only
-        its functional obligation (``report.safety_reused``).
+        its functional obligation (``report.safety_reused``). In this
+        process it also keeps the exit states of that obligation's last
+        clean stage A: when an edit left the encoded precondition side
+        and the callees' contracts as they were, only the postcondition
+        is consumed again (``report.post_reused``).
 
         ``verify_verdicts=True`` (or ``REPRO_ADVERSARY=1`` when the
         argument is left ``None``) runs the adversarial cross-check
@@ -583,9 +666,7 @@ class HybridVerifier:
                     ),
                     reverse=True,
                 )
-            # Set before the fan-out, so forked workers inherit both;
-            # the safety entries are offered under the base budget.
-            self._reuse = reuse = self._reusable_safety(pending)
+            # Set before the fan-out, so forked workers inherit it.
             self._deadline = deadline
             try:
                 results = fanout(
@@ -598,12 +679,8 @@ class HybridVerifier:
                     stop=halt,
                 )
             finally:
-                self._reuse, self._deadline = {}, None
+                self._deadline = None
             fresh = dict(zip(pending, results))
-            # A worker's copy of an offered entry compares equal to it.
-            report.safety_reused = sum(
-                1 for n, e in reuse.items() if n in fresh and fresh[n][0] == e
-            )
             reason = report.drain_reason
             for name in names:
                 if name in cached:
@@ -641,9 +718,12 @@ class HybridVerifier:
         if self.store is not None:
             store = counted.get("store", {})
             report.store_stats = {k: store.get(k, 0) for k in STORE_STATS}
+        counters = delta["counters"]
+        report.safety_reused = counters.get("hybrid.safety_reused", 0)
+        report.post_reused = counters.get("hybrid.post_reused", 0)
         report.tactic_stats = {
             k: v
-            for k, v in delta["counters"].items()
+            for k, v in counters.items()
             if k.startswith(("tactic.", "gillian."))
         }
         report.phase_stats = obs.phase_table(delta["phases"])
@@ -667,18 +747,7 @@ class HybridVerifier:
                 internal_error=f"{type(e).__name__}: {e}"
             )
 
-    # -- type-safety reuse ---------------------------------------------------
-
-    def _reusable_safety(self, names: list[str]) -> dict[str, HybridEntry]:
-        """The recorded type-safety entries of ``names`` whose key has
-        not moved. Only a function with a record pays for its key."""
-        out = {}
-        for name in names:
-            known = self._safety.get(name)
-            if known is not None and name in self.program.bodies:
-                if known[0] == self._safety_key(name):
-                    out[name] = known[1]
-        return out
+    # -- reuse records --------------------------------------------------------
 
     def _record_safety(self, name: str, entries: list[HybridEntry]) -> None:
         """Keep ``name``'s type-safety entry when it is deterministic."""
@@ -688,9 +757,9 @@ class HybridVerifier:
             and first.detail.kind == "type_safety"
             and first.status in CACHEABLE_STATUSES
         ):
-            key = self._safety_key(name)
+            key = self._reuse_key(name)
             if key is not None:
-                self._safety[name] = (key, first)
+                self._kept[(name, "safety")] = (key, first)
 
     # -- store plumbing ------------------------------------------------------
 

@@ -27,6 +27,14 @@ Each function's fingerprint is computed once per request and shared
 by the diff and the run's lookup; it is always taken against the base
 :class:`~repro.budget.BudgetSpec` — a deadline tightens the budget
 actually run under, never the store key.
+
+The session keeps one verifier until the program reloads, so a dirty
+unsafe function re-runs only what its edit can have moved: type safety
+is reused after any contract edit, and after an ``ensures``-only edit
+the functional obligation consumes the new postcondition against the
+exit states its last run left, producing no precondition (see
+:mod:`repro.hybrid.pipeline`). Both halves read the verifier's one
+contract table and parse each contract on first use.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from typing import Callable, Optional
 
 from repro import faultinject, obs
 from repro.budget import BudgetSpec
-from repro.creusot.vcgen import _normalise_contract
 from repro.hybrid.pipeline import HybridEntry, HybridVerifier, entries_status
 from repro.obs import clock, span
 from repro.obs.metrics import metrics
@@ -111,17 +118,10 @@ class ServiceSession:
         if overrides == self._overrides:
             return
         self._overrides = dict(overrides)
-        merged = self._merged_contracts()
-        old = self.verifier.contracts
-        # The Creusot half normalises (parses) contracts at
-        # construction; keep its view in lock-step with the session's,
-        # re-normalising only the contracts that changed.
-        normalised = self.verifier.creusot.contracts
-        self.verifier.creusot.contracts = {
-            k: normalised[k] if k in old and old[k] == v else _normalise_contract(v)
-            for k, v in merged.items()
-        }
-        self.verifier.contracts = merged
+        # Both halves read the verifier's one table and parse each
+        # contract when they first use it, so an unchanged contract is
+        # never parsed again.
+        self.verifier.contracts = self._merged_contracts()
 
     def diff(self, fps: dict[str, str]) -> dict[str, str]:
         """``name -> "new" | "changed"`` for every function of ``fps``

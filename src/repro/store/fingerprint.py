@@ -156,7 +156,7 @@ def canon(obj) -> str:
     return "|".join(out)
 
 
-def _callees(body: Body) -> list[str]:
+def callees(body: Body) -> list[str]:
     """Callee names, sorted and deduplicated — the contracts this
     function's proof assumes."""
     names = set()
@@ -248,7 +248,7 @@ def function_fingerprint(
     h.update(f"\nauto_extract={auto_extract}\n".encode())
     h.update(b"budget=")
     h.update(canon(budget).encode())
-    for callee in _callees(body):
+    for callee in callees(body):
         h.update(f"\ncallee {callee}\n".encode())
         h.update(canon(contracts.get(callee)).encode())
     h.update(b"\nlogic=")

@@ -136,3 +136,22 @@ class TestDispatch:
         )
         entries = hv.verify_one("LinkedList::push_front_node")
         assert all(e.ok for e in entries), [str(e) for e in entries]
+
+
+def test_both_halves_read_a_replaced_contract():
+    """A contract replaced in the verifier's table between runs reaches
+    the Creusot half too: ``demo::mid`` (safe) assumes ``demo::leaf``'s
+    contract at its call site, and a weakened one refutes it."""
+    from repro.hybrid.pipeline import entries_status
+    from repro.service.corpus import load_corpus
+
+    corpus = load_corpus("demo")
+    contracts = dict(corpus.contracts)
+    hv = HybridVerifier(corpus.program, corpus.ownables, contracts, store=None)
+    assert hv.run().ok
+    contracts["demo::leaf"] = {"ensures": ["result >= x"]}
+    report = hv.run()
+    assert {n: entries_status(es) for n, es in report.by_function().items()} == {
+        "demo::leaf": "verified", "demo::mid": "refuted",
+        "demo::top": "verified", "demo::side": "verified",
+    }

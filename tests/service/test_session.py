@@ -133,15 +133,20 @@ class TestIncremental:
             )
 
     def test_override_change_renormalises_only_what_changed(self, session):
+        # Both halves read the verifier's one contract table and parse
+        # a contract on first use; a changed override is parsed again,
+        # every other contract keeps its parse.
         session.submit()
-        before = dict(session.verifier.creusot.contracts)
+        creusot = session.verifier.creusot
+        before = {n: creusot.contract(n) for n in ALL}
         session.submit(contracts={"demo::leaf": {"ensures": ["result >= x"]}})
-        after = session.verifier.creusot.contracts
+        assert session.verifier.contracts is creusot.contracts
+        after = {n: creusot.contract(n) for n in ALL}
         assert after["demo::leaf"] is not before["demo::leaf"]
         assert all(after[n] is before[n] for n in ALL if n != "demo::leaf")
         # Dropping the override re-normalises leaf's corpus contract.
         session.submit()
-        assert session.verifier.creusot.contracts["demo::leaf"] == before["demo::leaf"]
+        assert creusot.contract("demo::leaf") == before["demo::leaf"]
 
     def test_warm_after_contract_edit(self, session):
         session.submit()
@@ -338,33 +343,52 @@ class TestDegradation:
         assert entries_status(entries) == "verified"
 
 
-class TestAlphaMemo:
-    """The session's solver keeps each function's alpha-memo scope
-    across requests, so a contract edit that leaves the obligations as
-    they were re-verifies without a single search."""
+def _recording(monkeypatch) -> list:
+    """Every report ``HybridVerifier.run`` returns from now on."""
+    reports = []
+    real_run = HybridVerifier.run
 
-    @pytest.mark.parametrize("fn", ["LinkedList::new", "LinkedList::pop_front_node"])
+    def run(self, *args, **kw):
+        reports.append(real_run(self, *args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(HybridVerifier, "run", run)
+    return reports
+
+
+def _with_clause(fn, side, clause):
+    from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
+
+    base = LINKED_LIST_CONTRACTS[fn]
+    return {fn: {**base, side: [*base.get(side, []), clause]}}
+
+
+class TestAlphaMemo:
+    """The session keeps its verifier and its solver's per-function
+    alpha-memo scopes across requests. A ``requires``-side tautology
+    moves the encoded precondition, so symbolic execution runs again,
+    and every query it asks renames an earlier one: the memo answers
+    all of them without a single search. An ``ensures``-only tautology
+    re-runs only the postcondition, on the exit states the last run
+    left, so its queries repeat earlier ones exactly."""
+
+    FNS = ["LinkedList::new", "LinkedList::pop_front_node"]
+
+    @pytest.mark.parametrize("fn", FNS)
     def test_tautology_edit_is_answered_from_the_memo(self, tmp_path, monkeypatch, fn):
         from repro.obs import report as obs_report
-        from repro.rustlib.contracts import LINKED_LIST_CONTRACTS
 
-        reports = []
-        real_run = HybridVerifier.run
-
-        def run(self, *args, **kw):
-            reports.append(real_run(self, *args, **kw))
-            return reports[-1]
-
-        monkeypatch.setattr(HybridVerifier, "run", run)
+        reports = _recording(monkeypatch)
         session = ServiceSession("linked_list", store=ProofStore(tmp_path / "cache"))
         assert session.submit(functions=[fn])["ok"]
-        base = LINKED_LIST_CONTRACTS[fn]
-        edited = {**base, "ensures": [*base.get("ensures", []), "1 == 1"]}
-        r = session.submit(functions=[fn], contracts={fn: edited})
+        r = session.submit(
+            functions=[fn], contracts=_with_clause(fn, "requires", "1 == 1")
+        )
         assert r["ok"] and r["reverified"] == [fn]
         assert "solve" not in r["phases"]
 
         report = reports[-1]
+        assert report.post_reused == 0 and "pre" in r["phases"]
         ss = report.solver_stats
         assert ss["checks"] == 0 and ss["alpha_hits"] > 0
         assert "solve" not in report.phase_stats[fn]
@@ -372,6 +396,27 @@ class TestAlphaMemo:
         assert f"-- solver: 0 checks, {ss['alpha_hits']} alpha-memo hits" in text
         table = obs_report.render_phase_table(report.phase_stats)
         assert fn in table
+
+    @pytest.mark.parametrize("fn", FNS)
+    def test_ensures_tautology_reuses_the_exit_states(self, tmp_path, monkeypatch, fn):
+        reports = _recording(monkeypatch)
+        session = ServiceSession("linked_list", store=ProofStore(tmp_path / "cache"))
+        assert session.submit(functions=[fn])["ok"]
+        r = session.submit(
+            functions=[fn], contracts=_with_clause(fn, "ensures", "1 == 1")
+        )
+        assert r["ok"] and r["reverified"] == [fn]
+        # Type safety is reused whole, and the functional obligation
+        # consumes its postcondition against recorded exit states: no
+        # precondition is produced.
+        assert "pre" not in r["phases"] and "solve" not in r["phases"]
+        report = reports[-1]
+        assert report.safety_reused == 1 and report.post_reused == 1
+        assert "pre" not in report.phase_stats[fn]
+        assert report.solver_stats["checks"] == 0
+        assert "-- functional: 1 re-checked only the postcondition" in (
+            report.render(verbose=True)
+        )
 
 
 class TestTypeSafetyReuse:
