@@ -18,11 +18,10 @@ Run with ``python examples/hybrid_client.py``. Flags / knobs:
   also via ``REPRO_ADVERSARY=1``);
 * ``--list-sites`` — print every registered fault-injection site
   (valid first components of a ``REPRO_FAULT`` rule) and exit;
-* ``REPRO_TRACE=out.json`` — export the run as a Chrome trace
-  (Perfetto-loadable); ``REPRO_CACHE=1`` attaches the proof store;
+* ``REPRO_CACHE=1`` attaches the proof store;
   ``REPRO_DEADLINE=S`` gives each function S seconds.
 
-README's "Environment knob reference" lists all nine ``REPRO_*``
+README's "Environment knob reference" lists all eight ``REPRO_*``
 knobs.
 """
 
@@ -73,6 +72,36 @@ def build_stack_client():
     return fn.finish()
 
 
+#: The run: the safe client and the unsafe API functions whose
+#: contracts it assumes.
+FUNCTIONS = (
+    # The safe half: Creusot over pure models + API axioms.
+    "client::stack_lifo",
+    # The unsafe half: Gillian-Rust discharges the axioms.
+    "LinkedList::new",
+    "LinkedList::push_front_node",
+    "LinkedList::pop_front_node",
+    "LinkedList::front_mut",
+)
+
+
+def verify(jobs=1, verify_verdicts=None, store=None):
+    """Verify :data:`FUNCTIONS`; returns the ``HybridReport``. Without
+    ``store`` the proof store follows ``REPRO_CACHE``."""
+    program, ownables = build_program()
+    install_callee_specs(program, ownables)
+    program.add_body(build_stack_client())
+
+    hybrid = HybridVerifier(
+        program,
+        ownables,
+        LINKED_LIST_CONTRACTS,
+        manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
+        store=store,
+    )
+    return hybrid.run(list(FUNCTIONS), jobs=jobs, verify_verdicts=verify_verdicts)
+
+
 def main() -> int:
     argv = sys.argv[1:]
     if "--list-sites" in argv:
@@ -86,29 +115,7 @@ def main() -> int:
     jobs = 1
     if "--jobs" in argv:
         jobs = int(argv[argv.index("--jobs") + 1])
-    program, ownables = build_program()
-    install_callee_specs(program, ownables)
-    program.add_body(build_stack_client())
-
-    hybrid = HybridVerifier(
-        program,
-        ownables,
-        LINKED_LIST_CONTRACTS,
-        manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
-    )
-    report = hybrid.run(
-        [
-            # The safe half: Creusot over pure models + API axioms.
-            "client::stack_lifo",
-            # The unsafe half: Gillian-Rust discharges the axioms.
-            "LinkedList::new",
-            "LinkedList::push_front_node",
-            "LinkedList::pop_front_node",
-            "LinkedList::front_mut",
-        ],
-        jobs=jobs,
-        verify_verdicts=verify_verdicts,
-    )
+    report = verify(jobs, verify_verdicts)
     print(report.render(verbose=verbose))
     return 0 if report.ok else 1
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Gate: observability must be (nearly) free when tracing is disabled.
+"""Gate: observability must be (nearly) free.
 
 Runs the LinkedList hybrid-verification workload in two child
-interpreters — one with the default environment (coarse spans
-aggregate, but no trace file is written) and one with ``REPRO_OBS=0``
-(every span helper is a no-op) — and fails if the instrumented run is
+interpreters — one with the default environment (spans aggregate into
+the phase and query tables) and one with ``REPRO_OBS=0`` (every span
+helper is a no-op) — and fails if the instrumented run is
 more than ``--threshold`` slower than the no-obs baseline.
 
 Usage::
@@ -108,9 +108,6 @@ def main(argv: list[str]) -> int:
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
-    # Neither variant may write a trace — we are measuring the cost of
-    # the *instrumentation*, not of trace serialisation.
-    env.pop("REPRO_TRACE", None)
     env.pop("REPRO_CACHE", None)
 
     off_env = dict(env)
@@ -132,7 +129,7 @@ def main(argv: list[str]) -> int:
     overhead = (instrumented - baseline) / baseline
     print(f"  overhead: {overhead * 100:+.2f}%  (threshold {threshold * 100:.0f}%)")
     if overhead > threshold:
-        print("FAIL: tracing-disabled observability overhead exceeds threshold",
+        print("FAIL: observability overhead exceeds threshold",
               file=sys.stderr)
         return 1
     print("OK")

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.state import RustState, RustStateModel
-from repro.obs import detail_span
 from repro.obs.metrics import metrics
 from repro.gilsonite.ast import (
     AliveLft,
@@ -251,23 +250,10 @@ def consume(
     when none succeed.
     """
     if depth == 0:
-        # Count/trace top-level consumptions only: the fold-on-the-fly
+        # Count top-level consumptions only: the fold-on-the-fly
         # recursion below re-enters with depth > 0 and its work is
         # already inside the enclosing consume.
         metrics.inc("gillian.consumes")
-        with detail_span("consume", assertion=type(assertion).__name__):
-            return _consume_toplevel(model, state, assertion, bindings, unbound)
-    return _consume_toplevel(model, state, assertion, bindings, unbound, depth)
-
-
-def _consume_toplevel(
-    model: RustStateModel,
-    state: RustState,
-    assertion: Assertion,
-    bindings: Optional[dict[Var, Term]] = None,
-    unbound: Optional[set[Var]] = None,
-    depth: int = 0,
-) -> list[Match]:
     bindings = dict(bindings or {})
     unbound = set(unbound or set())
     parts: list[Assertion] = []

@@ -20,17 +20,13 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from repro import faultinject
-from repro.obs import detail_span
-from repro.core.heap.structural import HeapError
 from repro.core.state import RustState, RustStateModel
 from repro.core.address import NULL_PTR, ptr_field, ptr_offset, ptr_variant_field
-from repro.gilsonite.ast import Pred, PredInstance
+from repro.gilsonite.ast import Pred
 from repro.gillian.matcher import (
     TacticError,
     TacticStats,
-    close_all_borrows,
     fold,
-    gunfold,
     unfold,
     with_repair,
 )
@@ -80,14 +76,11 @@ from repro.lang.types import (
     UnitTy,
 )
 from repro.solver.sorts import BOOL as BOOL_SORT
-from repro.lang.typing import PlaceTy, operand_ty, place_ty, rvalue_ty
+from repro.lang.typing import PlaceTy, operand_ty, place_ty
 from repro.solver.core import Status
-from repro.solver.sorts import INT, OptionSort
 from repro.solver.terms import (
-    FALSE,
     TRUE,
     Term,
-    Var,
     add,
     and_,
     boollit,
@@ -244,28 +237,25 @@ class Engine:
                 )
                 continue
             bb = body.blocks[bname]
-            with detail_span("engine.block", block=bname, step=steps):
-                branches = [cfg]
-                failed = False
-                for st in bb.statements:
-                    next_branches: list[Config] = []
-                    for c in branches:
-                        outs = self.exec_statement(body, c, st)
-                        for o in outs:
-                            if isinstance(o, Terminal):
-                                results.append(o)
-                                failed = True
-                            else:
-                                next_branches.append(o)
-                    branches = next_branches
-                    if not branches:
-                        break
+            branches = [cfg]
+            for st in bb.statements:
+                next_branches: list[Config] = []
                 for c in branches:
-                    for t in self.exec_terminator(body, c, bb):
-                        if isinstance(t, Terminal):
-                            results.append(t)
+                    outs = self.exec_statement(body, c, st)
+                    for o in outs:
+                        if isinstance(o, Terminal):
+                            results.append(o)
                         else:
-                            worklist.append(t)
+                            next_branches.append(o)
+                branches = next_branches
+                if not branches:
+                    break
+            for c in branches:
+                for t in self.exec_terminator(body, c, bb):
+                    if isinstance(t, Terminal):
+                        results.append(t)
+                    else:
+                        worklist.append(t)
         return results
 
     def _issue(self, body: Body, where: str, message: str) -> VerificationIssue:

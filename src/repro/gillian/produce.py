@@ -15,7 +15,6 @@ from typing import Optional
 
 from repro.core.state import ModelOutcome, RustState, RustStateModel
 from repro.gilsonite.ast import Assertion, Emp, Exists, Pure, Star
-from repro.obs import detail_span
 from repro.obs.metrics import metrics
 from repro.solver.core import Status
 from repro.solver.terms import Term, fresh_var
@@ -40,8 +39,7 @@ def produce(
     error (as opposed to vanishing).
     """
     metrics.inc("gillian.produces")
-    with detail_span("produce", assertion=type(assertion).__name__):
-        result = _produce(model, state, assertion)
+    result = _produce(model, state, assertion)
     if not result.states and result.errors:
         raise ProduceError("; ".join(result.errors[:3]))
     return result.states

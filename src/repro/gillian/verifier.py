@@ -153,7 +153,7 @@ def verify_function(
     prev_budget = solver.budget
     solver.budget = budget if budget is not None else prev_budget
     try:
-        with span("symex", function=body.name, kind=spec.kind):
+        with span("symex", function=body.name):
             exits = record.states if record is not None else None
             if exits is None:
                 engine = Engine(

@@ -55,11 +55,11 @@ NTP/clock adjustments.
 Observability: every pipeline phase runs under a :func:`repro.obs.span`
 (``verify`` → ``encode`` / ``vcgen`` / ``symex`` / ``solve`` /
 ``store.*``), so any run can print a per-function phase-time breakdown
-(``report.render(verbose=True)``) and ``REPRO_TRACE=out.json`` exports
-the whole run — including forked workers — as one Chrome trace. The
-report's counters, phase times and slowest queries all come from one
-observation window (:class:`repro.obs.trace.window`) around the run,
-from the store lookup to the end of the cross-check.
+(``report.render(verbose=True)``). The report's counters, phase times
+and slowest queries all come from one observation window
+(:class:`repro.obs.trace.window`) around the run, from the store
+lookup to the end of the cross-check; forked workers' windows are
+merged into it.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ from repro.budget import Budget, BudgetSpec
 from repro.errors import BudgetExhausted, EncodingError, StoreCorrupted, status_of
 from repro.obs import clock, span
 from repro.obs import report as obs_report
-from repro.obs import trace as obs_trace
 from repro.obs.metrics import metrics
 from repro.parallel import PARALLEL_STATS, default_jobs, fanout
 from repro.store import (
@@ -469,8 +468,6 @@ class HybridVerifier:
                 entries = self._verify_one_inner(name, budget)
             except Exception as e:  # BudgetExhausted → timeout, …
                 return [self._failure_entry(name, e)]
-        if obs.enabled():
-            _emit_tactics_event(name, entries)
         return entries
 
     def _failure_entry(self, name: str, exc: BaseException) -> HybridEntry:
@@ -728,7 +725,6 @@ class HybridVerifier:
         }
         report.phase_stats = obs.phase_table(delta["phases"])
         report.top_queries = obs.top_queries(delta["queries"])
-        obs_trace.flush()
         return report
 
     def _cross_check(self, report: HybridReport):
@@ -818,25 +814,6 @@ def _dispatch_worker(verifier: "HybridVerifier", name: str) -> list[HybridEntry]
     ``service.dispatch`` fault site."""
     faultinject.fire("service.dispatch", name)
     return verifier.verify_one(name)
-
-
-def _emit_tactics_event(name: str, entries: list) -> None:
-    """Mirror one function's tactic totals into the trace as an ``I``
-    (instant) event, so ``trace_report.py`` can rebuild the tactic
-    table from the trace file alone."""
-    counts: dict[str, int] = {}
-    for e in entries:
-        stats = getattr(e.detail, "stats", None)
-        if stats is None:
-            continue
-        for k in (
-            "unfolds", "folds", "gunfolds", "gfolds", "repairs", "auto_updates"
-        ):
-            counts[f"tactic.{k}"] = counts.get(f"tactic.{k}", 0) + getattr(
-                stats, k, 0
-            )
-    if counts:
-        obs.instant_event("tactics", function=name, **counts)
 
 
 def _has_clauses(contract: Union[PearliteSpec, dict]) -> bool:

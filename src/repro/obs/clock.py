@@ -14,9 +14,7 @@ exactly one place and is auditable:
 
 (Both ``perf_counter`` and ``monotonic`` read ``CLOCK_MONOTONIC`` on
 Linux, so timestamps taken with :func:`now` are comparable across a
-``fork`` — forked pool workers and the parent share one timeline,
-which is what lets their trace events merge into a single Perfetto
-view.)
+``fork`` — forked pool workers and the parent share one timeline.)
 """
 
 from __future__ import annotations

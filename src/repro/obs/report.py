@@ -7,14 +7,8 @@ tables: a per-function phase-time breakdown in the shape of the
 paper's Table 1/2 (where time goes: encoding, VC generation, symbolic
 execution, solver, proof store), the slowest solver queries, and the
 fold/unfold + borrow-extraction tactic counts.
-
-The same renderers back two front ends:
-
-* ``HybridReport.render(verbose=True)`` — live aggregates from the
-  run that just finished;
-* ``scripts/trace_report.py`` — offline, reconstructing the same
-  aggregates from a Chrome trace JSON file
-  (:func:`profile_from_trace`).
+``HybridReport.render(verbose=True)`` prints them for the run that
+just finished.
 """
 
 from __future__ import annotations
@@ -142,93 +136,3 @@ def render_adversary(report) -> str:
         f"  -- adversary {mark}: {summary} in {report.elapsed:.2f}s --"
     )
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Offline reconstruction from a Chrome trace file
-# ---------------------------------------------------------------------------
-
-#: Span names that aggregate (mirror of the runtime coarse spans):
-#: only these contribute to the phase table when re-deriving it from a
-#: trace; detail spans (engine.block, consume, produce, solve.query)
-#: are already inside a coarse parent's time.
-_AGGREGATING = {
-    "verify",
-    "encode",
-    "vcgen",
-    "symex",
-    "pre",
-    "post",
-    "solve",
-    "store.get",
-    "store.put",
-    "store.lookup",
-}
-
-
-def profile_from_trace(doc: dict) -> tuple[dict, list[dict], dict]:
-    """Rebuild ``(phases, queries, counters)`` from a Chrome trace
-    document, matching the live-aggregate shapes so the same renderers
-    apply. Spans are matched per ``(pid, tid)`` lane; a span without a
-    ``function`` arg inherits the nearest enclosing span's, exactly as
-    the runtime contextvar does."""
-    phases: dict[str, dict] = {}
-    queries: list[dict] = []
-    counters: dict[str, int] = {}
-    # lane -> stack of [name, ts, function, child_time, args]
-    stacks: dict[tuple, list[list]] = {}
-    for ev in doc.get("traceEvents", []):
-        ph = ev.get("ph")
-        if ph not in ("B", "E", "I"):
-            continue
-        lane = (ev.get("pid"), ev.get("tid"))
-        args = ev.get("args") or {}
-        if ph == "I":
-            fn = args.get("function")
-            for k, v in args.items():
-                if isinstance(v, int):
-                    counters[k] = counters.get(k, 0) + v
-            continue
-        stack = stacks.setdefault(lane, [])
-        if ph == "B":
-            fn = args.get("function")
-            if fn is None:
-                for frame in reversed(stack):
-                    if frame[2] is not None:
-                        fn = frame[2]
-                        break
-            stack.append([ev["name"], ev["ts"], fn, 0.0, args])
-            continue
-        # ph == "E"
-        if not stack or stack[-1][0] != ev.get("name"):
-            continue  # unbalanced — validate_trace reports it
-        name, ts0, fn, child, args0 = stack.pop()
-        dur = (ev["ts"] - ts0) / 1e6
-        if name not in _AGGREGATING:
-            # Detail spans (engine.block, consume, produce…) do not
-            # aggregate — but aggregating descendants inside them (a
-            # solve under an engine.block) must still be subtracted
-            # from the nearest aggregating ancestor's self-time, as
-            # the runtime contextvar chain does. Pass the accumulated
-            # child time through.
-            if stack:
-                stack[-1][3] += child
-            continue
-        if stack:
-            stack[-1][3] += dur
-        rec = phases.setdefault(fn or TOPLEVEL, {}).setdefault(
-            name, {"calls": 0, "total": 0.0, "self": 0.0}
-        )
-        rec["calls"] += 1
-        rec["total"] += dur
-        rec["self"] += dur - child
-        if name == "solve":
-            queries.append(
-                {
-                    "seconds": dur,
-                    "function": fn or TOPLEVEL,
-                    "query": args0.get("query", "?"),
-                }
-            )
-    queries.sort(key=lambda q: q["seconds"], reverse=True)
-    return phases, queries, counters

@@ -23,10 +23,12 @@ Fault tolerance (the degradation ladder, outermost rung first):
    mapped through ``on_error`` — the other futures keep their results;
 2. a worker that *dies* (``os._exit``, segfault, OOM kill) breaks the
    pool: every undelivered future is cancelled, and the affected items
-   run once more, **serially in the parent**, ahead of any items a
-   windowed fan-out had not yet handed out — a crash confined to the
+   run once more, **serially in the parent** — a crash confined to the
    worker recovers, one that recurs in the parent surfaces as
-   :class:`~repro.errors.WorkerCrashed` through ``on_error``;
+   :class:`~repro.errors.WorkerCrashed` through ``on_error``. The
+   items a windowed fan-out had not yet handed out then go to one
+   replacement pool; only if that one breaks too do they run serially
+   in the parent;
 3. a re-entrant ``fanout`` call while a pool is live (fork-inherited
    ``_PAYLOAD`` would be clobbered) is detected and falls back to the
    serial path.
@@ -40,13 +42,12 @@ before each hand-out.
 Each worker runs its item inside an observation window
 (:class:`repro.obs.trace.window`) and ships the window's delta back
 with the result; the parent folds it in (:func:`repro.obs.merge`), so
-the counters, phases, slow queries and trace events of a ``jobs=N``
-run are as complete as a serial run's.
+the counters, phases and slow queries of a ``jobs=N`` run are as
+complete as a serial run's.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import multiprocessing
 import os
@@ -56,7 +57,7 @@ import warnings
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from repro import faultinject, obs
 from repro.errors import WorkerCrashed
@@ -174,7 +175,9 @@ def fanout(
     result, so callers can degrade one entry while keeping the rest.
     Items lost to a broken pool run once more, serially in this
     process; only a failure there reaches ``on_error`` (as
-    :class:`WorkerCrashed`).
+    :class:`WorkerCrashed`). Items not yet handed out when a pool
+    breaks go to one replacement pool, and after a second break run
+    serially here.
 
     ``on_result(item, result)`` sees every result (stand-ins included)
     in this process as soon as it arrives, in completion order.
@@ -191,7 +194,6 @@ def fanout(
         jobs = default_jobs()
     out: list = [None] * len(items)
     handed = 0  # items[:handed] have been handed out
-    lost: list[int] = []  # indices whose future died with the pool
     halted = False
 
     def hand_out() -> Optional[int]:
@@ -209,6 +211,21 @@ def fanout(
         if on_result is not None:
             on_result(items[i], result)
 
+    def run_serially(indices: Iterable[int], crashed: bool) -> None:
+        for i in indices:
+            if crashed:
+                PARALLEL_STATS["serial_retries"] += 1
+            try:
+                result = fn(payload, items[i])
+            except Exception as e:
+                if crashed and not isinstance(e, WorkerCrashed):
+                    e = WorkerCrashed(
+                        f"worker for {items[i]!r} died and its serial run "
+                        f"failed: {e}"
+                    )
+                result = on_error(items[i], e)
+            deliver(i, result)
+
     serial = jobs <= 1 or len(items) <= 1 or not fork_available()
     if not serial and _ACTIVE:
         # Re-entrant fan-out (e.g. a worker-side callee fanning out
@@ -218,11 +235,17 @@ def fanout(
         serial = True
     if not serial:
         PARALLEL_STATS["fanouts"] += 1
+    # A broken pool is replaced once; after a second break the rest
+    # runs in the serial tail.
+    pools = 0 if serial else 2
+    while pools and not halted and handed < len(items):
+        pools -= 1
+        lost: list[int] = []  # indices whose future died with the pool
         _PAYLOAD = payload
         _ACTIVE = True
         try:
             with ProcessPoolExecutor(
-                max_workers=min(jobs, len(items)),
+                max_workers=min(jobs, len(items) - handed),
                 mp_context=multiprocessing.get_context("fork"),
             ) as pool:
                 running: dict = {}  # future -> item index
@@ -243,8 +266,8 @@ def fanout(
                         except BrokenProcessPool:
                             # The pool is gone: don't wait on futures
                             # that can never complete — cancel what has
-                            # not started; everything lost runs in the
-                            # serial tail below.
+                            # not started; everything lost runs serially
+                            # below.
                             if not lost:
                                 PARALLEL_STATS["broken_pools"] += 1
                                 for other in list(running):
@@ -264,22 +287,10 @@ def fanout(
         finally:
             _PAYLOAD = None
             _ACTIVE = False
-    # The serial path: first what a broken pool lost, then whatever it
-    # never handed out.
-    crashed = set(lost)
-    for i in itertools.chain(sorted(lost), iter(hand_out, None)):
-        if i in crashed:
-            PARALLEL_STATS["serial_retries"] += 1
-        try:
-            result = fn(payload, items[i])
-        except Exception as e:
-            if i in crashed and not isinstance(e, WorkerCrashed):
-                e = WorkerCrashed(
-                    f"worker for {items[i]!r} died and its serial run "
-                    f"failed: {e}"
-                )
-            result = on_error(items[i], e)
-        deliver(i, result)
+        # What the pool lost runs in this process, ahead of anything
+        # not yet handed out.
+        run_serially(sorted(lost), crashed=True)
+    run_serially(iter(hand_out, None), crashed=False)
     return out[:handed]
 
 

@@ -13,8 +13,11 @@ Thread layout (all daemon threads):
 * **watchdog** — optional: if the in-flight request exceeds the
   absolute cap, it SIGKILLs the fork pool's workers. The pool
   machinery then sees a broken pool and retries the lost items
-  serially *in the parent* — the request completes degraded, the
-  session state survives, the daemon never restarts.
+  serially *in the parent*, and hands the functions not yet
+  dispatched to one replacement pool. It fires again a cap after
+  each firing, so a replacement pool that wedges too is killed and
+  the rest runs serially in the parent — the request completes
+  degraded, the session state survives, the daemon never restarts.
 
 Admission control is a bounded queue: a ``submit`` that finds it full
 is **shed** with ``{"error": "overloaded", "retry_after": …}`` —
@@ -355,8 +358,11 @@ class VerifierDaemon:
         """Kill the pool workers of a request that exceeds the absolute
         cap. Only the *workers* die: the dispatcher thread is blocked
         in ``fanout``, which maps the resulting broken pool to a serial
-        retry in this (parent) process — the request completes, the
-        sessions and the store keep their state, nothing restarts."""
+        retry in this (parent) process and a replacement pool for the
+        rest — the request completes, the sessions and the store keep
+        their state, nothing restarts. The watchdog re-arms a ``cap``
+        after each firing, so a replacement pool that wedges too is
+        killed in turn and the rest runs serially here."""
         import multiprocessing
 
         cap = self.config.watchdog
@@ -366,14 +372,13 @@ class VerifierDaemon:
             if current is None:
                 continue
             started, _ = current
-            if clock.monotonic() - started <= cap:
+            now = clock.monotonic()
+            fired = self._watchdog_fired_at
+            if fired is None or fired < started:
+                fired = started  # not yet fired for this request
+            if now - fired <= cap:
                 continue
-            if (
-                self._watchdog_fired_at is not None
-                and self._watchdog_fired_at >= started
-            ):
-                continue  # already fired for this request
-            self._watchdog_fired_at = clock.monotonic()
+            self._watchdog_fired_at = now
             killed = 0
             for proc in multiprocessing.active_children():
                 try:

@@ -466,20 +466,18 @@ GLOBAL_STATS = metrics.register_legacy(
 )
 
 
-def _describe_query(fs: Sequence[Term], limit: Optional[int] = 160) -> str:
-    """A short human-readable rendering of a query, for the top-K
+def _describe_query(fs: Sequence[Term]) -> str:
+    """A human-readable rendering of a query, for the top-K
     slowest-queries table (computed lazily — only when a query is slow
-    enough to enter the table, or when tracing is on). ``limit=None``
-    keeps the whole text: the table keys on its shape, and a cut made
-    before the SSA counters are scrubbed falls elsewhere each run."""
+    enough to enter the table). It is not cut: the table keys on its
+    shape, and a cut made before the SSA counters are scrubbed falls
+    elsewhere each run; the report cuts it for display."""
     if not fs:
         return "<empty>"
     body = " & ".join(str(f) for f in fs[:4])
     if len(fs) > 4:
         body += f" & ... ({len(fs)} conjuncts)"
-    if limit is None or len(body) <= limit:
-        return body
-    return body[: limit - 3] + "..."
+    return body
 
 
 #: LRU capacity of the exact result cache and of the alpha memo,
@@ -597,8 +595,6 @@ class Solver:
             self._remember(key, hit)
             self._tick("cache_hits")
             self._tick("alpha_hits")
-            if obs_trace.enabled():
-                obs_trace.instant_event("solve.memo", query=_describe_query(fs))
             return hit
         if self.budget is not None:
             try:
@@ -608,9 +604,6 @@ class Solver:
                 raise
         self._tick("checks")
         self._tick("cache_misses")
-        tracing = obs_trace.enabled()
-        if tracing:
-            obs_trace.emit("B", "solve", {"query": _describe_query(fs)})
         t0 = clock.now()
         try:
             if FALSE in fs:
@@ -630,14 +623,12 @@ class Solver:
                     raise
         finally:
             # Every cache-missing query is timed and attributed to the
-            # enclosing span's function — in the finally so the B event
-            # stays balanced and the phase table stays honest even when
-            # BudgetExhausted aborts the search.
+            # enclosing span's function — in the finally so the phase
+            # table stays honest even when BudgetExhausted aborts the
+            # search.
             dur = clock.now() - t0
-            if tracing:
-                obs_trace.emit("E", "solve")
             obs_trace.record_phase(obs_trace.current_function(), "solve", dur)
-            obs_trace.record_query(dur, lambda: _describe_query(fs, None))
+            obs_trace.record_query(dur, lambda: _describe_query(fs))
         self._remember(key, result)
         memo[akey] = result
         if len(memo) > self.cache_capacity:

@@ -163,7 +163,7 @@ class ProofStore:
         ``strict`` mode it raises :class:`StoreCorrupted`. I/O errors
         are retried with backoff; a persistent one is a miss (the proof
         is re-run — slower, never wrong)."""
-        with span("store.get", fp=fp[:12]):
+        with span("store.get"):
             return self._get(fp, context)
 
     def _get(self, fp: str, context: str):

@@ -1,11 +1,6 @@
-"""End-to-end observability through ``HybridVerifier.run``: trace
-export on a real pipeline run, ``jobs=2`` worker-delta merging, and
-the verbose profiling report."""
-
-import json
-import os
-import subprocess
-import sys
+"""End-to-end observability through ``HybridVerifier.run``: the
+report's phase table on a real pipeline run, ``jobs=2`` worker-delta
+merging, and the verbose profiling report."""
 
 import pytest
 
@@ -43,10 +38,8 @@ DETERMINISTIC_COUNTERS = (
 
 @pytest.fixture(autouse=True)
 def clean_obs_state():
-    trace.disable()
     metrics.reset()
     yield
-    trace.disable()
     metrics.reset()
 
 
@@ -60,17 +53,6 @@ def deterministic_counters():
 
 
 class TestTraceExport:
-    def test_serial_run_emits_schema_valid_trace(self, small_env, tmp_path):
-        out = tmp_path / "trace.json"
-        trace.enable(str(out))
-        store = ProofStore(tmp_path / "cache")
-        report = make_verifier(small_env, store=store).run(FAST_FNS, jobs=1)
-        assert report.ok
-        doc = json.loads(out.read_text())  # run() flushed
-        assert trace.validate_trace(doc) == []
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert {"verify", "symex", "solve", "store.lookup", "store.put"} <= names
-
     def test_phase_stats_cover_every_function(self, small_env):
         report = make_verifier(small_env).run(FAST_FNS, jobs=1)
         for fn in FAST_FNS:
@@ -110,45 +92,38 @@ class TestTraceExport:
 
 @needs_fork
 class TestParallelMerging:
-    def test_jobs2_trace_has_worker_pids_and_merged_counters(
-        self, small_env, tmp_path
-    ):
+    def test_jobs2_merges_phase_keys_and_counters(self, small_env, tmp_path):
         serial = make_verifier(
             small_env, store=ProofStore(tmp_path / "cache-serial")
         ).run(FAST_FNS, jobs=1)
         serial_counters = deterministic_counters()
-        serial_phases = serial.phase_stats
 
         metrics.reset()
-        out = tmp_path / "trace.json"
-        trace.enable(str(out))
         parallel = make_verifier(
             small_env, store=ProofStore(tmp_path / "cache-par")
         ).run(FAST_FNS, jobs=2)
-        trace.disable()
 
         assert fingerprint(parallel) == fingerprint(serial)
-        # Worker spans appear in the merged trace under their own pids,
-        # distinct from the parent's.
-        doc = json.loads(out.read_text())
-        assert trace.validate_trace(doc) == []
-        span_pids = {
-            e["pid"] for e in doc["traceEvents"] if e["name"] == "verify"
-        }
-        assert span_pids, "worker verify spans must reach the merged trace"
-        assert os.getpid() not in span_pids
-        assert os.getpid() in {e["pid"] for e in doc["traceEvents"]}
         # Merged counters equal the serial run's (for counters that are
         # deterministic across scheduling — see DETERMINISTIC_COUNTERS).
         assert deterministic_counters() == serial_counters
-        # Worker phase times merged into the parent's report: every
-        # function has its symex/solve phases despite running remotely.
+        # The workers' phases reach the parent's report: the same
+        # (function, phase) keys as a serial run, store phases included,
+        # and the same number of verify, symex and solve calls.
+        def keys(report):
+            return {
+                (fn, phase)
+                for fn, phases in report.phase_stats.items()
+                for phase in phases
+            }
+
+        assert keys(parallel) == keys(serial)
         for fn in FAST_FNS:
-            assert "symex" in parallel.phase_stats[fn]
-            assert (
-                parallel.phase_stats[fn]["solve"]["calls"]
-                == serial_phases[fn]["solve"]["calls"]
-            )
+            for phase in ("verify", "symex", "solve"):
+                assert (
+                    parallel.phase_stats[fn][phase]["calls"]
+                    == serial.phase_stats[fn][phase]["calls"]
+                )
 
 
 class TestVerboseReport:
@@ -195,19 +170,3 @@ class TestVerboseReport:
             assert tactics(later) == tactics(first)
             assert len(later.top_queries) == len(first.top_queries)
             assert shapes(later) == shapes(first)
-
-    def test_trace_report_script_roundtrip(self, small_env, tmp_path):
-        out = tmp_path / "trace.json"
-        trace.enable(str(out))
-        make_verifier(small_env).run(FAST_FNS, jobs=1)
-        trace.disable()
-        proc = subprocess.run(
-            [sys.executable, "scripts/trace_report.py", str(out)],
-            capture_output=True,
-            text=True,
-            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "valid trace" in proc.stdout
-        assert "per-function phase times" in proc.stdout
-        assert FAST_FNS[0] in proc.stdout

@@ -1,11 +1,10 @@
-"""Spans, phase aggregation, top-K queries, observation windows,
-Chrome trace export and the schema validator."""
+"""Spans, phase aggregation, top-K queries and observation windows."""
 
-import json
 import pickle
 
 import pytest
 
+from repro.errors import BudgetExhausted
 from repro.obs import trace
 from repro.obs.metrics import metrics
 from repro.parallel import PARALLEL_STATS
@@ -13,12 +12,9 @@ from repro.parallel import PARALLEL_STATS
 
 @pytest.fixture(autouse=True)
 def clean_trace_state():
-    """Each test starts with tracing off and empty aggregates, and
-    leaves no enabled tracer behind for the rest of the suite."""
-    trace.disable()
+    """Each test starts and ends with empty aggregates."""
     trace._clear_aggregates()
     yield
-    trace.disable()
     trace._clear_aggregates()
 
 
@@ -26,22 +22,14 @@ class TestSpanModes:
     def test_off_flag_nulls_all_spans(self, monkeypatch):
         monkeypatch.setattr(trace, "OFF", True)
         assert trace.span("x") is trace._NULL
-        assert trace.detail_span("x") is trace._NULL
         trace.record_phase("f", "solve", 1.0)
         assert trace.phase_table() == {}
-
-    def test_detail_span_null_unless_tracing(self):
-        assert trace.detail_span("engine.block") is trace._NULL
-        trace.enable()
-        assert trace.detail_span("engine.block") is not trace._NULL
 
     def test_coarse_span_aggregates_without_tracing(self):
         with trace.span("symex", function="f"):
             pass
         phases = trace.phase_table()
         assert phases["f"]["symex"]["calls"] == 1
-        # No event collection happened.
-        assert trace.export()["traceEvents"] == []
 
 
 class TestAttribution:
@@ -88,74 +76,32 @@ class TestTopQueries:
         assert described == []
 
 
-class TestExportAndValidation:
-    def test_balanced_events_and_schema(self):
-        trace.enable()
-        with trace.span("verify", function="f"):
-            with trace.span("symex"):
-                with trace.detail_span("engine.block", block="bb0"):
-                    pass
-            trace.instant_event("tactics", function="f", **{"tactic.folds": 2})
-        doc = trace.export()
-        assert trace.validate_trace(doc) == []
-        names = [e["name"] for e in doc["traceEvents"]]
-        assert names.count("verify") == 2  # one B, one E
-        assert "engine.block" in names
-        assert "tactics" in names
-
-    def test_balance_survives_exceptions(self):
-        trace.enable()
-        with pytest.raises(RuntimeError):
+class TestBudgetExhausted:
+    def test_raising_span_leaves_the_phase_table_balanced(self):
+        # A budget stop unwinds every open span: each still records its
+        # call, the parent still subtracts its child's time, and no
+        # span is left open to swallow later attribution.
+        with pytest.raises(BudgetExhausted):
             with trace.span("verify", function="f"):
                 with trace.span("symex"):
-                    raise RuntimeError("boom")
-        assert trace.validate_trace(trace.export()) == []
-
-    def test_flush_writes_only_in_owner_process(self, tmp_path):
-        out = tmp_path / "t.json"
-        trace.enable(str(out))
-        with trace.span("verify", function="f"):
+                    trace.record_phase(trace.current_function(), "solve", 0.25)
+                    raise BudgetExhausted("deadline")
+        assert trace.current_function() is None
+        p = trace.phase_table()["f"]
+        assert {name: rec["calls"] for name, rec in p.items()} == {
+            "verify": 1, "symex": 1, "solve": 1
+        }
+        assert p["symex"]["total"] - p["symex"]["self"] == pytest.approx(0.25)
+        assert p["verify"]["total"] - p["verify"]["self"] == pytest.approx(
+            p["symex"]["total"]
+        )
+        with trace.span("verify", function="g"):
             pass
-        assert trace.flush() == str(out)
-        doc = json.loads(out.read_text())
-        assert trace.validate_trace(doc) == []
-        # Simulate a forked worker: same enabled state, different owner.
-        trace._TRACE.owner_pid = 1
-        assert trace.flush() is None
-
-    def test_validator_rejects_malformed_documents(self):
-        assert trace.validate_trace([]) != []
-        assert trace.validate_trace({"traceEvents": 3}) != []
-        bad_ph = {"traceEvents": [
-            {"name": "x", "ph": "Z", "ts": 0, "pid": 1, "tid": 1}
-        ]}
-        assert any("bad ph" in e for e in trace.validate_trace(bad_ph))
-        no_name = {"traceEvents": [{"ph": "I", "ts": 0, "pid": 1, "tid": 1}]}
-        assert any("missing name" in e for e in trace.validate_trace(no_name))
-        unbalanced = {"traceEvents": [
-            {"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 1}
-        ]}
-        assert any("unclosed" in e for e in trace.validate_trace(unbalanced))
-        crossed = {"traceEvents": [
-            {"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 1},
-            {"name": "b", "ph": "E", "ts": 1, "pid": 1, "tid": 1},
-            {"name": "a", "ph": "E", "ts": 2, "pid": 1, "tid": 1},
-        ]}
-        assert trace.validate_trace(crossed) != []
-
-    def test_validator_separates_lanes_by_pid_tid(self):
-        doc = {"traceEvents": [
-            {"name": "a", "ph": "B", "ts": 0, "pid": 1, "tid": 1},
-            {"name": "b", "ph": "B", "ts": 0, "pid": 2, "tid": 1},
-            {"name": "b", "ph": "E", "ts": 1, "pid": 2, "tid": 1},
-            {"name": "a", "ph": "E", "ts": 1, "pid": 1, "tid": 1},
-        ]}
-        assert trace.validate_trace(doc) == []
+        assert set(trace.phase_table()) == {"f", "g"}
 
 
 class TestWorkerDelta:
-    def test_roundtrip_merges_events_phases_and_queries(self):
-        trace.enable()
+    def test_roundtrip_merges_phases_and_queries(self):
         with trace.span("verify", function="pre-existing"):
             pass
         with trace.window() as worker:
@@ -167,9 +113,7 @@ class TestWorkerDelta:
 
         # Simulate the parent: fresh aggregates, then merge.
         trace._clear_aggregates()
-        events_before = len(trace._TRACE.events)
         trace.merge(delta)
-        assert len(trace._TRACE.events) > events_before
         phases = trace.phase_table()
         assert phases["worker-fn"]["solve"]["total"] == pytest.approx(0.5)
         assert "pre-existing" not in phases
@@ -199,7 +143,6 @@ class TestWorkerDelta:
 
     def test_off_delta_still_carries_counters(self, monkeypatch):
         monkeypatch.setattr(trace, "OFF", True)
-        trace.enable()
         with trace.window() as worker:
             with trace.span("verify", function="f"):
                 trace.record_query(0.5, lambda: "q")
@@ -209,7 +152,6 @@ class TestWorkerDelta:
         assert delta["counters"] == {"test.off_counter": 2}
         assert delta["groups"] == {"parallel": {"serial_fallbacks": 1}}
         assert delta["phases"] == {} and delta["queries"] == {}
-        assert delta["events"] == []
         metrics.reset()
 
 

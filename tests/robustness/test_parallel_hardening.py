@@ -64,6 +64,16 @@ def die_hard_on_two(payload, item):
     return item * 2
 
 
+def pid_with_item_one_dying(payload, item):
+    # Item 0 keeps its worker busy while item 1 kills the other, so
+    # both are in flight when the pool breaks.
+    if item == 0:
+        time.sleep(0.2)
+    if item == 1 and parallel.multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return item, os.getpid()
+
+
 def degrade(item, exc):
     return ("failed", item)
 
@@ -246,6 +256,30 @@ class TestPoolPath:
         assert out == [0, 2, "gone", 6]
         assert isinstance(seen[2], WorkerCrashed)
         assert PARALLEL_STATS["broken_pools"] == 1
+
+    def test_broken_windowed_pool_is_replaced_once(self):
+        # Under a stop hook, what the dead pool lost runs in the parent;
+        # what was handed out after the break goes to a new pool.
+        metrics.reset("parallel")
+        broken_at_hand_out = []
+
+        def stop():
+            broken_at_hand_out.append(PARALLEL_STATS["broken_pools"])
+            return None
+
+        items = list(range(8))
+        out = fanout(
+            pid_with_item_one_dying, None, items, 2, degrade, stop=stop
+        )
+        assert [item for item, _ in out] == items
+        assert PARALLEL_STATS["broken_pools"] == 1
+        assert len(broken_at_hand_out) == len(items)
+        after = [i for i, b in enumerate(broken_at_hand_out) if b]
+        assert after, "no item was handed out after the break"
+        assert all(out[i][1] != os.getpid() for i in after)
+        assert out[1][1] == os.getpid()
+        ran_in_parent = [i for i, (_, pid) in enumerate(out) if pid == os.getpid()]
+        assert len(ran_in_parent) == PARALLEL_STATS["serial_retries"]
 
     def test_reentrant_fanout_degrades_to_serial(self):
         metrics.reset("parallel")

@@ -2,6 +2,7 @@
 client loss, accept failures, worker crashes, and a wedged pool."""
 
 import threading
+import time
 
 import pytest
 
@@ -139,9 +140,9 @@ class TestWorkerFaults:
         )
         with d.client() as c:
             r = c.submit("demo", jobs=2)
-            # The wedged worker was killed, the request finished serially
-            # in the daemon (where the worker-only fault cannot fire),
-            # and the request still completed.
+            # The wedged worker was killed and its item ran serially in
+            # the daemon (where the worker-only fault cannot fire); the
+            # functions not yet handed out went to a replacement pool.
             assert r["ok"]
             assert all(s == "verified" for s in r["functions"].values())
             assert c.health()["ok"]
@@ -150,3 +151,20 @@ class TestWorkerFaults:
             r2 = c.submit("demo", jobs=2)
             assert r2["ok"]
             assert all(s == "verified" for s in r2["functions"].values())
+
+    def test_watchdog_kills_a_replacement_pool_that_wedges_too(
+        self, subproc_daemon
+    ):
+        # Every worker wedges, the replacement pool's included: the
+        # watchdog fires again a cap after its first kill, and the rest
+        # runs serially in the daemon instead of blocking its dispatcher.
+        d = subproc_daemon(jobs=2, watchdog=1.0, fault="parallel.worker:delay:30")
+        with d.client() as c:
+            t0 = time.monotonic()
+            r = c.submit("demo", jobs=2)
+            elapsed = time.monotonic() - t0
+            assert r["ok"]
+            assert all(s == "verified" for s in r["functions"].values())
+            assert elapsed < 15.0
+            s = c.status()
+            assert s["counters"].get("service.watchdog_kills", 0) >= 3

@@ -178,21 +178,20 @@ class TestMemo:
         assert s.check_sat(_rename(fs)) == Status.UNKNOWN
         assert s.stats["alpha_hits"] == 0
 
-    def test_hit_emits_a_trace_event(self):
-        trace.disable()
-        trace.enable()
-        try:
-            s = Solver()
+    def test_hit_ticks_alpha_hits_and_records_no_solve_phase(self):
+        # A memo hit is counted, but it is no search: the phase table
+        # and the slow-query table see only the first query.
+        s = Solver()
+        with trace.window() as miss:
             s.check_sat([lt(x, y)])
-            s.check_sat(_rename([lt(x, y)]))
-            events = trace.export()["traceEvents"]
-        finally:
-            trace.disable()
-        memo = [e for e in events if e["name"] == "solve.memo"]
-        assert len(memo) == 1
-        assert memo[0]["ph"] == "I"
-        assert memo[0]["args"]["query"] == "<(x0', x1')"
-        assert [e["ph"] for e in events if e["name"] == "solve"] == ["B", "E"]
+        with trace.window() as hit:
+            assert s.check_sat(_rename([lt(x, y)])) == Status.SAT
+        assert "alpha_hits" not in miss.delta["groups"]["solver"]
+        assert hit.delta["groups"]["solver"]["alpha_hits"] == 1
+        miss_phases = trace.phase_table(miss.delta["phases"])
+        assert miss_phases[trace.TOPLEVEL]["solve"]["calls"] == 1
+        assert trace.phase_table(hit.delta["phases"]) == {}
+        assert trace.top_queries(hit.delta["queries"]) == []
 
 
 class TestDifferential:
