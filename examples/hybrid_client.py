@@ -13,21 +13,23 @@ Run with ``python examples/hybrid_client.py``. Flags / knobs:
   times, slowest solver queries, tactic counts);
 * ``--jobs N`` — fan the per-function verifications out over N
   forked workers;
-* ``--verify-verdicts`` — adversarially cross-check the verdicts
-  (concrete replay, mutation probes, differential re-verification;
-  also via ``REPRO_ADVERSARY=1``);
+* ``--verify-verdicts`` — after the run, adversarially cross-check its
+  verdicts (concrete replay, mutation probes, differential
+  re-verification) and print that report too; the exit status is 0
+  only if both reports are ok;
 * ``--list-sites`` — print every registered fault-injection site
   (valid first components of a ``REPRO_FAULT`` rule) and exit;
 * ``REPRO_CACHE=1`` attaches the proof store;
   ``REPRO_DEADLINE=S`` gives each function S seconds.
 
-README's "Environment knob reference" lists all eight ``REPRO_*``
+README's "Environment knob reference" lists all five ``REPRO_*``
 knobs.
 """
 
 import sys
 
 import repro.rustlib.linked_list as ll
+from repro.adversary import cross_check
 from repro.hybrid.pipeline import HybridVerifier
 from repro.lang.builder import BodyBuilder
 from repro.lang.types import UNIT, option_ty
@@ -85,21 +87,34 @@ FUNCTIONS = (
 )
 
 
-def verify(jobs=1, verify_verdicts=None, store=None):
-    """Verify :data:`FUNCTIONS`; returns the ``HybridReport``. Without
+def build_verifier(store=None):
+    """The verifier over the client and the ``LinkedList`` API. Without
     ``store`` the proof store follows ``REPRO_CACHE``."""
     program, ownables = build_program()
     install_callee_specs(program, ownables)
     program.add_body(build_stack_client())
-
-    hybrid = HybridVerifier(
+    return HybridVerifier(
         program,
         ownables,
         LINKED_LIST_CONTRACTS,
         manual_pure_pre=MANUAL_PURE_PRECONDITIONS,
         store=store,
     )
-    return hybrid.run(list(FUNCTIONS), jobs=jobs, verify_verdicts=verify_verdicts)
+
+
+def verify(jobs=1, store=None):
+    """Verify :data:`FUNCTIONS`; returns the ``HybridReport``."""
+    return build_verifier(store).run(list(FUNCTIONS), jobs=jobs)
+
+
+def verify_and_cross_check(jobs=1, store=None):
+    """:func:`verify`, then the adversarial cross-check over its
+    verdicts; returns ``(HybridReport, AdversaryReport)``. The
+    cross-check runs after ``run`` returns, so the first report counts
+    the verification's work alone."""
+    hybrid = build_verifier(store)
+    report = hybrid.run(list(FUNCTIONS), jobs=jobs)
+    return report, cross_check(hybrid, report)
 
 
 def main() -> int:
@@ -111,13 +126,18 @@ def main() -> int:
             print(f"{site:24s} {doc}")
         return 0
     verbose = "--verbose" in argv
-    verify_verdicts = True if "--verify-verdicts" in argv else None
     jobs = 1
     if "--jobs" in argv:
         jobs = int(argv[argv.index("--jobs") + 1])
-    report = verify(jobs, verify_verdicts)
+    if "--verify-verdicts" not in argv:
+        report = verify(jobs)
+        print(report.render(verbose=verbose))
+        return 0 if report.ok else 1
+    report, adversary = verify_and_cross_check(jobs)
     print(report.render(verbose=verbose))
-    return 0 if report.ok else 1
+    print()
+    print(adversary.render())
+    return 0 if report.ok and adversary.ok else 1
 
 
 if __name__ == "__main__":

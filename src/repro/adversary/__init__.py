@@ -2,7 +2,10 @@
 
 ``HybridVerifier.run`` produces per-function verdicts; this package
 *attacks* them after the fact, through three passes that share no code
-with the proof path they audit:
+with the proof path they audit. The paper's pipeline is Creusot and
+Gillian-Rust alone, so the cross-check sits above it: a caller runs
+:func:`cross_check` on a finished report, and its work never counts
+in that report's counters.
 
 * **concrete replay** (:mod:`repro.adversary.replay`) — generate
   precondition-satisfying inputs, execute the body on a concrete MIR
@@ -18,14 +21,14 @@ with the proof path they audit:
   (the ``baseline`` search without the prefix cache, no proof store,
   serial) and compare verdicts.
 
-The whole layer is opt-in (``--verify-verdicts`` /
-``REPRO_ADVERSARY=1``, its one environment knob). Its sizes, seed and
-deadline are an :class:`AdversaryConfig` passed to :func:`cross_check`;
-the pipeline uses the defaults. It is budget-bounded, and lives behind
-the same fault boundary as the verification path itself: any internal
-failure — including an injected ``REPRO_FAULT=adversary.*:raise`` —
-degrades to a reported ``cross_check_failed`` status, never a crashed
-run.
+The whole layer is opt-in (``examples/hybrid_client.py
+--verify-verdicts``, ``scripts/verdict_check.py``). Its sizes, seed and
+deadline are an :class:`AdversaryConfig` passed to :func:`cross_check`.
+It is budget-bounded, and :func:`cross_check` is its own fault
+boundary: a failing pass — an injected
+``REPRO_FAULT=adversary.*:raise`` included — degrades to a reported
+``cross_check_failed`` status, and a failure outside any pass to a
+report carrying ``internal_error``; it never raises.
 """
 
 from __future__ import annotations
@@ -109,13 +112,24 @@ def cross_check(
     """Cross-check every verified/refuted verdict in ``report``.
 
     ``verifier`` is the :class:`~repro.hybrid.pipeline.HybridVerifier`
-    that produced it.  Returns a complete :class:`AdversaryReport`;
-    this function is itself a fault boundary — per-function pass
-    failures degrade into ``cross_check_failed`` entries and only a
-    failure *outside* any function (a bug in this very loop) escapes,
-    to be contained by the pipeline's outer boundary.
+    whose ``run`` produced it.  Always returns a complete
+    :class:`AdversaryReport`, never raises: per-function pass failures
+    degrade into ``cross_check_failed`` entries, and a failure outside
+    any pass (a bug in the orchestration itself) into a report
+    carrying ``internal_error``.
     """
-    config = config or AdversaryConfig()
+    try:
+        with span("adversary"):
+            return _check_report(verifier, report, config or AdversaryConfig())
+    except Exception as e:
+        metrics.inc("adversary.internal_errors")
+        return AdversaryReport(internal_error=f"{type(e).__name__}: {e}")
+
+
+def _check_report(
+    verifier, report, config: AdversaryConfig
+) -> AdversaryReport:
+    """:func:`cross_check` inside its fault boundary."""
     started = clock.monotonic()
     out = AdversaryReport()
     groups = _group_entries(report.entries)

@@ -54,7 +54,7 @@ class AdversaryReport:
     entries: list[AdversaryEntry] = field(default_factory=list)
     elapsed: float = 0.0
     #: Set when the adversary layer itself died and was contained by
-    #: the pipeline's fault boundary (the run must still not crash).
+    #: :func:`repro.adversary.cross_check`'s fault boundary.
     internal_error: str = ""
 
     @property

@@ -22,7 +22,7 @@ any other Exception       error       unexpected internal failure
 
 The adversary layer (:mod:`repro.adversary`) reuses the same model for
 its own per-function statuses: :class:`AdversaryCheckFailed` maps to
-``cross_check_failed`` on the report's adversary section.
+``cross_check_failed`` in the cross-check's own report.
 
 The pipeline (:mod:`repro.hybrid.pipeline`) catches at the per-function
 boundary and converts to a ✗-with-reason entry, so one pathological
@@ -101,12 +101,10 @@ class EncodingError(VerificationError):
 
 class StoreCorrupted(VerificationError):
     """A persistent proof-store entry failed validation (torn write,
-    checksum mismatch, undecodable payload). In ``heal`` mode the store
+    checksum mismatch, undecodable payload). The store catches it,
     quarantines the entry and reports a miss — callers re-verify and the
-    fresh result overwrites the quarantined one; in ``strict`` mode the
-    exception surfaces and the pipeline degrades it into an ``error``
-    entry. Either way a corrupt cache costs performance, never
-    correctness, and never crashes the run."""
+    fresh result overwrites the quarantined one. A corrupt cache costs
+    performance, never correctness, and never crashes the run."""
 
     status = "error"
 

@@ -25,7 +25,6 @@ from repro.core.address import NULL_PTR, ptr_field, ptr_offset, ptr_variant_fiel
 from repro.gilsonite.ast import Pred
 from repro.gillian.matcher import (
     TacticError,
-    TacticStats,
     fold,
     unfold,
     with_repair,
@@ -176,7 +175,6 @@ class Engine:
         program: Program,
         model: RustStateModel,
         max_steps: int = 4000,
-        stats: Optional[TacticStats] = None,
         auto_repair: bool = True,
         budget=None,
     ) -> None:
@@ -184,7 +182,6 @@ class Engine:
         self.model = model
         self.solver = model.solver
         self.max_steps = max_steps
-        self.stats = stats if stats is not None else TacticStats()
         #: The §4.2 heuristics: automatic unfold / borrow opening on
         #: missing resources. Disabled by the E9 ablation, in which
         #: case every unfold must be a manual ghost statement.
@@ -196,7 +193,7 @@ class Engine:
 
     def _with_repair(self, state: RustState, op):
         if self.auto_repair:
-            return with_repair(self.model, state, op, self.stats)
+            return with_repair(self.model, state, op)
         return op(state)
 
     # -- entry point --------------------------------------------------------------
@@ -318,7 +315,7 @@ class Engine:
     def _ghost_unfold(self, body: Body, cfg: Config, g: Unfold) -> list:
         for inst in cfg.state.preds:
             if inst.name == g.pred:
-                states = unfold(self.model, cfg.state, inst, self.stats)
+                states = unfold(self.model, cfg.state, inst)
                 return [
                     Config(s, cfg.locals, cfg.pending_resolves)
                     for s in states
@@ -343,7 +340,7 @@ class Engine:
             vals = self._eval_operand(body, cfg, op)
             in_args[i] = vals[0][1]
         try:
-            states = fold(self.model, cfg.state, g.pred, in_args, self.stats)
+            states = fold(self.model, cfg.state, g.pred, in_args)
         except TacticError as e:
             return [Terminal(cfg, issue=self._issue(body, str(g), str(e)))]
         return [Config(s, cfg.locals, cfg.pending_resolves) for s in states]
@@ -356,7 +353,7 @@ class Engine:
         for op in g.args:
             arg_vals.append(self._eval_operand(body, cfg, op)[0][1])
         try:
-            states = lemma.apply(self.model, cfg.state, arg_vals, self.stats)
+            states = lemma.apply(self.model, cfg.state, arg_vals)
         except TacticError as e:
             return [Terminal(cfg, issue=self._issue(body, str(g), str(e)))]
         return [
@@ -683,7 +680,7 @@ class Engine:
         # ``len = |repr|`` in ⌊LinkedList⌋, §7.3): unfold to prove.
         from repro.gillian.matcher import unfold_to_prove
 
-        proven = unfold_to_prove(self.model, cfg.state, ok, self.stats)
+        proven = unfold_to_prove(self.model, cfg.state, ok)
         if proven is not None:
             return [(Config(proven, cfg.locals, cfg.pending_resolves), value, None)]
         branches = []

@@ -19,7 +19,7 @@ Gillian-Rust *semi*-automated rather than manual:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.core.borrows import BorrowInstance, ClosingToken
@@ -49,23 +49,6 @@ class TacticError(Exception):
     pass
 
 
-@dataclass
-class TacticStats:
-    """Counts of automation steps (the E9 ablation pins them)."""
-
-    unfolds: int = 0
-    folds: int = 0
-    gunfolds: int = 0
-    gfolds: int = 0
-    repairs: int = 0
-    auto_updates: int = 0
-
-    def total(self) -> int:
-        return (
-            self.unfolds + self.folds + self.gunfolds + self.gfolds + self.repairs
-        )
-
-
 # ---------------------------------------------------------------------------
 # unfold / fold
 # ---------------------------------------------------------------------------
@@ -75,7 +58,6 @@ def unfold(
     model: RustStateModel,
     state: RustState,
     inst: PredInstance,
-    stats: Optional[TacticStats] = None,
 ) -> list[RustState]:
     """Replace a folded predicate by its definition (all feasible disjuncts)."""
     pdef = model.program.predicates.get(inst.name)
@@ -84,8 +66,6 @@ def unfold(
     if pdef.abstract:
         raise TacticError(f"predicate {inst.name} is abstract")
     metrics.inc("tactic.unfolds")
-    if stats:
-        stats.unfolds += 1
     base = state.remove_pred(inst)
     out: list[RustState] = []
     for body in pdef.instantiate(inst.args):
@@ -101,7 +81,6 @@ def fold(
     state: RustState,
     name: str,
     in_args: dict[int, Term],
-    stats: Optional[TacticStats] = None,
 ) -> list[RustState]:
     """Consume one disjunct of the definition; add the folded instance.
 
@@ -112,8 +91,6 @@ def fold(
     if pdef is None:
         raise TacticError(f"unknown predicate {name}")
     metrics.inc("tactic.folds")
-    if stats:
-        stats.folds += 1
     args: list[Term] = []
     learns: list[Var] = []
     for i, p in enumerate(pdef.params):
@@ -145,9 +122,8 @@ class _AutoUpdateModel(RustStateModel):
     """State model wrapper whose ProphCtrl consumer first applies
     MUT-UPDATE, choosing the value that lets the borrow close (§5.3)."""
 
-    def __init__(self, inner: RustStateModel, stats: Optional[TacticStats]):
+    def __init__(self, inner: RustStateModel):
         super().__init__(inner.program, inner.solver)
-        self._stats = stats
 
     def consume_core(self, state: RustState, a: Assertion):
         if isinstance(a, ProphCtrl) and isinstance(a.proph, Var):
@@ -156,8 +132,6 @@ class _AutoUpdateModel(RustStateModel):
                 upd = state.proph.update(a.proph, a.value)
                 if upd.ctx is not None:
                     metrics.inc("tactic.auto_updates")
-                    if self._stats:
-                        self._stats.auto_updates += 1
                     state = replace(state, proph=upd.ctx)
         return super().consume_core(state, a)
 
@@ -166,7 +140,6 @@ def gunfold(
     model: RustStateModel,
     state: RustState,
     borrow: BorrowInstance,
-    stats: Optional[TacticStats] = None,
 ) -> list[RustState]:
     """Open a full borrow (Unfold-Guarded, §4.2): consume a token
     fraction, produce the definition and a closing token."""
@@ -181,8 +154,6 @@ def gunfold(
     if tok_out.ctx is None:
         raise TacticError(f"gunfold: {tok_out.error}")
     metrics.inc("tactic.gunfolds")
-    if stats:
-        stats.gunfolds += 1
     opened = replace(state, lifetimes=tok_out.ctx)
     opened = replace(opened, borrows=opened.borrows.remove_borrow(borrow))
     token = ClosingToken(borrow.pred, borrow.lifetime, tok_out.fraction, borrow.args)
@@ -202,14 +173,13 @@ def gfold(
     model: RustStateModel,
     state: RustState,
     token: ClosingToken,
-    stats: Optional[TacticStats] = None,
 ) -> list[RustState]:
     """Close a borrow: consume the (re-established) definition and the
     closing token; recover the borrow and the token fraction."""
     pdef = model.program.predicates.get(token.pred)
     if pdef is None:
         raise TacticError(f"unknown guarded predicate {token.pred}")
-    auto = _AutoUpdateModel(model, stats)
+    auto = _AutoUpdateModel(model)
     last_error: Optional[str] = None
     for body in _instantiate_guarded(pdef, token.lifetime, token.args):
         try:
@@ -235,8 +205,6 @@ def gfold(
             out.append(replace(s, lifetimes=lft.ctx).assume(lft.facts))
         if out:
             metrics.inc("tactic.gfolds")
-            if stats:
-                stats.gfolds += 1
             return out
     raise TacticError(f"gfold {token.pred}: cannot re-establish invariant ({last_error})")
 
@@ -259,7 +227,6 @@ def _instantiate_guarded(
 def close_all_borrows(
     model: RustStateModel,
     state: RustState,
-    stats: Optional[TacticStats] = None,
 ) -> RustState:
     """End-of-function tactic: try to gfold every outstanding closing
     token (repeat until no progress). Failures are left in place — the
@@ -269,7 +236,7 @@ def close_all_borrows(
         progress = False
         for token in state.borrows.tokens:
             try:
-                closed = gfold(model, state, token, stats)
+                closed = gfold(model, state, token)
             except TacticError:
                 continue
             if closed:
@@ -283,7 +250,6 @@ def unfold_to_prove(
     model: RustStateModel,
     state: RustState,
     goal: Term,
-    stats: Optional[TacticStats] = None,
     depth: int = 3,
 ) -> Optional[RustState]:
     """Prove a pure obligation by unfolding folded predicates whose
@@ -300,13 +266,13 @@ def unfold_to_prove(
         if pdef is None or pdef.abstract or not pdef.disjuncts:
             continue
         try:
-            opened = unfold(model, state, inst, stats)
+            opened = unfold(model, state, inst)
         except TacticError:
             continue
         feasible = [s for s in opened if model.feasible(s)]
         if len(feasible) != 1:
             continue
-        found = unfold_to_prove(model, feasible[0], goal, stats, depth - 1)
+        found = unfold_to_prove(model, feasible[0], goal, depth - 1)
         if found is not None:
             return found
     return None
@@ -331,7 +297,6 @@ def with_repair(
     model: RustStateModel,
     state: RustState,
     op: Callable[[RustState], list],
-    stats: Optional[TacticStats] = None,
     depth: int = 0,
 ):
     """Run a state operation; on missing-resource failure, unfold or
@@ -361,21 +326,19 @@ def with_repair(
     for kind, target in repair_candidates(state, model):
         try:
             if kind == "unfold":
-                opened_states = unfold(model, state, target, stats)
+                opened_states = unfold(model, state, target)
             else:
-                opened_states = gunfold(model, state, target, stats)
+                opened_states = gunfold(model, state, target)
         except TacticError:
             continue
         metrics.inc("tactic.repairs")
-        if stats:
-            stats.repairs += 1
         feasible = [s for s in opened_states if model.feasible(s)]
         if not feasible:
             continue
         combined: list = []
         all_branches_ok = True
         for s in feasible:
-            sub = with_repair(model, s, op, stats, depth + 1)
+            sub = with_repair(model, s, op, depth + 1)
             if not any(o.error is None for o in sub):
                 all_branches_ok = False
             combined.extend(sub)

@@ -28,7 +28,7 @@ from repro.errors import BudgetExhausted
 from repro.core.state import RustState, RustStateModel
 from repro.gillian.consume import ConsumeFailure, consume
 from repro.gillian.engine import Config, Engine, Terminal, VerificationIssue
-from repro.gillian.matcher import TacticStats, close_all_borrows
+from repro.gillian.matcher import close_all_borrows
 from repro.gillian.produce import ProduceError, produce
 from repro.gilsonite.specs import Spec
 from repro.lang.mir import Body, Program
@@ -45,7 +45,6 @@ class VerificationResult:
     issues: list[VerificationIssue] = field(default_factory=list)
     elapsed: float = 0.0
     branches: int = 0
-    stats: TacticStats = field(default_factory=TacticStats)
     #: ``verified | refuted | timeout | crashed | error`` — the
     #: first-class verdict; ``ok`` stays as the boolean shorthand.
     status: str = "verified"
@@ -119,7 +118,6 @@ def verify_function(
     body: Body,
     spec: Spec,
     solver: Optional[Solver] = None,
-    stats: Optional[TacticStats] = None,
     auto_repair: bool = True,
     budget: Optional[Budget] = None,
     record: Optional[ExitRecord] = None,
@@ -138,10 +136,9 @@ def verify_function(
     across runs whose specs differ only in the postcondition.
     """
     solver = solver or default_solver()
-    stats = stats if stats is not None else TacticStats()
     model = RustStateModel(program, solver)
     started = clock.now()
-    result = VerificationResult(body.name, spec.kind, ok=True, stats=stats)
+    result = VerificationResult(body.name, spec.kind, ok=True)
     faultinject.fire("verifier.function", body.name)
 
     def check_post(exits: ExitStates, branch: tuple[RustState, Term]) -> None:
@@ -157,11 +154,10 @@ def verify_function(
             exits = record.states if record is not None else None
             if exits is None:
                 engine = Engine(
-                    program, model, stats=stats, auto_repair=auto_repair,
-                    budget=budget,
+                    program, model, auto_repair=auto_repair, budget=budget
                 )
                 exits = _run_to_exits(
-                    body, spec, solver, stats, engine, model, result, check_post
+                    body, spec, solver, engine, model, result, check_post
                 )
                 if record is not None:
                     record.states = exits
@@ -186,7 +182,6 @@ def _run_to_exits(
     body: Body,
     spec: Spec,
     solver: Solver,
-    stats: TacticStats,
     engine: Engine,
     model: RustStateModel,
     result: VerificationResult,
@@ -249,7 +244,7 @@ def _run_to_exits(
                     fail(t.issue)
                 continue
             with span("post"):
-                state, err = _close_exit(model, t, stats)
+                state, err = _close_exit(model, t)
                 if err is not None:
                     fail(VerificationIssue(body.name, "return", err))
                 elif state is not None:
@@ -261,14 +256,14 @@ def _run_to_exits(
 
 
 def _close_exit(
-    model: RustStateModel, t: Terminal, stats: TacticStats
+    model: RustStateModel, t: Terminal
 ) -> tuple[Optional[RustState], Optional[str]]:
     """A returning branch's state with its borrows closed and its
     deferred ``mutref_auto_resolve!`` steps applied, or why that
     failed; ``(None, None)`` when the branch vanished."""
     state = t.config.state
     # Close outstanding borrows so the lifetime token is whole again.
-    state = close_all_borrows(model, state, stats)
+    state = close_all_borrows(model, state)
     # Apply deferred mutref_auto_resolve! tactics.
     for local in t.config.pending_resolves:
         ptr = t.config.locals.get(local)

@@ -40,7 +40,7 @@ from repro.gilsonite.ast import (
     star,
 )
 from repro.gillian.consume import ConsumeFailure, Match, consume
-from repro.gillian.matcher import TacticError, TacticStats, gfold, gunfold, unfold
+from repro.gillian.matcher import TacticError, gfold, gunfold, unfold
 from repro.solver.core import Solver
 from repro.solver.sorts import LFT, LOC, Sort
 from repro.solver.terms import (
@@ -71,7 +71,6 @@ class Lemma:
         model: RustStateModel,
         state: RustState,
         args: Sequence[Term],
-        stats: Optional[TacticStats] = None,
     ) -> list[RustState]:
         raise NotImplementedError
 
@@ -91,7 +90,6 @@ def _ensure_borrow_available(
     pred: str,
     ptr: Term,
     own_pred: Optional[str],
-    stats: Optional[TacticStats],
 ) -> tuple[RustState, Optional[BorrowInstance]]:
     """Locate the borrow; if it is still folded inside an own predicate
     unfold that first, and if it is currently *open* close it."""
@@ -104,7 +102,7 @@ def _ensure_borrow_available(
             if inst.name == own_pred and len(inst.args) >= 2 and model.solver.entails(
                 state.pc, eq(inst.args[1], ptr)
             ):
-                for s in unfold(model, state, inst, stats):
+                for s in unfold(model, state, inst):
                     if not model.feasible(s):
                         continue
                     b = _find_borrow_by_arg0(s, pred, ptr, model.solver)
@@ -117,7 +115,7 @@ def _ensure_borrow_available(
             state.pc, eq(tok.args[0], ptr)
         ):
             try:
-                closed = gfold(model, state, tok, stats)
+                closed = gfold(model, state, tok)
             except TacticError:
                 return state, None
             for s in closed:
@@ -180,17 +178,17 @@ class FreezeLinkedListLemma(Lemma):
             guard="κ",
         )
 
-    def apply(self, model, state, args, stats=None):
+    def apply(self, model, state, args):
         (self_ptr,) = args
         self.ensure_frozen_def(model)
         state, borrow = _ensure_borrow_available(
-            model, state, self.mutref_inv, self_ptr, self.own_mutref, stats
+            model, state, self.mutref_inv, self_ptr, self.own_mutref
         )
         if borrow is None:
             raise TacticError(f"{self.name}: no list borrow for {self_ptr}")
         x = borrow.args[1]
         results: list[RustState] = []
-        for opened in gunfold(model, state, borrow, stats):
+        for opened in gunfold(model, state, borrow):
             if not model.feasible(opened):
                 continue
             token = opened.borrows.find_token(
@@ -260,10 +258,10 @@ class ExtractHeadElementLemma(Lemma):
     elem_repr: Sort
     name: str = "extract_head_element"
 
-    def apply(self, model, state, args, stats=None):
+    def apply(self, model, state, args):
         (self_ptr,) = args
         state, borrow = _ensure_borrow_available(
-            model, state, self.frozen_pred, self_ptr, None, stats
+            model, state, self.frozen_pred, self_ptr, None
         )
         if borrow is None:
             raise TacticError(f"{self.name}: no frozen list borrow for {self_ptr}")
@@ -278,7 +276,7 @@ class ExtractHeadElementLemma(Lemma):
         v = fresh_var("xt_v", None) if False else None
         scratch_ok = False
         elem_repr_val: Optional[Term] = None
-        for opened in gunfold(model, state, borrow, stats):
+        for opened in gunfold(model, state, borrow):
             if not model.feasible(opened):
                 continue
             from repro.core.heap.values import ty_to_sort

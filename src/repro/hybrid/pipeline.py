@@ -58,8 +58,10 @@ Observability: every pipeline phase runs under a :func:`repro.obs.span`
 (``report.render(verbose=True)``). The report's counters, phase times
 and slowest queries all come from one observation window
 (:class:`repro.obs.trace.window`) around the run, from the store
-lookup to the end of the cross-check; forked workers' windows are
-merged into it.
+lookup to the last entry; forked workers' windows are merged into it.
+The adversarial cross-check (:func:`repro.adversary.cross_check`)
+runs after ``run`` returns, outside that window, so the counters
+are the verification's alone.
 """
 
 from __future__ import annotations
@@ -70,11 +72,11 @@ from typing import Callable, Iterable, Optional, Union
 
 from repro import faultinject, obs
 from repro.budget import Budget, BudgetSpec
-from repro.errors import BudgetExhausted, EncodingError, StoreCorrupted, status_of
+from repro.errors import BudgetExhausted, EncodingError, status_of
 from repro.obs import clock, span
 from repro.obs import report as obs_report
 from repro.obs.metrics import metrics
-from repro.parallel import PARALLEL_STATS, default_jobs, fanout
+from repro.parallel import PARALLEL_STATS, fanout
 from repro.store import (
     CACHEABLE_STATUSES,
     ProofStore,
@@ -153,8 +155,7 @@ class HybridReport:
     #: (``[{seconds, function, query}, …]``, slowest first).
     top_queries: list = field(default_factory=list)
     #: How each function's answer came about in this run: ``cached``
-    #: (answered by the store lookup — a hit, or a strict-mode
-    #: corruption ``error``), ``verified`` (run now) or ``drained``
+    #: (a store hit), ``verified`` (run now) or ``drained``
     #: (the stop hook or the deadline fired before it was handed out).
     outcomes: dict = field(default_factory=dict)
     #: Why the run drained (the stop hook's reason, or ``deadline``);
@@ -168,19 +169,12 @@ class HybridReport:
     #: the exit states an earlier run of this verifier left: nothing
     #: but (perhaps) the postcondition had changed.
     post_reused: int = 0
-    #: Adversarial cross-check results (``--verify-verdicts`` /
-    #: ``REPRO_ADVERSARY=1``): an
-    #: :class:`repro.adversary.report.AdversaryReport`, or ``None``
-    #: when the adversary layer did not run.
-    adversary: Optional[object] = None
     #: The ``tactic.*`` / ``gillian.*`` registry counters of this run.
     tactic_stats: dict = field(default_factory=dict, init=False)
 
     @property
     def ok(self) -> bool:
-        if not all(e.ok for e in self.entries):
-            return False
-        return self.adversary is None or self.adversary.ok
+        return all(e.ok for e in self.entries)
 
     def by_function(self) -> dict[str, list[HybridEntry]]:
         """The entries grouped per function, in report order."""
@@ -199,18 +193,8 @@ class HybridReport:
     @property
     def status(self) -> str:
         """Aggregate verdict: ``verified`` iff every entry verified,
-        else the most severe per-entry status present. A clean entry
-        set can still be demoted by the adversary layer: a
-        ``cross_check_failed`` or ``suspect`` cross-check outranks
-        ``verified`` (but never an entry-level failure)."""
-        worst = entries_status(self.entries)
-        if worst != "verified":
-            return worst
-        if self.adversary is not None:
-            adv = self.adversary.status
-            if adv in ("cross_check_failed", "suspect"):
-                return adv
-        return "verified"
+        else the most severe per-entry status present."""
+        return entries_status(self.entries)
 
     def render(self, verbose: bool = False) -> str:
         """The run report; ``verbose=True`` appends the profiling
@@ -275,9 +259,6 @@ class HybridReport:
                     self.phase_stats, self.top_queries, self.tactic_stats
                 )
             )
-        if self.adversary is not None:
-            lines.append("")
-            lines.append(self.adversary.render())
         return "\n".join(lines)
 
 
@@ -569,8 +550,7 @@ class HybridVerifier:
     def run(
         self,
         functions: Optional[list[str]] = None,
-        jobs: Optional[int] = 1,
-        verify_verdicts: Optional[bool] = None,
+        jobs: int = 1,
         *,
         stop: Optional[Callable[[], Optional[str]]] = None,
         deadline: Optional[float] = None,
@@ -581,8 +561,8 @@ class HybridVerifier:
         ``jobs=1`` runs today's deterministic serial path; ``jobs=N``
         fans the per-function verifications out over a fork-based
         process pool, reassembling entries in the serial order.
-        ``jobs=None`` uses ``REPRO_JOBS``/CPU count; ``jobs < 1`` is
-        refused with :class:`ValueError`.
+        ``jobs`` below 1 (or ``None``) is refused with
+        :class:`ValueError`.
 
         Always returns a *complete* report: per-function failures of
         any kind (budget exhaustion, worker crash, internal error)
@@ -620,20 +600,11 @@ class HybridVerifier:
         clean stage A: when an edit left the encoded precondition side
         and the callees' contracts as they were, only the postcondition
         is consumed again (``report.post_reused``).
-
-        ``verify_verdicts=True`` (or ``REPRO_ADVERSARY=1`` when the
-        argument is left ``None``) runs the adversarial cross-check
-        (:mod:`repro.adversary`) over the finished verdicts and
-        attaches its report as ``report.adversary``; the adversary
-        layer sits behind its own fault boundary, so even a crashing
-        cross-check yields a report, never an exception.
         """
         started = clock.monotonic()
         report = HybridReport()
         names = functions if functions is not None else list(self.program.bodies)
-        if jobs is None:
-            jobs = default_jobs()
-        elif jobs < 1:
+        if jobs is None or jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         self.check_logic()
         with obs.window() as seen:
@@ -693,10 +664,6 @@ class HybridVerifier:
                 report.outcomes[name] = how
                 report.entries.extend(entries)
                 self._record_safety(name, entries)
-            if verify_verdicts or (
-                verify_verdicts is None and _adversary_enabled()
-            ):
-                report.adversary = self._cross_check(report)
         report.elapsed = clock.monotonic() - started
         # Every count below is this run's, forked workers' included:
         # their window deltas were merged into this window.
@@ -727,22 +694,6 @@ class HybridVerifier:
         report.top_queries = obs.top_queries(delta["queries"])
         return report
 
-    def _cross_check(self, report: HybridReport):
-        """Run the adversary layer over a finished report. Outermost
-        fault boundary for the whole layer: whatever goes wrong inside
-        (including the orchestrator itself) degrades to an
-        ``AdversaryReport`` carrying ``internal_error``."""
-        from repro.adversary import AdversaryReport, cross_check
-
-        try:
-            with span("adversary"):
-                return cross_check(self, report)
-        except Exception as e:
-            metrics.inc("adversary.internal_errors")
-            return AdversaryReport(
-                internal_error=f"{type(e).__name__}: {e}"
-            )
-
     # -- reuse records --------------------------------------------------------
 
     def _record_safety(self, name: str, entries: list[HybridEntry]) -> None:
@@ -762,10 +713,9 @@ class HybridVerifier:
     def _lookup_cached(
         self, names: list[str], fingerprints: dict[str, str]
     ) -> dict[str, list[HybridEntry]]:
-        """Resolve every name against the store. Fixes this
-        run's fingerprints (inherited by forked workers) and maps
-        strict-mode corruption to ``error`` entries — a corrupt cache
-        degrades the run, never crashes it."""
+        """Resolve every name against the store (a corrupt entry is a
+        miss). Fixes this run's fingerprints, which forked workers
+        inherit."""
         if self.store is None:
             return {}
         self._run_fps = {
@@ -774,14 +724,10 @@ class HybridVerifier:
         }
         cached: dict[str, list[HybridEntry]] = {}
         for name in names:
-            try:
-                # The span attributes the nested store.get to the
-                # function being looked up.
-                with span("store.lookup", function=name):
-                    hit = self.store.get(self._run_fps[name], context=name)
-            except StoreCorrupted as e:  # strict mode surfaces corruption
-                cached[name] = [self._failure_entry(name, e)]
-                continue
+            # The span attributes the nested store.get to the function
+            # being looked up.
+            with span("store.lookup", function=name):
+                hit = self.store.get(self._run_fps[name], context=name)
             if hit is not None:
                 cached[name] = hit
         return cached
@@ -792,14 +738,6 @@ class HybridVerifier:
         fp = self._run_fps.get(name)
         if fp:
             self.store.put(fp, name, entries)
-
-
-def _adversary_enabled() -> bool:
-    """The env knob, checked without importing the adversary package —
-    the default path must not pay for the opt-in feature."""
-    import os
-
-    return os.environ.get("REPRO_ADVERSARY", "").lower() in ("1", "true", "on")
 
 
 def _verify_worker(verifier: "HybridVerifier", name: str) -> list[HybridEntry]:

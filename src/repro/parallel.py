@@ -48,12 +48,10 @@ complete as a serial run's.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import random
 import time
-import warnings
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -87,58 +85,6 @@ PARALLEL_STATS = metrics.register_legacy(
 )
 
 
-def cgroup_cpu_quota(root: str = "/sys/fs/cgroup") -> Optional[int]:
-    """The container's effective CPU limit from its cgroup quota
-    (ceil(quota / period)), or ``None`` when unlimited or unreadable.
-    Reads v2 ``cpu.max`` first (``"max 100000"`` = unlimited,
-    ``"200000 100000"`` = 2 CPUs), then the v1 pair
-    ``cpu/cpu.cfs_quota_us`` / ``cpu/cpu.cfs_period_us`` (quota ``-1``
-    = unlimited)."""
-    try:
-        with open(os.path.join(root, "cpu.max")) as fh:
-            quota_s, _, period_s = fh.read().strip().partition(" ")
-        if quota_s != "max":
-            quota, period = int(quota_s), int(period_s or 100000)
-            if quota > 0 and period > 0:
-                return max(1, math.ceil(quota / period))
-        return None
-    except (OSError, ValueError):
-        pass
-    try:
-        with open(os.path.join(root, "cpu", "cpu.cfs_quota_us")) as fh:
-            quota = int(fh.read().strip())
-        with open(os.path.join(root, "cpu", "cpu.cfs_period_us")) as fh:
-            period = int(fh.read().strip())
-        if quota > 0 and period > 0:
-            return max(1, math.ceil(quota / period))
-    except (OSError, ValueError):
-        pass
-    return None
-
-
-def default_jobs() -> int:
-    """``REPRO_JOBS`` env var, else the CPU count capped by the cgroup
-    CPU quota — a container granted 2 CPUs on a 64-core host forks 2
-    workers, not 64 (oversubscribed forks thrash instead of scale)."""
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs > 0:
-            return jobs
-        warnings.warn(
-            f"REPRO_JOBS={env!r} is not a positive integer; "
-            "falling back to the CPU count",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    cpus = os.cpu_count() or 1
-    quota = cgroup_cpu_quota()
-    return min(cpus, quota) if quota else cpus
-
-
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -158,7 +104,7 @@ def fanout(
     fn: Callable,
     payload,
     items: Iterable[T],
-    jobs: Optional[int],
+    jobs: int,
     on_error: Callable[[T, BaseException], R],
     *,
     on_result: Optional[Callable[[T, R], None]] = None,
@@ -169,7 +115,7 @@ def fanout(
 
     ``fn`` must be a module-level function (pickled by reference);
     ``payload`` may be arbitrarily unpicklable — it reaches workers via
-    fork inheritance. ``jobs=None`` means :func:`default_jobs`.
+    fork inheritance.
 
     ``on_error(item, exc) -> result`` maps a failed item to a stand-in
     result, so callers can degrade one entry while keeping the rest.
@@ -190,8 +136,6 @@ def fanout(
     """
     global _PAYLOAD, _ACTIVE
     items = list(items)
-    if jobs is None:
-        jobs = default_jobs()
     out: list = [None] * len(items)
     handed = 0  # items[:handed] have been handed out
     halted = False

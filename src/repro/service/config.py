@@ -1,9 +1,8 @@
 """Service configuration: one :class:`ServiceConfig`, which
 ``scripts/reprod.py`` builds from its flags, one per field.
 
-Inside the daemon the per-function ``REPRO_DEADLINE`` knob and the
-store's ``REPRO_CACHE_VERIFY`` keep their meanings; the service
-composes with them rather than replacing them.
+Inside the daemon the per-function ``REPRO_DEADLINE`` knob keeps its
+meaning; the service composes with it rather than replacing it.
 """
 
 from __future__ import annotations

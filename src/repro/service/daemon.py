@@ -73,9 +73,9 @@ class VerifierDaemon:
         self.config = config
         self.store = store
         if self.store is None and config.cache_dir:
-            # The CLI's store resolution at the daemon's root: the
-            # REPRO_CACHE_VERIFY policy applies, and a store that
-            # cannot be opened warns and runs without one.
+            # The CLI's store resolution at the daemon's root: a
+            # corrupt entry is quarantined and re-verified, and a store
+            # that cannot be opened warns and runs without one.
             self.store = ProofStore.open(config.cache_dir)
         self.budget = budget
         self.sessions: dict[str, ServiceSession] = {}

@@ -187,7 +187,6 @@ class ServiceSession:
                 report = verifier.run(
                     todo,
                     jobs=jobs,
-                    verify_verdicts=False,  # the response has no place for it
                     stop=stop_check,
                     deadline=started + deadline if deadline is not None else None,
                     fingerprints=fps,

@@ -19,8 +19,6 @@ importing it back at the top here would be circular.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 
 def encode_entries(entries) -> list:
     """Flatten ``HybridEntry`` objects to JSON-safe dicts.
@@ -87,10 +85,6 @@ def _encode_detail(detail):
             "branches": int(detail.branches),
             "status": _typed(detail.status, str, "status"),
             "issues": _encode_issues(detail.issues),
-            "stats": {
-                f.name: int(getattr(detail.stats, f.name))
-                for f in fields(detail.stats)
-            },
         }
     raise ValueError(f"detail of type {type(detail).__name__} is not encodable")
 
@@ -123,15 +117,8 @@ def _decode_detail(data):
         )
     if kind == "gillian":
         from repro.gillian.engine import VerificationIssue
-        from repro.gillian.matcher import TacticStats
         from repro.gillian.verifier import VerificationResult
 
-        stats = _obj(_obj(data, "detail").get("stats"), "stats")
-        if set(stats) != {f.name for f in fields(TacticStats)} or not all(
-            isinstance(v, int) and not isinstance(v, bool)
-            for v in stats.values()
-        ):
-            raise ValueError("detail field 'stats' has an unexpected shape")
         return VerificationResult(
             function=_field(data, "function", str),
             kind=_field(data, "kind", str),
@@ -139,7 +126,6 @@ def _decode_detail(data):
             issues=_decode_issues(data, VerificationIssue),
             elapsed=_number(data, "elapsed"),
             branches=_field(data, "branches", int),
-            stats=TacticStats(**stats),
             status=_field(data, "status", str),
         )
     raise ValueError(f"unknown detail type {kind!r}")

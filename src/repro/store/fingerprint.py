@@ -53,7 +53,7 @@ from repro.lang.pretty import pretty_body
 
 #: Bump on any change to entry layout, payload semantics, or the
 #: fingerprint recipe itself; old entries become misses, never lies.
-STORE_FORMAT = 3
+STORE_FORMAT = 4
 
 _ADDR = re.compile(r"0x[0-9a-fA-F]+")
 _FRESH = re.compile(r"#\d+")

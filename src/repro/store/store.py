@@ -34,12 +34,9 @@ so reading an entry must be safe on arbitrary bytes.
 Validation — every read re-checks the envelope: JSON well-formedness,
 format version, fingerprint echo, SHA-256 of the payload, payload
 decodability, and that the envelope's ``function`` and ``statuses``
-echo the decoded payload. Any failure is *corruption*: in ``heal``
-mode (default) the file is moved to ``quarantine/`` and the lookup
-reports a miss, so the caller re-verifies and the fresh publish heals
-the entry; in ``strict`` mode a :class:`~repro.errors.StoreCorrupted`
-surfaces (the pipeline maps it to an ``error`` entry — it still never
-crashes a run).
+echo the decoded payload. Any failure is *corruption*: the file is
+moved to ``quarantine/`` and the lookup reports a miss, so the caller
+re-verifies and the fresh publish heals the entry.
 
 Only deterministic verdicts (``verified`` / ``refuted``) are
 persisted: a ``timeout`` depends on the machine's speed that day, a
@@ -47,8 +44,7 @@ persisted: a ``timeout`` depends on the machine's speed that day, a
 make a bad day permanent.
 
 Env knobs: ``REPRO_CACHE=1`` opts in, ``REPRO_CACHE_DIR`` picks the
-root (default ``.repro-cache``), ``REPRO_CACHE_VERIFY=strict|heal``
-picks the corruption policy.
+root (default ``.repro-cache``).
 """
 
 from __future__ import annotations
@@ -98,13 +94,8 @@ class ProofStore:
     """One cache root; safe to share between processes (publishes are
     atomic and idempotent)."""
 
-    def __init__(self, root, verify_mode: str = "heal") -> None:
-        if verify_mode not in ("heal", "strict"):
-            raise ValueError(
-                f"verify_mode must be 'heal' or 'strict', got {verify_mode!r}"
-            )
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.verify_mode = verify_mode
         self.entries_dir = self.root / "entries"
         self.tmp_dir = self.root / "tmp"
         self.quarantine_dir = self.root / "quarantine"
@@ -123,19 +114,16 @@ class ProofStore:
         env = os.environ if environ is None else environ
         if env.get("REPRO_CACHE") != "1":
             return None
-        return cls.open(env.get("REPRO_CACHE_DIR") or ".repro-cache", env)
+        return cls.open(env.get("REPRO_CACHE_DIR") or ".repro-cache")
 
     @classmethod
-    def open(cls, root, environ: Optional[dict] = None) -> Optional["ProofStore"]:
-        """The store at ``root`` under the env's ``REPRO_CACHE_VERIFY``
-        policy, or ``None``. Never raises: a store that cannot be
-        opened (read-only FS, bad mode string) warns and disables
-        itself — the cache may degrade performance, never break a
-        run."""
-        env = os.environ if environ is None else environ
-        mode = env.get("REPRO_CACHE_VERIFY") or "heal"
+    def open(cls, root) -> Optional["ProofStore"]:
+        """The store at ``root``, or ``None``. Never raises: a store
+        that cannot be opened (read-only FS, a NUL in the path) warns
+        and disables itself — the cache may degrade performance, never
+        break a run."""
         try:
-            return cls(root, verify_mode=mode)
+            return cls(root)
         except (OSError, ValueError) as e:
             warnings.warn(
                 f"the proof store at {str(root)!r} cannot be opened "
@@ -159,8 +147,7 @@ class ProofStore:
     def get(self, fp: str, context: str = ""):
         """The cached entries for ``fp``, or ``None`` (a miss).
 
-        Corruption in ``heal`` mode quarantines and reports a miss; in
-        ``strict`` mode it raises :class:`StoreCorrupted`. I/O errors
+        Corruption quarantines the entry and reports a miss. I/O errors
         are retried with backoff; a persistent one is a miss (the proof
         is re-run — slower, never wrong)."""
         with span("store.get"):
@@ -190,8 +177,6 @@ class ProofStore:
             entries = self._decode(fp, blob, path)
         except StoreCorrupted:
             STORE_STATS["corrupt"] += 1
-            if self.verify_mode == "strict":
-                raise
             self._quarantine(fp, path)
             STORE_STATS["misses"] += 1
             return None

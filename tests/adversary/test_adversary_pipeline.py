@@ -1,5 +1,5 @@
 """End-to-end adversary integration: cross_check over real runs, the
-report model, fault-boundary degradation, and the pipeline knobs."""
+report model, and fault-boundary degradation."""
 
 import pytest
 
@@ -93,29 +93,25 @@ class TestCrossCheck:
 
 
 class TestPipelineIntegration:
-    def test_run_verify_verdicts_flag(self, ll_verifier):
-        report = ll_verifier.run(["LinkedList::new"], verify_verdicts=True)
-        assert report.adversary is not None
-        assert report.ok
-        assert report.status == "verified"
-        assert "adversary cross-check" in report.render()
+    """The cross-check runs after ``run`` on its finished report."""
 
-    def test_env_knob(self, ll_verifier, monkeypatch):
-        monkeypatch.setenv("REPRO_ADVERSARY", "1")
+    def test_cross_check_after_run(self, ll_verifier):
         report = ll_verifier.run(["LinkedList::new"])
-        assert report.adversary is not None
-        monkeypatch.delenv("REPRO_ADVERSARY")
-        report = ll_verifier.run(["LinkedList::new"])
-        assert report.adversary is None
+        adv = cross_check(ll_verifier, report)
+        assert report.ok and report.status == "verified"
+        assert adv.ok and adv.status == "confirmed"
+        assert "adversary cross-check" in adv.render()
+        assert "adversary" not in report.render()
 
     def test_injected_fault_never_crashes_run(self, ll_verifier, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT", "adversary.replay:raise")
         faultinject.reload_env()
-        report = ll_verifier.run(["LinkedList::new"], verify_verdicts=True)
-        assert report.adversary is not None
-        assert not report.ok
-        assert report.status == "cross_check_failed"
-        assert report.adversary.entries[0].status == "cross_check_failed"
+        report = ll_verifier.run(["LinkedList::new"])
+        assert report.ok  # the fault sits in the cross-check only
+        adv = cross_check(ll_verifier, report)
+        assert not adv.ok
+        assert adv.status == "cross_check_failed"
+        assert adv.entries[0].status == "cross_check_failed"
 
     def test_internal_error_contained(self, ll_verifier, monkeypatch):
         """Even the orchestrator itself dying yields a report."""
@@ -124,13 +120,14 @@ class TestPipelineIntegration:
         def boom(*a, **k):
             raise RuntimeError("orchestrator bug")
 
-        monkeypatch.setattr(adv_mod, "cross_check", boom)
-        report = ll_verifier.run(["LinkedList::new"], verify_verdicts=True)
-        assert report.adversary is not None
-        assert report.adversary.internal_error
-        assert "orchestrator bug" in report.adversary.internal_error
-        assert report.status == "cross_check_failed"
-        assert not report.ok
+        monkeypatch.setattr(adv_mod, "_group_entries", boom)
+        report = ll_verifier.run(["LinkedList::new"])
+        adv = cross_check(ll_verifier, report)
+        assert adv.internal_error
+        assert "orchestrator bug" in adv.internal_error
+        assert adv.status == "cross_check_failed"
+        assert not adv.ok
+        assert report.ok
 
 
 class TestReportModel:
@@ -151,31 +148,6 @@ class TestReportModel:
         with pytest.raises(ValueError):
             AdversaryEntry("f", "fine")
 
-    def test_hybrid_status_demotion(self):
-        """Entry-level severity outranks adversary demotion; a clean
-        entry set is demoted by suspect/cross_check_failed."""
-        entries = [HybridEntry("f", "creusot", True, None)]
-        r = HybridReport(entries=list(entries))
-        r.adversary = AdversaryReport(entries=[AdversaryEntry("f", "suspect")])
-        assert r.status == "suspect"
-        assert not r.ok
-        r.adversary = AdversaryReport(
-            entries=[AdversaryEntry("f", "cross_check_failed")]
-        )
-        assert r.status == "cross_check_failed"
-        # An entry-level failure still wins over the adversary status.
-        r.entries.append(
-            HybridEntry("g", "creusot", False, None, status="crashed")
-        )
-        assert r.status == "crashed"
-        # Unchecked/confirmed never demote.
-        r2 = HybridReport(entries=list(entries))
-        r2.adversary = AdversaryReport(
-            entries=[AdversaryEntry("f", "unchecked")]
-        )
-        assert r2.status == "verified"
-        assert r2.ok
-
     def test_mixed_status_render(self):
         r = HybridReport(
             entries=[
@@ -183,7 +155,7 @@ class TestReportModel:
                 HybridEntry("g", "gillian-rust", False, None, status="timeout"),
             ]
         )
-        r.adversary = AdversaryReport(
+        adv = AdversaryReport(
             entries=[
                 AdversaryEntry("f", "confirmed", replay="2 runs clean"),
                 AdversaryEntry("g", "unchecked", replay="not verified"),
@@ -193,8 +165,8 @@ class TestReportModel:
                 ),
             ]
         )
-        text = r.render()
-        assert "1 verified" in text and "1 timeout" in text
+        assert "1 verified, 1 timeout" in r.render()
+        text = adv.render()
         assert "adversary cross-check" in text
         assert "1 confirmed" in text and "1 suspect" in text
         assert "1 cross_check_failed" in text

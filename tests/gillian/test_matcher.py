@@ -3,11 +3,11 @@ closing tokens, repair heuristics (§4.2)."""
 
 import pytest
 
+from repro import obs
 from repro.core.borrows import BorrowInstance
 from repro.core.state import RustState, RustStateModel
 from repro.gillian.matcher import (
     TacticError,
-    TacticStats,
     close_all_borrows,
     fold,
     gfold,
@@ -108,13 +108,14 @@ class TestUnfoldFold:
             fold(model, RustState(), "cell", {0: loc("p3")})
 
     def test_stats_counted(self, model):
-        stats = TacticStats()
         p = loc("p4")
         [s0] = produce(model, RustState(), PointsTo(p, U64, intlit(4)))
-        [s1] = fold(model, s0, "cell", {0: p}, stats)
-        unfold(model, s1, s1.preds[0], stats)
-        assert stats.folds == 1
-        assert stats.unfolds == 1
+        with obs.window() as seen:
+            [s1] = fold(model, s0, "cell", {0: p})
+            unfold(model, s1, s1.preds[0])
+        counters = seen.delta["counters"]
+        assert counters.get("tactic.folds") == 1
+        assert counters.get("tactic.unfolds") == 1
 
 
 class TestGuarded:

@@ -10,7 +10,7 @@ from repro.gilsonite.ownable import OwnableRegistry
 from repro.hybrid import pipeline
 from repro.hybrid.pipeline import HybridEntry, HybridVerifier
 from repro.lang.mir import Program
-from repro.parallel import default_jobs, fork_available
+from repro.parallel import fork_available
 from repro.pearlite.ast import PBool, PearliteSpec
 from repro.rustlib.contracts import LINKED_LIST_CONTRACTS, MANUAL_PURE_PRECONDITIONS
 from repro.rustlib.linked_list import build_program
@@ -168,18 +168,10 @@ def test_pool_gets_longest_estimate_first(monkeypatch):
     assert [e.function for e in report.entries] == names
 
 
-def test_jobs_none_uses_default(env, monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    assert default_jobs() == 2
-    report = _run(env, jobs=None)
-    assert report.ok, report.render()
-
-
 @pytest.mark.parametrize("jobs", [0, -3, None])
 def test_jobs_below_one_is_refused(monkeypatch, jobs):
-    # None still means the default width; a width below one is a
-    # caller error, refused before any lookup or verification.
-    monkeypatch.setenv("REPRO_JOBS", "3")
+    # A width below one, or none at all, is a caller error, refused
+    # before any lookup or verification.
     widths = []
 
     def fake_fanout(fn, payload, items, jobs, on_error, **hooks):
@@ -191,19 +183,9 @@ def test_jobs_below_one_is_refused(monkeypatch, jobs):
     for n in ("fn0", "fn1"):
         program.add_body(_fast_body(n))
     hv = HybridVerifier(program, OwnableRegistry(program), {})
-    if jobs is None:
-        assert hv.run(["fn0", "fn1"], jobs=jobs).ok
-        assert widths == [3]
-    else:
-        with pytest.raises(ValueError, match="jobs must be at least 1"):
-            hv.run(["fn0", "fn1"], jobs=jobs)
-        assert widths == []
-
-
-def test_invalid_repro_jobs_warns(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "several")
-    with pytest.warns(RuntimeWarning, match="'several'"):
-        default_jobs()
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        hv.run(["fn0", "fn1"], jobs=jobs)
+    assert widths == []
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,5 @@
 """The hardened fan-out: per-future error collection, broken-pool
-retry, re-entrancy guard, and ``default_jobs`` — the REPRO_JOBS
-diagnostics and the cgroup CPU-quota cap (a pod granted 2 CPUs on a
-64-core node should fork 2 workers, not 64)."""
+retry and the re-entrancy guard."""
 
 import os
 import time
@@ -12,13 +10,7 @@ import repro.parallel as parallel
 from repro import faultinject
 from repro.errors import WorkerCrashed
 from repro.obs.metrics import metrics
-from repro.parallel import (
-    PARALLEL_STATS,
-    cgroup_cpu_quota,
-    default_jobs,
-    fanout,
-    fork_available,
-)
+from repro.parallel import PARALLEL_STATS, fanout, fork_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="needs fork start method"
@@ -80,12 +72,6 @@ def degrade(item, exc):
 
 def reraise(item, exc):
     raise exc
-
-
-def write(root, rel, text):
-    path = root / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
 
 
 @pytest.fixture(autouse=True)
@@ -297,88 +283,3 @@ class TestPoolPath:
             fanout(fail_on_three, None, [1, 3], 2, reraise)
         assert parallel._PAYLOAD is None
         assert parallel._ACTIVE is False
-
-
-class TestDefaultJobs:
-    def test_valid_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert default_jobs() == 3
-
-    def test_invalid_env_warns_and_names_the_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
-        with pytest.warns(RuntimeWarning, match="'lots'"):
-            assert default_jobs() == (os.cpu_count() or 1)
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_env_warns(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_JOBS", value)
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
-        with pytest.warns(RuntimeWarning, match="not a positive integer"):
-            assert default_jobs() == (os.cpu_count() or 1)
-
-    def test_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: None)
-        assert default_jobs() == (os.cpu_count() or 1)
-
-    def test_quota_caps_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1)
-        assert default_jobs() == 1
-
-    def test_quota_above_cpu_count_is_ignored(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 4096)
-        assert default_jobs() == (os.cpu_count() or 1)
-
-    def test_env_knob_beats_quota(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        monkeypatch.setattr(parallel, "cgroup_cpu_quota", lambda: 1)
-        assert default_jobs() == 7
-
-
-class TestCgroupV2:
-    def test_quota_two_cpus(self, tmp_path):
-        write(tmp_path, "cpu.max", "200000 100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) == 2
-
-    def test_fractional_quota_rounds_up(self, tmp_path):
-        write(tmp_path, "cpu.max", "150000 100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) == 2
-
-    def test_sub_cpu_quota_is_one(self, tmp_path):
-        write(tmp_path, "cpu.max", "50000 100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) == 1
-
-    def test_max_means_unlimited(self, tmp_path):
-        write(tmp_path, "cpu.max", "max 100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) is None
-
-    def test_v2_beats_v1(self, tmp_path):
-        write(tmp_path, "cpu.max", "400000 100000\n")
-        write(tmp_path, "cpu/cpu.cfs_quota_us", "100000\n")
-        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) == 4
-
-
-class TestCgroupV1:
-    def test_quota_pair(self, tmp_path):
-        write(tmp_path, "cpu/cpu.cfs_quota_us", "300000\n")
-        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) == 3
-
-    def test_minus_one_means_unlimited(self, tmp_path):
-        write(tmp_path, "cpu/cpu.cfs_quota_us", "-1\n")
-        write(tmp_path, "cpu/cpu.cfs_period_us", "100000\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) is None
-
-
-class TestCgroupUnreadable:
-    def test_missing_root_is_unlimited(self, tmp_path):
-        assert cgroup_cpu_quota(root=str(tmp_path / "absent")) is None
-
-    def test_garbage_files_are_unlimited(self, tmp_path):
-        write(tmp_path, "cpu.max", "banana\n")
-        write(tmp_path, "cpu/cpu.cfs_quota_us", "many\n")
-        assert cgroup_cpu_quota(root=str(tmp_path)) is None

@@ -151,53 +151,17 @@ def _corrupt_one_entry(cache):
 
 
 class TestStoreConfig:
-    """The daemon opens its store like the CLI: the
-    ``REPRO_CACHE_VERIFY`` policy applies at the daemon's root."""
+    """The daemon opens its store like the CLI: a corrupt entry at the
+    daemon's root is quarantined and re-verified."""
 
-    def test_strict_mode_surfaces_error_entry(
-        self, local_daemon, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_VERIFY", "strict")
+    def test_heal_mode_is_the_default(self, local_daemon, tmp_path):
         first = local_daemon()
-        assert first.store.verify_mode == "strict"
         with ServiceClient(first.config.socket) as c:
-            assert c.submit("demo")["ok"]
+            c.submit("demo")
         victim = _corrupt_one_entry(tmp_path / "cache")
 
         second = local_daemon()  # a restart: cold session, warm store
         with ServiceClient(second.config.socket) as c:
             r = c.submit("demo")
-            assert r["status"] == "error"
-            assert r["functions"][victim] == "error"
-            assert all(
-                st == "verified"
-                for fn, st in r["functions"].items()
-                if fn != victim
-            )
-            assert c.health()["ok"]  # degraded, never crashed
-
-    def test_heal_mode_is_the_default(
-        self, local_daemon, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_CACHE_VERIFY", raising=False)
-        first = local_daemon()
-        assert first.store.verify_mode == "heal"
-        with ServiceClient(first.config.socket) as c:
-            c.submit("demo")
-        victim = _corrupt_one_entry(tmp_path / "cache")
-
-        second = local_daemon()
-        with ServiceClient(second.config.socket) as c:
-            r = c.submit("demo")
             assert r["ok"] and r["functions"][victim] == "verified"
         assert len(list(second.store.quarantine_dir.iterdir())) == 1
-
-    def test_bad_mode_warns_and_runs_without_a_store(
-        self, local_daemon, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_VERIFY", "yolo")
-        with pytest.warns(RuntimeWarning, match="without a cache"):
-            d = local_daemon()
-        assert d.store is None
-        with ServiceClient(d.config.socket) as c:
-            assert c.submit("demo")["ok"]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.creusot.vcgen import CreusotIssue, CreusotResult
 from repro.gillian.engine import VerificationIssue
-from repro.gillian.matcher import TacticStats
 from repro.gillian.verifier import VerificationResult
 from repro.hybrid.pipeline import HybridEntry
 from repro.store.codec import decode_entries, encode_entries
@@ -35,7 +34,6 @@ def gillian_entry():
             "pop", "show_safety", ok=False,
             issues=[VerificationIssue("pop", "bb0", "leak")],
             elapsed=1.5, branches=9,
-            stats=TacticStats(unfolds=2, folds=1, repairs=4),
             status="refuted",
         ),
         status="refuted",
@@ -88,11 +86,26 @@ class TestRejection:
         with pytest.raises(ValueError):
             decode_entries([record])
 
-    def test_gillian_stats_shape_enforced(self):
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.__setitem__("kind", 7),
+            lambda d: d.__setitem__("branches", "many"),
+            lambda d: d.__setitem__("status", None),
+            lambda d: d.__setitem__("issues", [{"where": "bb0"}]),
+        ],
+    )
+    def test_malformed_gillian_details_raise(self, mutate):
         [record] = encode_entries([gillian_entry()])
-        record["detail"]["stats"]["__reduce__"] = 1
-        with pytest.raises(ValueError, match="stats"):
+        mutate(record["detail"])
+        with pytest.raises(ValueError):
             decode_entries([record])
+
+    def test_gillian_tactic_counts_are_not_persisted(self):
+        # A run's tactic counts live in its report (the ``tactic.*``
+        # registry counters), not in the entries the store replays.
+        [record] = encode_entries([gillian_entry()])
+        assert "stats" not in record["detail"]
 
     def test_non_list_payload_raises(self):
         with pytest.raises(ValueError, match="entry list"):

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.errors import StoreCorrupted
 from repro.hybrid.pipeline import HybridEntry
 from repro.store import CACHEABLE_STATUSES, ProofStore, STORE_STATS
 
@@ -157,17 +156,6 @@ class TestCorruption:
         assert store.get(FP2) is None
         assert STORE_STATS["corrupt"] == 1
 
-    def test_strict_mode_raises(self, tmp_path):
-        store = ProofStore(tmp_path, verify_mode="strict")
-        store.put(FP, "fn0", entries_for("fn0"))
-        path = self.corrupt_one_byte(store, FP)
-        with pytest.raises(StoreCorrupted, match="checksum"):
-            store.get(FP)
-        assert path.exists()  # strict mode preserves the evidence
-
-    def test_bad_verify_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="verify_mode"):
-            ProofStore(tmp_path, verify_mode="paranoid")
 
 
 class TestFromEnv:
@@ -181,17 +169,6 @@ class TestFromEnv:
         )
         assert store is not None
         assert store.root == tmp_path / "c"
-        assert store.verify_mode == "heal"
-
-    def test_verify_mode_knob(self, tmp_path):
-        store = ProofStore.from_env(
-            {
-                "REPRO_CACHE": "1",
-                "REPRO_CACHE_DIR": str(tmp_path),
-                "REPRO_CACHE_VERIFY": "strict",
-            }
-        )
-        assert store.verify_mode == "strict"
 
     def test_unopenable_store_warns_and_disables(self, tmp_path):
         blocker = tmp_path / "not-a-dir"
@@ -199,16 +176,5 @@ class TestFromEnv:
         with pytest.warns(RuntimeWarning, match="without a cache"):
             store = ProofStore.from_env(
                 {"REPRO_CACHE": "1", "REPRO_CACHE_DIR": str(blocker)}
-            )
-        assert store is None
-
-    def test_bad_mode_warns_and_disables(self, tmp_path):
-        with pytest.warns(RuntimeWarning, match="without a cache"):
-            store = ProofStore.from_env(
-                {
-                    "REPRO_CACHE": "1",
-                    "REPRO_CACHE_DIR": str(tmp_path),
-                    "REPRO_CACHE_VERIFY": "yolo",
-                }
             )
         assert store is None
