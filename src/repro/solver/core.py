@@ -102,6 +102,7 @@ from repro.solver.terms import (
     some,
     subterms,
 )
+from repro.solver.union_find import CongruenceClosure
 
 
 class Status(enum.Enum):
@@ -156,8 +157,6 @@ class TheoryBranch:
     """
 
     def __init__(self) -> None:
-        from repro.solver.union_find import CongruenceClosure
-
         self.cc = CongruenceClosure()
         self.lin = LinearStore()
         self._seq_terms: set[Term] = set()

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from repro.solver.sorts import INT, REAL
@@ -78,17 +79,26 @@ def _exact_div(a: Rat, b: Rat) -> Rat:
     return a / b
 
 
-@dataclass
 class LinConstraint:
-    """``sum(coeffs[a] * a) + const {<=,<} 0``."""
+    """``sum(coeffs[a] * a) + const {<=,<} 0``.
 
-    coeffs: dict[Term, Rat]
-    const: Rat
-    strict: bool
-    #: Fourier-Motzkin derivation depth (0 = asserted directly).
-    depth: int = 0
-    #: Index in :attr:`LinearStore.constraints` (set when added).
-    pos: int = -1
+    A plain slotted class, not a dataclass: the store builds one per
+    asserted inequality and per Fourier–Motzkin combination, and
+    compares them only by :meth:`key` and identity."""
+
+    __slots__ = ("coeffs", "const", "strict", "depth", "pos", "_key")
+
+    def __init__(
+        self, coeffs: dict[Term, Rat], const: Rat, strict: bool, depth: int = 0
+    ) -> None:
+        self.coeffs = coeffs
+        self.const = const
+        self.strict = strict
+        #: Fourier-Motzkin derivation depth (0 = asserted directly).
+        self.depth = depth
+        #: Index in :attr:`LinearStore.constraints` (set when added).
+        self.pos = -1
+        self._key: Optional[tuple] = None
 
     def key(self) -> tuple:
         k = self._key
@@ -96,9 +106,6 @@ class LinConstraint:
             k = (frozenset(self.coeffs.items()), self.const, self.strict)
             self._key = k
         return k
-
-    def __post_init__(self) -> None:
-        self._key: Optional[tuple] = None
 
 
 @dataclass
@@ -144,8 +151,16 @@ def linearize(t: Term) -> tuple[dict[Term, Rat], Rat]:
     """Decompose a numeric term into ``(atom coefficients, constant)``.
 
     Non-linear subterms (products of two non-literals, div, mod, len
-    applications, ...) are kept opaque as atoms.
+    applications, ...) are kept opaque as atoms. The result is a fresh
+    dict on every call; the decomposition itself is memoised per
+    interned term (:func:`_linearize`).
     """
+    coeffs, const = _linearize(t)
+    return dict(coeffs), const
+
+
+@lru_cache(maxsize=16384)
+def _linearize(t: Term) -> tuple[tuple[tuple[Term, Rat], ...], Rat]:
     coeffs: dict[Term, Rat] = {}
     const: Rat = 0
 
@@ -172,7 +187,7 @@ def linearize(t: Term) -> tuple[dict[Term, Rat], Rat]:
             coeffs[u] = coeffs.get(u, 0) + scale
 
     go(t, 1)
-    return {a: c for a, c in coeffs.items() if c != 0}, const
+    return tuple((a, c) for a, c in coeffs.items() if c != 0), const
 
 
 # Trail entry tags.
@@ -475,17 +490,20 @@ class LinearStore:
                 continue
             tb = bounds[target]
             if ct > 0:
-                new_hi = _exact_div(rhs_hi, ct)
-                if self._tighten_hi(target, tb, new_hi, rhs_strict):
-                    changed = True
+                tightened = self._tighten_hi(
+                    target, tb, _exact_div(rhs_hi, ct), rhs_strict
+                )
             else:
-                new_lo = _exact_div(rhs_hi, ct)
-                if self._tighten_lo(target, tb, new_lo, rhs_strict):
-                    changed = True
-            if tb.empty(integral=target.sort == INT):
-                self.conflict = True
-                self.conflict_reason = f"empty bounds for {target}: {tb}"
-                return True
+                tightened = self._tighten_lo(
+                    target, tb, _exact_div(rhs_hi, ct), rhs_strict
+                )
+            # Bounds only become empty when one of them tightens.
+            if tightened:
+                changed = True
+                if tb.empty(integral=target.sort == INT):
+                    self.conflict = True
+                    self.conflict_reason = f"empty bounds for {target}: {tb}"
+                    return True
         return changed
 
     def _tighten_hi(self, atom: Term, b: Bounds, hi: Rat, strict: bool) -> bool:

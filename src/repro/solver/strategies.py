@@ -36,6 +36,7 @@ solver (:attr:`~repro.solver.core.Solver.prefix_branches`).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from repro.solver.sorts import BOOL
@@ -55,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.solver.core import Solver, Status, TheoryBranch
 
 
+@lru_cache(maxsize=16384)
 def _find_bool_ite(t: Term) -> Optional[App]:
     """Find an ``ite`` application to lift, if any."""
     for s in subterms(t):
@@ -63,6 +65,7 @@ def _find_bool_ite(t: Term) -> Optional[App]:
     return None
 
 
+@lru_cache(maxsize=16384)
 def _split_kind(f: Term) -> int:
     """How much case splitting processing ``f`` will cause; only kind 0
     joins the cached literal prefix:
