@@ -20,10 +20,6 @@ StoreCorrupted            error       proof-store entry failed validation
 any other Exception       error       unexpected internal failure
 ========================  ==========  =====================================
 
-The adversary layer (:mod:`repro.adversary`) reuses the same model for
-its own per-function statuses: :class:`AdversaryCheckFailed` maps to
-``cross_check_failed`` in the cross-check's own report.
-
 The pipeline (:mod:`repro.hybrid.pipeline`) catches at the per-function
 boundary and converts to a ✗-with-reason entry, so one pathological
 function can never abort the whole run — ``HybridVerifier.run`` always
@@ -126,17 +122,6 @@ class InjectedFault(VerificationError):
     harness's ``raise`` action when no explicit exception is named."""
 
     status = "error"
-
-
-class AdversaryCheckFailed(VerificationError):
-    """An adversary cross-check pass (:mod:`repro.adversary`) failed
-    hard — internal error or injected fault while replaying, mutating
-    or differentially re-verifying a function. The affected function's
-    adversary entry degrades to ``cross_check_failed``; the run itself
-    never crashes (same fault-boundary model as the per-function
-    verification path)."""
-
-    status = "cross_check_failed"
 
 
 def status_of(exc: BaseException) -> str:

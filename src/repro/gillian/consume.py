@@ -304,7 +304,12 @@ def _consume_parts(
                     # The fact may be locked inside a folded predicate
                     # (e.g. the length invariant inside ⌊LinkedList⌋):
                     # try unfolding to expose it (§4.2 heuristics).
-                    if depth < MAX_FOLD_DEPTH:
+                    # Unfolding only adds facts, so a part that pc
+                    # already refutes could be proved only on an
+                    # infeasible state: ask before speculating.
+                    if depth < MAX_FOLD_DEPTH and not model.solver.entails(
+                        state.pc, not_(f)
+                    ):
                         return _unfold_during_consume(
                             model, state, part, rest, bindings, unbound, depth
                         )

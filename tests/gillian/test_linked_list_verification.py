@@ -162,14 +162,15 @@ class TestGuardedPredicateAutomationE9:
     borrows on their own. The counts are the steps a VeriFast-style
     tool would need as manual ghost annotations. ``tactic.unfolds``
     also counts the single-branch unfolds that consumption makes on
-    its own (2 for push_front_node, 4 for pop_front_node)."""
+    its own (none for push_front_node, 3 for pop_front_node); a pure
+    part that the path condition refutes is not unfolded for."""
 
     @pytest.mark.parametrize(
         "name, expected",
         [
             # (unfolds, gunfolds, gfolds, auto_updates)
-            ("LinkedList::push_front_node", (10, 1, 2, 2)),
-            ("LinkedList::pop_front_node", (8, 1, 3, 3)),
+            ("LinkedList::push_front_node", (8, 1, 2, 2)),
+            ("LinkedList::pop_front_node", (7, 1, 3, 3)),
         ],
     )
     def test_automation_counts(self, env, name, expected):

@@ -452,7 +452,7 @@ def _recorded(crate: str, function: str) -> list:
     "crate, function",
     [
         ("LinkedList", "LinkedList::push_front_node"),
-        ("RawStack", "RawStack::push"),
+        ("RawStack", "RawStack::pop"),
         ("RawVec", "RawVec::pop"),
     ],
 )
